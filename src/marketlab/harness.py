@@ -149,6 +149,8 @@ class Scenario:
     seeds: tuple[int, ...]
     csv: str
     spec: dict
+    # Assumption audits by sweep index, filled in as the tasks run.
+    audits: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _fail(path: str, msg: str):
@@ -289,6 +291,8 @@ def _check_grid_block(grid: dict, path: str):
         vals.append(_typed(s, f"{path}.scales[{i}]", float, lambda x: None if x >= 0 else "must be >= 0"))
     if 1.0 not in vals:
         _fail(f"{path}.scales", "must include the truthful scale 1.0")
+    if len(set(vals)) != len(vals):
+        _fail(f"{path}.scales", "must not repeat an entry")
     if "offsets" in grid:
         offs = _typed(grid["offsets"], f"{path}.offsets", list, None)
         ovals = [
@@ -297,6 +301,8 @@ def _check_grid_block(grid: dict, path: str):
         ]
         if 0.0 not in ovals:
             _fail(f"{path}.offsets", "must include the zero offset")
+        if len(set(ovals)) != len(ovals):
+            _fail(f"{path}.offsets", "must not repeat an entry")
 
 
 def _check_rule(spec: dict, path: str):
@@ -607,6 +613,18 @@ def audit_assumptions(
 # -- task execution ----------------------------------------------------------------
 
 
+def _sweep_audit(
+    sc: Scenario, sweep_idx: int, gen: dict, assumptions: dict, n: int, bidders: int
+) -> AssumptionAudit:
+    """Assumption audit of one sweep point, computed once per scenario: it is
+    seeded from the scenario's first seed, so every seed of the point shares it."""
+    if sweep_idx not in sc.audits:
+        sc.audits[sweep_idx] = audit_assumptions(
+            gen, assumptions, n, bidders, _task_seq(sc, sweep_idx, sc.seeds[0], tag=2)
+        )
+    return sc.audits[sweep_idx]
+
+
 @dataclass(frozen=True)
 class Check:
     scenario: str
@@ -662,9 +680,7 @@ def _task_poa_sweep(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: i
     )
     worst, reports, _complete = worst_equilibrium(ctx, rng, restarts=spec.get("restarts", 32))
 
-    audit = audit_assumptions(
-        gen, spec["assumptions"], n, bidders, _task_seq(sc, sweep_idx, sc.seeds[0], tag=2)
-    )
+    audit = _sweep_audit(sc, sweep_idx, gen, spec["assumptions"], n, bidders)
     if seed_idx == 0:
         out.audit = audit
     sqrt_b, log_b = _bounds_for(gen, audit, n)
@@ -714,9 +730,7 @@ def _task_bullying(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: in
             "values": {"kind": "uniform", "low": 1.0, "high": 10.0},
             "supply": {"kind": "fixed", "counts": [1]},
         }
-        out.audit = audit_assumptions(
-            gen, {"zeta": 10.0, "rho_prime": 1.0}, n, 2, _task_seq(sc, sweep_idx, sc.seeds[0], tag=2)
-        )
+        out.audit = _sweep_audit(sc, sweep_idx, gen, {"zeta": 10.0, "rho_prime": 1.0}, n, 2)
     return out
 
 
@@ -750,9 +764,7 @@ def _task_wal_regret(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: 
         f"{min(res.regret_budgets):.3f}",
     ))
 
-    audit = audit_assumptions(
-        gen, spec["assumptions"], n, players, _task_seq(sc, sweep_idx, sc.seeds[0], tag=2)
-    )
+    audit = _sweep_audit(sc, sweep_idx, gen, spec["assumptions"], n, players)
     if seed_idx == 0:
         out.audit = audit
     sqrt_b, log_b = _bounds_for(gen, audit, n)

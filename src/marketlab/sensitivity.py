@@ -16,7 +16,6 @@ from itertools import product
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy import stats
 
 from .errors import InternalCheckError
 from .supply import MultiplicityModel, iter_support, max_point_mass, sample, support_size
@@ -41,6 +40,8 @@ __all__ = [
 ]
 
 COUNT_TOL = 1e-12
+# Two-sided 99% standard normal quantile, norm.ppf(0.995).
+Z99 = 2.5758293035489004
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ def unstable_event_probability(
         raise ValueError("large support needs an explicit generator")
     hits = sum(hit(sample(model, rng)) for _ in range(draws))
     phat = hits / draws
-    half = stats.norm.ppf(0.995) * math.sqrt(max(phat * (1 - phat), 1e-12) / draws)
+    half = Z99 * math.sqrt(max(phat * (1 - phat), 1e-12) / draws)
     lo, hi = max(phat - half, 0.0), min(phat + half, 1.0)
     if hi > bound + COUNT_TOL:
         raise InternalCheckError(

@@ -6,6 +6,14 @@ evaluate expected outcomes over the copy-count distribution, find and
 certify equilibria on the finite strategy grid, run no-regret dynamics,
 and check the price-comparison and utility-floor inequalities that drive
 the welfare guarantees.
+
+Games on one good with unit-demand players all run on a single
+order-statistic kernel, ``_SingleGood``.  It ranks bids by the composite
+key (weight descending, owner descending), which is the slot order of the
+exact engine, so no two bids ever tie and the top ``n`` positive bids win
+at supply ``n``.  One call gives every player's utility for every menu
+entry at every supply atom, bit-equal to ``run_mechanism``.  Every other
+game goes through the exact engine, which stays the oracle.
 """
 
 from __future__ import annotations
@@ -13,17 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from scipy import stats as _stats
 
 from .errors import InternalCheckError
-from .sensitivity import deficit_ball_bound, instability_mass, is_unstable_within
+from .sensitivity import Z99, deficit_ball_bound, instability_mass, is_unstable_within
 from .supply import MultiplicityModel, iter_support, sample, support_size
 from .valuations import (
     UnitDemand,
-    best_utility,
     minimal_equivalent_bundle,
     max_item_value,
     scale_bid,
@@ -51,7 +57,6 @@ __all__ = [
 ]
 
 GAIN_TOL = 1e-9
-Z99 = float(_stats.norm.ppf(0.995))
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,83 @@ class _Stats:
     sw_true: float
 
 
+class _SingleGood:
+    """Order statistics of a one-good auction among unit-demand players.
+
+    ``cand[i, s]`` is player i's bid under menu entry s, the same float
+    expression as ``scale_bid``; entries past the end of a shorter menu bid
+    0, which never wins.  Bids rank by (weight descending, owner
+    descending), the engine's slot order: at supply n the n top-ranked
+    positive bids win, the english price is the (n+1)-th largest bid and the
+    dutch price the n-th.
+    """
+
+    def __init__(self, true_values, menu, rule: str, lam: Optional[float]):
+        weights = [v.weights[0] for v in true_values]
+        self.tv = np.array(weights)
+        self.owner = np.arange(len(weights))
+        self.mask = np.zeros((len(weights), max(len(m) for m in menu)), dtype=bool)
+        self.cand = np.zeros(self.mask.shape)
+        for i, (w, m) in enumerate(zip(weights, menu)):
+            self.mask[i, : len(m)] = True
+            self.cand[i, : len(m)] = [g * w + d for g, d in m]
+        self.rule = rule
+        self.lam = lam
+
+    def bids(self, profile) -> np.ndarray:
+        return self.cand[self.owner, profile]
+
+    def order(self, bids: np.ndarray) -> np.ndarray:
+        """Players in slot order."""
+        return np.lexsort((-self.owner, -bids))
+
+    def rank(self, bids: np.ndarray) -> np.ndarray:
+        """Slot of every player's bid."""
+        rank = np.empty_like(self.owner)
+        rank[self.order(bids)] = self.owner
+        return rank
+
+    def winners(self, bids: np.ndarray, supplies: np.ndarray) -> np.ndarray:
+        """won[i, a]: player i gets a copy at supply supplies[a]."""
+        return (bids > 0.0)[:, None] & (self.rank(bids)[:, None] < supplies)
+
+    def utilities(self, bids: np.ndarray, who, supplies: np.ndarray) -> np.ndarray:
+        """util[w, s, a]: true utility of player who[w] switching to menu
+        entry s while everyone else keeps ``bids``, at supply supplies[a]."""
+        who = np.asarray(who)
+        rank = self.rank(bids)
+        # Bids in slot order after a leading +inf, zero-padded past the end.
+        ranked = np.zeros(bids.size + int(supplies.max(initial=0)) + 2)
+        ranked[0] = np.inf
+        ranked[1 + rank] = bids
+        x = self.cand[who][..., None]  # (W, K, 1)
+        me = who[:, None, None]
+        own = rank[me]
+
+        def others(j):
+            """j-th largest bid (from 0; +inf at -1) of everyone but the player."""
+            return ranked[1 + j + (j >= own)]
+
+        # Other bids ranked above the candidate under the composite key.
+        above = ((bids > x) | ((bids == x) & (self.owner > me))).sum(
+            axis=-1, keepdims=True
+        ) - (bids[me] > x)
+        wins = (x > 0.0) & (above < supplies)
+        # A winning candidate holds one of the top n slots, so the english
+        # price, the (n+1)-th largest bid, is others(n - 1), and the dutch
+        # price, the n-th largest, is the lower of the candidate and
+        # others(n - 2).  Losers' prices are never used.
+        english = others(np.maximum(supplies - 1, 0))
+        if self.rule == "english" or (self.rule == "mix" and self.lam == 0.0):
+            price = english
+        else:
+            dutch = np.minimum(x, others(np.maximum(supplies - 2, -1)))
+            price = dutch if self.rule == "dutch" else (
+                (1.0 - self.lam) * english + self.lam * dutch
+            )
+        return np.where(wins, self.tv[me] - price, 0.0)
+
+
 class GameContext:
     """Expected-outcome evaluator for one auction game.
 
@@ -154,12 +236,12 @@ class GameContext:
         self._opt = np.array(
             [self._true_oracle.welfare(c) for c in self._atom_counts]
         )
-        self._goods = model.goods
-        self._fast = self._goods == 1 and all(
-            isinstance(v, UnitDemand) for v in self.true_values
-        )
-        if self._goods == 1:
+        self._kernel = None
+        if model.goods == 1 and all(isinstance(v, UnitDemand) for v in self.true_values):
+            self._kernel = _SingleGood(self.true_values, self.menu, rule, lam)
+            # Kernel tables run over supplies 0..max; atoms index into them.
             self._ns = np.fromiter((c[0] for c in self._atom_counts), int)
+            self._supplies = np.arange(self._ns.max(initial=0) + 1)
         self._stats_cache: dict[tuple[int, ...], _Stats] = {}
         self._truthful = tuple(
             self.menu[i].index((1.0, 0.0)) for i in range(self.players)
@@ -186,65 +268,25 @@ class GameContext:
         key = tuple(profile)
         hit = self._stats_cache.get(key)
         if hit is None:
-            hit = self._fast_stats(key) if self._fast else self._slow_stats(key)
+            hit = self._slow_stats(key) if self._kernel is None else self._fast_stats(key)
             self._stats_cache[key] = hit
         return hit
 
+    def _expect(self, table: np.ndarray) -> np.ndarray:
+        """Expectation of a per-supply kernel table over the atoms.  Each row
+        is summed on its own, so equal rows give bit-equal expectations."""
+        return (table[..., self._ns] * self._atom_probs).sum(axis=-1)
+
+    def _table(self, profile, who) -> np.ndarray:
+        return self._kernel.utilities(self._kernel.bids(profile), who, self._supplies)
+
     def _fast_stats(self, profile) -> _Stats:
-        util, sw = self._m1_tables(self.profile_bids(profile))
-        utils = util[:, self._ns] @ self._atom_probs
+        k = self._kernel
+        bids = k.bids(profile)
+        util = k.utilities(bids, k.owner, self._supplies)[k.owner, profile]
+        sw = np.where(k.winners(bids, self._supplies), k.tv[:, None], 0.0).sum(axis=0)
         sw_true = float(sw[self._ns] @ self._atom_probs)
-        return _Stats(tuple(float(u) for u in utils), sw_true)
-
-    def _m1_tables(self, bids) -> tuple[np.ndarray, np.ndarray]:
-        """Single-good tables util[i, n] and sw_true[n] for n = 0..max.
-
-        Slots sort exactly as the engine sorts them (weight descending,
-        later owner first on ties), so the canonical allocation, and hence
-        every utility, matches run_mechanism to the last bit.
-        """
-        weights, owners, true_w = [], [], []
-        for i, (b, v) in enumerate(zip(bids, self.true_values)):
-            bw = sorted(b.weights, reverse=True)
-            tw = sorted(v.weights, reverse=True)
-            weights.extend(bw)
-            owners.extend([i] * len(bw))
-            true_w.extend(tw)
-        w = np.array(weights)
-        own = np.array(owners)
-        tw = np.array(true_w)
-        order = np.lexsort((-own, -w))
-        w, own, tw = w[order], own[order], tw[order]
-        slots = w.size
-        nz = int(np.count_nonzero(w > 0.0))
-
-        max_n = max((c[0] for c in self._atom_counts), default=0)
-        ns = np.arange(max_n + 1)
-        q = np.minimum(ns, nz)
-
-        wpad = np.concatenate([w, np.zeros(max_n + 2)])
-        if self.rule == "english":
-            price = wpad[ns]
-        elif self.rule == "dutch":
-            price = np.concatenate([[np.inf], wpad[ns[1:] - 1]])
-        else:
-            low = wpad[ns]
-            high = np.concatenate([[np.inf], wpad[ns[1:] - 1]])
-            price = low if self.lam == 0.0 else (1.0 - self.lam) * low + self.lam * high
-
-        onehot = np.zeros((self.players, slots + 1))
-        val_steps = np.zeros((self.players, slots + 1))
-        if slots:
-            onehot[own, np.arange(slots) + 1] = 1.0
-            val_steps[own, np.arange(slots) + 1] = tw
-        cnt = np.cumsum(onehot, axis=1)
-        cval = np.cumsum(val_steps, axis=1)
-
-        cnt_q = cnt[:, q]
-        pay = np.where(cnt_q > 0, cnt_q * np.where(np.isfinite(price), price, 0.0), 0.0)
-        util = cval[:, q] - pay
-        sw_true = cval[:, q].sum(axis=0)
-        return util, sw_true
+        return _Stats(tuple(self._expect(util).tolist()), sw_true)
 
     def _slow_stats(self, profile) -> _Stats:
         bids = self.profile_bids(profile)
@@ -261,10 +303,9 @@ class GameContext:
 
     def _atom_utility(self, profile, i: int) -> np.ndarray:
         """Per-atom utility of player i, for paired Monte Carlo comparisons."""
+        if self._kernel is not None:
+            return self._table(profile, [i])[0, profile[i], self._ns]
         bids = self.profile_bids(profile)
-        if self._fast:
-            util, _ = self._m1_tables(bids)
-            return util[i, self._ns]
         oracle = WelfareOracle(bids)
         out = np.zeros(len(self._atom_counts))
         for t, counts in enumerate(self._atom_counts):
@@ -272,15 +313,27 @@ class GameContext:
             out[t] = value(self.true_values[i], o.allocation[i]) - o.payments[i]
         return out
 
+    def _menu_utils(self, profile, who) -> np.ndarray:
+        """u[w, s]: expected utility of player who[w] switching to menu entry
+        s against the rest of ``profile``; -inf past the end of its menu."""
+        if self._kernel is not None:
+            u = self._expect(self._table(profile, who))
+            return np.where(self._kernel.mask[who], u, -np.inf)
+        out = np.full((len(who), max(len(m) for m in self.menu)), -np.inf)
+        for w, i in enumerate(who):
+            trial = list(profile)
+            for s in range(len(self.menu[i])):
+                trial[i] = s
+                out[w, s] = self.stats(trial).utils[i]
+        return out
+
     # -- equilibrium machinery ----------------------------------------------
 
     def best_response(self, profile, i: int) -> tuple[int, float]:
         """Best grid reply for player i, ties toward the largest entry."""
-        profile = list(profile)
+        utils = self._menu_utils(profile, [i])[0, : len(self.menu[i])].tolist()
         best_s, best_u = None, None
-        for s in range(len(self.menu[i])):
-            profile[i] = s
-            u = self.stats(profile).utils[i]
+        for s, u in enumerate(utils):
             if best_u is None or u > best_u + GAIN_TOL or (
                 abs(u - best_u) <= GAIN_TOL
                 and self.menu[i][s] > self.menu[i][best_s]
@@ -291,20 +344,14 @@ class GameContext:
     def certify(self, profile, tol: float = GAIN_TOL) -> Certification:
         profile = tuple(profile)
         base = self.stats(profile)
-        worst_gain = -math.inf
-        witness = None
-        for i in range(self.players):
-            trial = list(profile)
-            for s in range(len(self.menu[i])):
-                if s == profile[i]:
-                    continue
-                trial[i] = s
-                gain = self.stats(trial).utils[i] - base.utils[i]
-                if gain > worst_gain:
-                    worst_gain, witness = gain, (i, s)
-            trial[i] = profile[i]
-        if witness is None:
+        players = np.arange(self.players)
+        gains = self._menu_utils(profile, players) - np.array(base.utils)[:, None]
+        gains[players, profile] = -np.inf
+        if not np.isfinite(gains).any():
             return Certification("exact-nash", 0.0, None)
+        # First largest gain in (player, entry) order.
+        i, s = np.unravel_index(int(np.argmax(gains)), gains.shape)
+        worst_gain, witness = float(gains[i, s]), (int(i), int(s))
         if self.exact:
             if worst_gain <= tol:
                 return Certification("exact-nash", max(worst_gain, 0.0), None)
@@ -578,89 +625,6 @@ class LearningResult:
     rounds: int
 
 
-class _FastRound:
-    """Vectorized single-good unit-demand counterfactuals for one round.
-
-    For every player and menu entry: does that bid win at the realized
-    supply, and at what price, holding the other realized bids fixed.
-    Exact order statistics; positive cross-player bid ties are routed to
-    the exact engine by the caller, so none are handled here.
-    """
-
-    def __init__(self, true_values, menu):
-        self.n_players = len(true_values)
-        self.tv = np.array([v.weights[0] for v in true_values])
-        self.kmax = max(len(m) for m in menu)
-        self.cand = np.zeros((self.n_players, self.kmax))
-        self.mask = np.zeros((self.n_players, self.kmax), dtype=bool)
-        for i, m in enumerate(menu):
-            for s, (g, d) in enumerate(m):
-                self.cand[i, s] = g * self.tv[i] + d
-                self.mask[i, s] = True
-
-    def has_cross_ties(self, bids: np.ndarray) -> bool:
-        pos = np.sort(bids[bids > 0])
-        if pos.size > 1 and np.any(np.diff(pos) == 0):
-            return True
-        # A candidate equal to someone else's realized positive bid also
-        # collides once substituted in.
-        for i in range(self.n_players):
-            others = np.delete(bids, i)
-            others = others[others > 0]
-            if others.size and np.any(np.isin(self.cand[i][self.mask[i]], others)):
-                return True
-        return False
-
-    def utilities(self, bids: np.ndarray, n: int, rule: str, lam) -> np.ndarray:
-        """util[i, s] of player i switching to menu entry s; NaN off-menu."""
-        N = self.n_players
-        order = np.lexsort((-np.arange(N), -bids))
-        ws = bids[order]  # weights sorted descending, later owner first on ties
-        rank_of = np.empty(N, dtype=int)
-        rank_of[order] = np.arange(N)
-
-        x = self.cand  # (N, K)
-        # Strictly-greater counts among others; no positive ties by contract.
-        ws_asc = ws[::-1]
-        gt_all = N - np.searchsorted(ws_asc, x.ravel(), side="right").reshape(x.shape)
-        gt = gt_all - (bids[:, None] > x)
-        wins = (x > 0) & (gt <= n - 1)
-
-        # Price: order statistic of the merged multiset (others + candidate).
-        if n == 0:
-            return np.where(self.mask, 0.0, np.nan)
-        q_eng = n  # 0-based index of the (n+1)-th largest
-        q_dut = n - 1
-
-        def merged_stat(q: int) -> np.ndarray:
-            if q >= N:
-                return np.zeros(x.shape)
-            # others' q-th largest, skipping own realized slot
-            idx = q + (q >= rank_of[:, None])
-            a_q = np.where(idx < N, ws[np.minimum(idx, N - 1)], 0.0)
-            idx_m1 = (q - 1) + ((q - 1) >= rank_of[:, None])
-            a_qm1 = np.where(
-                (q - 1 >= 0) & (idx_m1 < N), ws[np.minimum(np.maximum(idx_m1, 0), N - 1)], 0.0
-            )
-            ins = gt  # candidate insertion position among others
-            return np.where(q < ins, a_q, np.where(q == ins, x, a_qm1))
-
-        if rule == "english":
-            price = merged_stat(q_eng)
-        elif rule == "dutch":
-            price = merged_stat(q_dut)
-        else:
-            price = (1.0 - lam) * merged_stat(q_eng) + lam * merged_stat(q_dut)
-        util = np.where(wins, self.tv[:, None] - price, 0.0)
-        return np.where(self.mask, util, np.nan)
-
-    def realized_welfare(self, bids: np.ndarray, n: int) -> float:
-        order = np.lexsort((-np.arange(self.n_players), -bids))
-        ws = bids[order]
-        take = min(n, int(np.count_nonzero(bids > 0)))
-        return float(self.tv[order][:take].sum())
-
-
 def run_learning(
     true_values,
     grids,
@@ -689,27 +653,27 @@ def run_learning(
         grids = [grids] * players
     menu = [g.strategies for g in grids]
     sizes = [len(m) for m in menu]
+    # Per-player state is a players x (largest menu) array; mask marks the
+    # entries each player's menu really has.
+    size_col = np.array(sizes)[:, None]
+    mask = np.arange(max(sizes)) < size_col
+    rows = np.arange(players)
     T = config.rounds
     chi = config.payoff_bound
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    fast_ok = model.goods == 1 and all(isinstance(v, UnitDemand) for v in true_values)
-    fast = _FastRound(true_values, menu) if fast_ok else None
+    kernel = None
+    if model.goods == 1 and all(isinstance(v, UnitDemand) for v in true_values):
+        kernel = _SingleGood(true_values, menu, rule, lam)
     engine_cache: dict = {}
 
-    def counterfactuals(actions, n) -> list[np.ndarray]:
-        """uts[i][s] = utility of player i playing s against others' actions."""
-        bids_vec = None
-        if fast is not None:
-            bids_vec = np.array(
-                [fast.cand[i, s] for i, s in enumerate(actions)]
-            )
-            if not fast.has_cross_ties(bids_vec):
-                table = fast.utilities(bids_vec, n[0], rule, lam)
-                return [table[i, : sizes[i]] for i in range(players)]
-        out = []
+    def counterfactuals(actions, n) -> np.ndarray:
+        """uts[i, s] = utility of player i playing s against others' actions."""
+        if kernel is not None:
+            return kernel.utilities(kernel.bids(actions), rows, np.array(n))[..., 0]
+        actions = actions.tolist()
+        out = np.zeros(mask.shape)
         for i in range(players):
-            row = np.zeros(sizes[i])
             for s in range(sizes[i]):
                 trial = tuple(s if h == i else a for h, a in enumerate(actions))
                 key = (trial, n)
@@ -726,20 +690,38 @@ def run_learning(
                     )
                     if len(engine_cache) < 200_000:
                         engine_cache[key] = utilv
-                row[s] = utilv[i]
-            out.append(row)
+                out[i, s] = utilv[i]
         return out
 
-    etas = [math.sqrt(8.0 * math.log(k) / T) if k > 1 else 0.0 for k in sizes]
-    explore = [
+    def realized_welfare(actions, n) -> float:
+        if kernel is not None:
+            bids = kernel.bids(actions)
+            take = min(n[0], int(np.count_nonzero(bids > 0.0)))
+            # Winners' true values, summed in slot order.
+            return float(kernel.tv[kernel.order(bids)][:take].sum())
+        bids = tuple(
+            scale_bid(true_values[h], *menu[h][a]) for h, a in enumerate(actions)
+        )
+        o = run_mechanism(bids, n, rule, lam)
+        return sum(value(true_values[h], o.allocation[h]) for h in range(players))
+
+    etas = np.array(
+        [math.sqrt(8.0 * math.log(k) / T) if k > 1 else 0.0 for k in sizes]
+    )[:, None]
+    explore = np.array([
         min(1.0, math.sqrt(k * math.log(k) / ((math.e - 1.0) * T))) if k > 1 else 0.0
         for k in sizes
-    ]
-    scores = [np.zeros(k) for k in sizes]  # cumulative normalized payoffs
-    cum_counter = [np.zeros(k) for k in sizes]  # per-strategy counterfactual sums
+    ])[:, None]
+    scores = np.zeros(mask.shape)  # cumulative normalized payoffs
+    cum_counter = np.zeros(mask.shape)  # per-strategy counterfactual sums
     cum_mixture = np.zeros(players)
-    counts = [np.zeros(k, dtype=int) for k in sizes]
+    counts = np.zeros(mask.shape, dtype=int)
     welfare_sum = 0.0
+
+    def hedge_mixture() -> np.ndarray:
+        top = np.where(mask, scores, -np.inf).max(axis=1, keepdims=True)
+        wts = np.where(mask, np.exp(etas * (scores - top)), 0.0)
+        return wts / wts.sum(axis=1, keepdims=True)
 
     opt_atoms = list(iter_support(model)) if support_size(model) <= 10_000 else None
     if opt_atoms is not None:
@@ -756,52 +738,35 @@ def run_learning(
 
     for _ in range(T):
         n_t = sample(model, rng)
-        mixtures = []
-        for i in range(players):
-            z = scores[i] - scores[i].max()
-            wts = np.exp(etas[i] * z)
-            sigma = wts / wts.sum()
-            if config.feedback == "bandit":
-                sigma = (1.0 - explore[i]) * sigma + explore[i] / sizes[i]
-            mixtures.append(sigma)
+        mixtures = hedge_mixture()
+        if config.feedback == "bandit":
+            mixtures = np.where(mask, (1.0 - explore) * mixtures + explore / size_col, 0.0)
         u = rng.random(players)
-        actions = tuple(
-            int(np.searchsorted(np.cumsum(mixtures[i]), u[i], side="right"))
-            for i in range(players)
-        )
-        actions = tuple(min(a, sizes[i] - 1) for i, a in enumerate(actions))
+        # Inverse-CDF draw: the count of cumulative weights at or below u.
+        drawn = (np.cumsum(mixtures, axis=1) <= u[:, None]).sum(axis=1)
+        actions = np.minimum(drawn, size_col[:, 0] - 1)
 
         uts = counterfactuals(actions, n_t)
-        for i in range(players):
-            if np.any(np.abs(uts[i]) > chi + 1e-9):
-                raise ValueError(
-                    f"payoff bound {chi} does not cover player {i}'s payoffs"
-                )
-            norm = (uts[i] + chi) / (2.0 * chi)
-            if config.feedback == "full":
-                scores[i] += norm
-            else:
-                est = np.zeros(sizes[i])
-                est[actions[i]] = norm[actions[i]] / mixtures[i][actions[i]]
-                scores[i] += est
-            cum_counter[i] += uts[i]
-            cum_mixture[i] += float(mixtures[i] @ uts[i])
-            counts[i][actions[i]] += 1
-
-        if fast is not None:
-            bids_vec = np.array([fast.cand[i, s] for i, s in enumerate(actions)])
-            welfare_sum += fast.realized_welfare(bids_vec, n_t[0])
+        over = np.flatnonzero((np.abs(uts) > chi + 1e-9).any(axis=1))
+        if over.size:
+            raise ValueError(
+                f"payoff bound {chi} does not cover player {over[0]}'s payoffs"
+            )
+        norm = np.where(mask, (uts + chi) / (2.0 * chi), 0.0)
+        if config.feedback == "full":
+            scores += norm
         else:
-            bids = tuple(
-                scale_bid(true_values[h], *menu[h][a]) for h, a in enumerate(actions)
-            )
-            o = run_mechanism(bids, n_t, rule, lam)
-            welfare_sum += sum(
-                value(true_values[h], o.allocation[h]) for h in range(players)
-            )
+            scores[rows, actions] += norm[rows, actions] / mixtures[rows, actions]
+        cum_counter += uts
+        # One dot per player over its own menu, so each sum keeps the order
+        # of a per-player loop.
+        for i, k in enumerate(sizes):
+            cum_mixture[i] += float(mixtures[i, :k] @ uts[i, :k])
+        counts[rows, actions] += 1
+        welfare_sum += realized_welfare(actions, n_t)
 
     regrets = tuple(
-        float(cum_counter[i].max() - cum_mixture[i]) for i in range(players)
+        float(cum_counter[i, :k].max() - cum_mixture[i]) for i, k in enumerate(sizes)
     )
     budgets = tuple(
         config.regret_scale * math.sqrt(T * math.log(max(k, 2))) * chi for k in sizes
@@ -812,17 +777,13 @@ def run_learning(
                 raise InternalCheckError(
                     f"player {i} measured regret {r} exceeds budget {b}"
                 )
-    final_mix = []
-    for i in range(players):
-        z = scores[i] - scores[i].max()
-        wts = np.exp(etas[i] * z)
-        final_mix.append(tuple(float(x) for x in wts / wts.sum()))
+    final_mix = hedge_mixture()
     return LearningResult(
         average_welfare=welfare_sum / T,
         expected_opt=expected_opt,
         regrets=regrets,
         regret_budgets=budgets,
-        mixtures=tuple(final_mix),
-        play_counts=tuple(tuple(int(c) for c in cnt) for cnt in counts),
+        mixtures=tuple(tuple(final_mix[i, :k].tolist()) for i, k in enumerate(sizes)),
+        play_counts=tuple(tuple(counts[i, :k].tolist()) for i, k in enumerate(sizes)),
         rounds=T,
     )

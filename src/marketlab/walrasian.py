@@ -102,12 +102,6 @@ class WelfareOracle:
         self._slot_owners = owners[order]
         self._slot_prefix = np.concatenate(([0.0], np.cumsum(self._slot_weights)))
 
-    def slot_view(self):
-        """(sorted weights desc, owner ids, prefix sums) for single-good profiles."""
-        if self._mode != "slots":
-            return None
-        return self._slot_weights, self._slot_owners, self._slot_prefix
-
     # -- assignment path: several goods, matroid bids -----------------------
 
     def _init_assignment(self):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from marketlab import harness
 from marketlab.cli import main
 from marketlab.errors import CheckFailure, ScenarioError
 from marketlab.harness import (
@@ -229,6 +230,43 @@ def test_audit_accepts_heavy_tail_in_expectation():
     assert tight.suppress_bounds
 
 
+def test_audit_runs_once_per_sweep_point(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(gen, assumptions, sweep_n, bidders, seq):
+        calls.append(sweep_n)
+        return audit_assumptions(gen, assumptions, sweep_n, bidders, seq)
+
+    monkeypatch.setattr(harness, "audit_assumptions", counted)
+    doc = {
+        "schema_version": 1,
+        "scenarios": [
+            {
+                "id": "sweep",
+                "setting": "walrasian",
+                "mode": "poa_sweep",
+                "sweep": [4, 5],
+                "seeds": [0, 1, 2],
+                "generator": {
+                    "family": "unit",
+                    "goods": 1,
+                    "bidders": "sweep",
+                    "values": {"kind": "uniform", "low": 0.5, "high": 1.0},
+                    "supply": {"kind": "binomial", "prob": 0.5},
+                },
+                "grid": {"scales": [0.5, 1.0]},
+                "assumptions": {"zeta": 1.0, "rho_prime": 0.5},
+            }
+        ],
+    }
+    cfg = write_config(tmp_path, doc)
+    run_config(cfg, out_dir=str(tmp_path / "serial"))
+    assert calls == [4, 5]
+    run_config(cfg, out_dir=str(tmp_path / "parallel"), jobs=2)
+    serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
+    assert serial == (tmp_path / "parallel" / "sweep.csv").read_bytes()
+
+
 # -- end to end ----------------------------------------------------------------
 
 
@@ -344,6 +382,44 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "nowhere_at_all", "--out", str(tmp_path / "o4")]) == 2
     capsys.readouterr()
     assert main(["run", ok_cfg, "--jobs", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "grid, where",
+    (
+        ({"scales": [0.5, 1.0, 0.5]}, "grid.scales"),
+        ({"scales": [1.0], "offsets": [0.0, 0.25, 0.25]}, "grid.offsets"),
+    ),
+)
+def test_cli_rejects_duplicate_grid_entries(tmp_path, capsys, grid, where):
+    doc = {
+        "schema_version": 1,
+        "scenarios": [
+            {
+                "id": "dup",
+                "setting": "walrasian",
+                "mode": "regret",
+                "sweep": [4],
+                "seeds": [0],
+                "players": 2,
+                "rounds": 10,
+                "generator": {
+                    "family": "unit",
+                    "goods": 1,
+                    "values": {"kind": "uniform", "low": 0.5, "high": 1.0},
+                    "supply": {"kind": "binomial", "prob": 0.5},
+                },
+                "grid": grid,
+                "assumptions": {"zeta": 1.0, "rho_prime": 0.5},
+            }
+        ],
+    }
+    with pytest.raises(ScenarioError, match="repeat"):
+        parse_config(doc)
+    assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"scenarios[0].{where}: must not repeat an entry" in err
+    assert "Traceback" not in err
 
 
 def test_regret_mode_emits_display_columns(tmp_path):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from marketlab import strategic
 from marketlab.sensitivity import (
+    Z99,
     ProbeParams,
     check_counting_identities,
     comb_ext,
@@ -259,3 +261,10 @@ def test_probe_params_validation():
         ProbeParams(threshold=1.0, ceiling=-1.0, slack=0, search_box=1)
     with pytest.raises(ValueError):
         ProbeParams(threshold=1.0, ceiling=1.0, slack=-1, search_box=1)
+
+
+def test_z99_is_the_two_sided_99_percent_normal_quantile():
+    from scipy import stats
+
+    assert Z99 == float(stats.norm.ppf(0.995))
+    assert strategic.Z99 is Z99

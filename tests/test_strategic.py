@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from marketlab.errors import InternalCheckError
 from marketlab.strategic import (
@@ -10,7 +12,7 @@ from marketlab.strategic import (
     GameContext,
     LearningConfig,
     ScalingGrid,
-    _FastRound,
+    _SingleGood,
     best_response_dynamics,
     check_price_bracket,
     check_price_floor,
@@ -21,7 +23,7 @@ from marketlab.strategic import (
     run_learning,
     worst_equilibrium,
 )
-from marketlab.supply import BinomialCounts, FixedCounts
+from marketlab.supply import BinomialCounts, FixedCounts, sample
 from marketlab.valuations import KDemand, UnitDemand, scale_bid, value
 from marketlab.walrasian import run_mechanism
 
@@ -145,7 +147,7 @@ def test_report_rejects_ratio_above_one():
         EquilibriumReport((0,), ((1.0, 0.0),), 2.0, 1.0, 2.0, cert)
 
 
-# -- fast path against the engine ---------------------------------------------
+# -- single-good kernel against the engine ------------------------------------
 
 
 def test_fast_stats_match_engine_stats():
@@ -157,7 +159,7 @@ def test_fast_stats_match_engine_stats():
         for rule, lam in (("english", None), ("dutch", None), ("mix", 0.3)):
             model = BinomialCounts(1, int(rng.integers(1, 6)), 0.5)
             ctx = GameContext(vals, grid, model, rule=rule, lam=lam)
-            assert ctx._fast
+            assert ctx._kernel is not None
             profile = tuple(int(rng.integers(0, 3)) for _ in range(n_players))
             fast = ctx._fast_stats(profile)
             slow = ctx._slow_stats(profile)
@@ -166,55 +168,197 @@ def test_fast_stats_match_engine_stats():
                 assert a == pytest.approx(b, abs=1e-12)
 
 
+def engine_utility(vals, menu, profile, i, n, rule, lam):
+    bids = tuple(scale_bid(vals[h], *menu[h][a]) for h, a in enumerate(profile))
+    out = run_mechanism(bids, (n,), rule, lam)
+    return value(vals[i], out.allocation[i]) - out.payments[i], out
+
+
 def test_fast_round_counterfactuals_match_engine():
     rng = np.random.default_rng(9)
     for _ in range(10):
         n_players = int(rng.integers(2, 6))
         vals = unit(rng.uniform(0.5, 1.0, n_players))
         menu = [ScalingGrid((0.0, 0.6, 1.0)).strategies] * n_players
-        fr = _FastRound(vals, menu)
         actions = tuple(int(rng.integers(0, 3)) for _ in range(n_players))
-        bids_vec = np.array([fr.cand[i, s] for i, s in enumerate(actions)])
-        if fr.has_cross_ties(bids_vec):
-            continue
         for rule, lam in (("english", None), ("dutch", None), ("mix", 0.4)):
-            for n in range(0, n_players + 2):
-                table = fr.utilities(bids_vec, n, rule, lam)
+            kernel = _SingleGood(vals, menu, rule, lam)
+            supplies = np.arange(n_players + 2)
+            table = kernel.utilities(kernel.bids(actions), range(n_players), supplies)
+            for n in supplies:
                 for i in range(n_players):
                     for s in range(3):
-                        trial = tuple(
-                            s if h == i else a for h, a in enumerate(actions)
-                        )
-                        bids = tuple(
-                            scale_bid(vals[h], *menu[h][a])
-                            for h, a in enumerate(trial)
-                        )
-                        out = run_mechanism(bids, (n,), rule, lam)
-                        want = value(vals[i], out.allocation[i]) - out.payments[i]
-                        assert table[i, s] == pytest.approx(want, abs=1e-12), (
-                            rule,
-                            n,
-                            i,
-                            s,
-                        )
-
-
-def test_fast_round_detects_cross_player_ties():
-    vals = unit((2.0, 1.0))
-    menu = [ScalingGrid((0.5, 1.0)).strategies] * 2
-    fr = _FastRound(vals, menu)
-    # Player 0 at half scale bids 1.0, colliding with player 1's truthful bid.
-    assert fr.has_cross_ties(np.array([2.0, 1.0]))
-    assert not fr.has_cross_ties(np.array([2.0, 0.9]))
+                        trial = tuple(s if h == i else a for h, a in enumerate(actions))
+                        want, _ = engine_utility(vals, menu, trial, i, int(n), rule, lam)
+                        assert table[i, s, n] == want, (rule, n, i, s)
 
 
 def test_fast_round_realized_welfare_counts_true_values():
     vals = unit((3.0, 2.0, 1.0))
-    menu = [ScalingGrid((0.0, 1.0)).strategies] * 3
-    fr = _FastRound(vals, menu)
-    bids = np.array([0.0, 2.0, 1.0])
-    assert fr.realized_welfare(bids, 2) == 3.0  # winners hold true values 2, 1
-    assert fr.realized_welfare(bids, 5) == 3.0  # zero bid never fills a slot
+    kernel = _SingleGood(vals, [ScalingGrid((0.0, 1.0)).strategies] * 3, "english", None)
+    bids = kernel.bids((0, 1, 1))  # 0, 2, 1
+    won = kernel.winners(bids, np.array([2, 5]))
+    # Winners hold true values 2 and 1; a zero bid never fills a slot.
+    assert (kernel.tv @ won).tolist() == [3.0, 3.0]
+    assert kernel.tv[kernel.order(bids)][:2].tolist() == [2.0, 1.0]
+
+
+@st.composite
+def tied_single_good_games(draw):
+    """Integer values and grids with offsets, so equal bids are common."""
+    players = draw(st.integers(1, 5))
+    values = draw(st.lists(st.integers(1, 4), min_size=players, max_size=players))
+    grids = []
+    for _ in range(players):
+        scales = draw(st.sets(st.sampled_from((0.0, 0.5, 2.0, 3.0)), max_size=2))
+        offsets = draw(st.sets(st.sampled_from((1.0, 2.0)), max_size=2))
+        grids.append(ScalingGrid(tuple(sorted(scales | {1.0})), tuple(sorted(offsets | {0.0}))))
+    actions = tuple(draw(st.integers(0, len(g.strategies) - 1)) for g in grids)
+    rule = draw(st.sampled_from((("english", None), ("dutch", None), ("mix", 0.3), ("mix", 0.0))))
+    return unit(float(v) for v in values), [g.strategies for g in grids], actions, rule
+
+
+@given(tied_single_good_games())
+def test_kernel_matches_engine_exactly(game):
+    vals, menu, actions, (rule, lam) = game
+    kernel = _SingleGood(vals, menu, rule, lam)
+    players = len(vals)
+    supplies = np.arange(players + 2)
+    table = kernel.utilities(kernel.bids(actions), range(players), supplies)
+    won = kernel.winners(kernel.bids(actions), supplies)
+    for i in range(players):
+        assert not table[i, len(menu[i]) :].any()
+        for s in range(len(menu[i])):
+            trial = tuple(s if h == i else a for h, a in enumerate(actions))
+            want_bids = [scale_bid(vals[h], *menu[h][a]).weights[0] for h, a in enumerate(trial)]
+            assert kernel.bids(trial).tolist() == want_bids
+            for n in supplies:
+                want, out = engine_utility(vals, menu, trial, i, int(n), rule, lam)
+                assert table[i, s, n] == want, (i, s, n)
+                if s == actions[i]:
+                    assert won[i, n] == bool(out.allocation[i][0])
+
+
+# Both paths below see the same game: a one-item KDemand is the same
+# valuation as a UnitDemand but runs on the exact engine.  Values, grids and
+# probabilities are dyadic, so every sum is exact and the paths must agree
+# to the bit.  Ties are common and one menu has a single entry.
+PAIRED_WEIGHTS = (2.0, 2.0, 1.0, 3.0)
+PAIRED_GRIDS = (
+    ScalingGrid((0.0, 0.5, 1.0)),
+    ScalingGrid((1.0,)),
+    ScalingGrid((0.5, 1.0, 2.0), offsets=(0.0, 1.0)),
+    ScalingGrid((1.0, 1.5)),
+)
+PAIRED_RULES = (("english", None), ("dutch", None), ("mix", 0.5))
+
+
+def paired_values():
+    return (
+        tuple(UnitDemand((w,)) for w in PAIRED_WEIGHTS),
+        tuple(KDemand((w,), 1) for w in PAIRED_WEIGHTS),
+    )
+
+
+def loop_learning(true_values, grids, model, config, rule, lam, seed):
+    """Reference no-regret run, one player at a time, with every payoff from
+    the exact engine: the draws and updates run_learning must reproduce.
+    Returns (average welfare, regrets, play counts, final mixtures)."""
+    players = len(true_values)
+    menu = [g.strategies for g in grids]
+    sizes = [len(m) for m in menu]
+    T, chi = config.rounds, config.payoff_bound
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    etas = [math.sqrt(8.0 * math.log(k) / T) if k > 1 else 0.0 for k in sizes]
+    explore = [
+        min(1.0, math.sqrt(k * math.log(k) / ((math.e - 1.0) * T))) if k > 1 else 0.0
+        for k in sizes
+    ]
+    scores = [np.zeros(k) for k in sizes]
+    cum_counter = [np.zeros(k) for k in sizes]
+    cum_mixture = [0.0] * players
+    counts = [[0] * k for k in sizes]
+    welfare = 0.0
+
+    def outcome(profile, n):
+        bids = tuple(scale_bid(true_values[h], *menu[h][a]) for h, a in enumerate(profile))
+        return run_mechanism(bids, n, rule, lam)
+
+    def mixture(i):
+        wts = np.exp(etas[i] * (scores[i] - scores[i].max()))
+        return wts / wts.sum()
+
+    for _ in range(T):
+        n = sample(model, rng)
+        mixtures = []
+        for i in range(players):
+            sigma = mixture(i)
+            if config.feedback == "bandit":
+                sigma = (1.0 - explore[i]) * sigma + explore[i] / sizes[i]
+            mixtures.append(sigma)
+        u = rng.random(players)
+        actions = [
+            min(int(np.searchsorted(np.cumsum(mixtures[i]), u[i], side="right")), sizes[i] - 1)
+            for i in range(players)
+        ]
+        for i in range(players):
+            uts = np.zeros(sizes[i])
+            for s in range(sizes[i]):
+                o = outcome(actions[:i] + [s] + actions[i + 1 :], n)
+                uts[s] = value(true_values[i], o.allocation[i]) - o.payments[i]
+            norm = (uts + chi) / (2.0 * chi)
+            a = actions[i]
+            if config.feedback == "full":
+                scores[i] += norm
+            else:
+                scores[i][a] += norm[a] / mixtures[i][a]
+            cum_counter[i] += uts
+            cum_mixture[i] += float(mixtures[i] @ uts)
+            counts[i][a] += 1
+        o = outcome(actions, n)
+        welfare += sum(value(v, x) for v, x in zip(true_values, o.allocation))
+    regrets = tuple(float(cum_counter[i].max() - cum_mixture[i]) for i in range(players))
+    mixtures = tuple(tuple(mixture(i).tolist()) for i in range(players))
+    return welfare / T, regrets, tuple(tuple(c) for c in counts), mixtures
+
+
+@pytest.mark.parametrize("feedback", ("full", "bandit"))
+@pytest.mark.parametrize("rule, lam", PAIRED_RULES)
+def test_learning_paths_match_player_loop_reference(rule, lam, feedback):
+    fast_vals, engine_vals = paired_values()
+    chi = max(
+        max(w, g * w + d) for w, grid in zip(PAIRED_WEIGHTS, PAIRED_GRIDS) for g, d in grid.strategies
+    )
+    cfg = LearningConfig(rounds=150, feedback=feedback, payoff_bound=chi)
+    model = BinomialCounts(1, 4, 0.5)
+    fast = run_learning(fast_vals, PAIRED_GRIDS, model, cfg, rule, lam, seed=3)
+    engine = run_learning(engine_vals, PAIRED_GRIDS, model, cfg, rule, lam, seed=3)
+    assert fast.play_counts == engine.play_counts
+    assert fast.regrets == engine.regrets
+    assert fast.average_welfare == engine.average_welfare
+    assert fast == engine
+    want = loop_learning(fast_vals, PAIRED_GRIDS, model, cfg, rule, lam, seed=3)
+    assert (fast.average_welfare, fast.regrets, fast.play_counts, fast.mixtures) == want
+
+
+@pytest.mark.parametrize("rule, lam", PAIRED_RULES)
+def test_best_response_and_certify_match_engine_path(rule, lam):
+    fast_vals, engine_vals = paired_values()
+    rng = np.random.default_rng(11)
+    for model, limit in (
+        (FixedCounts((2,)), 10_000),
+        (BinomialCounts(1, 4, 0.5), 10_000),
+        (BinomialCounts(1, 4, 0.5), 0),  # Monte Carlo certification
+    ):
+        fast = GameContext(fast_vals, PAIRED_GRIDS, model, rule, lam, exact_limit=limit, mc_draws=16)
+        engine = GameContext(engine_vals, PAIRED_GRIDS, model, rule, lam, exact_limit=limit, mc_draws=16)
+        assert fast._kernel is not None and engine._kernel is None
+        for _ in range(10):
+            profile = tuple(int(rng.integers(len(m))) for m in fast.menu)
+            assert fast.stats(profile) == engine.stats(profile)
+            assert fast.certify(profile) == engine.certify(profile)
+            for i in range(fast.players):
+                assert fast.best_response(profile, i) == engine.best_response(profile, i)
 
 
 # -- Monte Carlo mode ----------------------------------------------------------
@@ -244,6 +388,8 @@ def test_monte_carlo_certification_reports_interval():
     cert = ctx.certify((0, 2))
     assert cert.kind == "eps-nash"
     assert cert.ci99 is not None
+    # The witness is a real deviation, never the profile's own entry.
+    assert cert.witness == (0, 1)
     # Degenerate supply: every draw is identical, so the interval collapses.
     assert cert.ci99[0] == pytest.approx(cert.ci99[1])
     bad = ctx.certify((0, 1))
