@@ -1,7 +1,9 @@
 """Command line entry point.
 
 Exit codes: 0 on success, 1 when a theorem/lemma check fails (the failing
-record is printed), 2 on a config schema violation.
+record is printed), 2 on a config schema violation.  Every exit leaves a
+``summary.json`` in the output directory; after a config error it holds
+``"passed": false`` and the error text.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import argparse
 import sys
 
 from .errors import CheckFailure, ScenarioError
-from .harness import OUT_ENV, bundled_scenarios, run_config
+from .harness import OUT_ENV, bundled_scenarios, run_config, write_error_summary
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,11 +51,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(out_dir, msg: str) -> int:
+    print(f"scenario error: {msg}", file=sys.stderr)
+    try:
+        path = write_error_summary(out_dir, msg)
+    except OSError as e:
+        print(f"cannot write summary.json: {e}", file=sys.stderr)
+    else:
+        print(f"summary: {path}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.jobs < 1:
-        print("scenario error: --jobs: must be >= 1", file=sys.stderr)
-        return 2
+        return _config_error(args.out, "--jobs: must be >= 1")
     try:
         report = run_config(
             args.config,
@@ -63,8 +75,7 @@ def main(argv=None) -> int:
             only=args.filter,
         )
     except ScenarioError as e:
-        print(f"scenario error: {e}", file=sys.stderr)
-        return 2
+        return _config_error(args.out, str(e))
     except CheckFailure as e:
         report = e.report
         for sc in report.scenarios:

@@ -5,6 +5,15 @@ without reserve prices, and the no-regret reporting loop.
 Every good has unit supply.  Buyers spend fixed budgets; prices clear the
 market where they exceed the reserve floor (zero without reserves), and the
 seller keeps the remainder at reserve-priced goods.
+
+There is one solver per utility family: closed form for Cobb-Douglas,
+proportional response for linear buyers (Birnbaum, Devanur & Xiao, EC 2011)
+and damped price adjustment for CES and CES/Cobb-Douglas mixes.  Each takes
+a stack of report profiles of one market and iterates them together,
+dropping a profile once it converges; ``solve_market`` is the one-profile
+call.  The reporting game fills a buyer's whole menu of deviations with one
+such stack (``_ReportGame.menu_utils``), and every profile still gets the
+iterates, iteration count and error a lone solve would give it, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,13 +25,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalCheckError, SolverError
-from .valuations import CES, CobbDouglas, FisherUtility, Linear, fisher_demand, utility
+from .valuations import CES, CobbDouglas, FisherUtility, Linear, utility
 
 __all__ = [
     "FisherMarket",
     "MarketEquilibrium",
     "solve_market",
     "strategic_outcome",
+    "strategic_outcomes",
     "ScalingAudit",
     "audit_scaling",
     "rescale_to_unit",
@@ -153,89 +163,208 @@ def _finish(budgets, reserves, prices, alloc, reports, floored, iters) -> Market
     )
 
 
-def _solve_cobb_douglas(budgets, reports, reserves) -> MarketEquilibrium:
+# A solver takes budgets, a stack of K report profiles and the reserves, and
+# returns one entry per profile: ``(prices, allocation, floored, iterations)``
+# or the SolverError that profile ended with.  Profile k's iterates are the
+# ones a stack holding only profile k would produce, bit for bit: every
+# reduction runs over the same axis of the same contiguous rows, and finished
+# profiles leave the stack rather than changing its arithmetic.
+
+
+def _stack(stack, attr) -> np.ndarray:
+    return np.asarray([[getattr(u, attr) for u in reports] for reports in stack])
+
+
+def _solve_cobb_douglas(budgets, stack, reserves) -> list:
     e = np.asarray(budgets)
-    a = np.asarray([u.a for u in reports])
-    r = np.zeros(a.shape[1]) if reserves is None else np.asarray(reserves)
-    mass = e @ a
-    p = np.maximum(mass, r)
-    floored = [int(j) for j in np.flatnonzero(p <= PRICE_FLOOR)]
-    p = np.maximum(p, PRICE_FLOOR)
-    x = (e[:, None] * a) / p[None, :]
-    return _finish(budgets, reserves, p, x, reports, floored, 0)
+    weights = _stack(stack, "a")
+    r = np.zeros(weights.shape[2]) if reserves is None else np.asarray(reserves)
+    out = []
+    for a in weights:
+        p = np.maximum(e @ a, r)
+        floored = [int(j) for j in np.flatnonzero(p <= PRICE_FLOOR)]
+        p = np.maximum(p, PRICE_FLOOR)
+        x = (e[:, None] * a) / p[None, :]
+        out.append((p, x, floored, 0))
+    return out
 
 
-def _linear_dual(e, weights, scales, p) -> float:
-    # sup over allocations of the budget-weighted log objective at prices p
-    best = np.max(np.where(weights > 0, weights / p[None, :], 0.0), axis=1)
-    return float(p.sum() + np.sum(e * (np.log(e * scales * best) - 1.0)))
-
-
-def _solve_linear(budgets, reports, reserves, cap=10_000) -> MarketEquilibrium:
+def _solve_linear(budgets, stack, reserves, cap=10_000) -> list:
     e = np.asarray(budgets)
-    weights = np.asarray([u.a for u in reports])
-    scales = np.asarray([u.scale for u in reports])
-    m = weights.shape[1]
+    weights = _stack(stack, "a")  # profiles x buyers x goods
+    scales = _stack(stack, "scale")
+    live = np.arange(len(stack))  # profile of each stack row
+    m = weights.shape[2]
     r = np.zeros(m) if reserves is None else np.asarray(reserves)
-    dead = weights.sum(axis=0) <= 0.0  # demanded by nobody
-    row_mass = weights.sum(axis=1, keepdims=True)
+    dead = weights.sum(axis=1) <= 0.0  # demanded by nobody
+    wanted = weights > 0
+    e_scaled = e * scales
+    row_mass = weights.sum(axis=2, keepdims=True)
     spend = e[:, None] * weights / row_mass
-    gap = math.inf
+    out = [None] * len(stack)
     for it in range(cap):
-        p = np.maximum(spend.sum(axis=0), r)
+        p = np.maximum(spend.sum(axis=1), r)
         p_safe = np.maximum(p, PRICE_FLOOR)
-        x = spend / p_safe[None, :]
-        vals = (weights * x).sum(axis=1) * scales
-        primal = float(e @ np.log(np.maximum(vals, 1e-300)))
+        x = spend / p_safe[:, None, :]
+        logs = np.log(np.maximum((weights * x).sum(axis=2) * scales, 1e-300))
+        # One 1-D dot per profile keeps the BLAS summation order of a lone solve.
+        primal = np.array([e @ row for row in logs])
         if reserves is not None:
-            primal += float(np.maximum(1.0 - x.sum(axis=0), 0.0) @ r)
-        gap = _linear_dual(e, weights, scales, p_safe) - primal
+            primal += [row @ r for row in np.maximum(1.0 - x.sum(axis=1), 0.0)]
+        # The dual: sup over allocations of the budget-weighted log objective
+        # at prices p.
+        best = np.where(wanted, weights / p_safe[:, None, :], 0.0).max(axis=2)
+        dual = p_safe.sum(axis=1) + (e * (np.log(e_scaled * best) - 1.0)).sum(axis=1)
+        gap = dual - primal
         # Each update spends every budget in full, so the market clears
         # identically at every round; a run that exhausts the budget of
         # rounds with a small residual gap is still usable.
-        if gap <= GAP_TOL or (it + 1 == cap and gap <= GAP_ACCEPT):
-            floored = [int(j) for j in np.flatnonzero(dead & (p <= np.maximum(r, PRICE_FLOOR)))]
-            return _finish(budgets, reserves, p_safe, x, reports, floored, it + 1)
+        done = gap <= (GAP_ACCEPT if it + 1 == cap else GAP_TOL)
+        if done.any():
+            for a in np.flatnonzero(done):
+                floored = [
+                    int(j) for j in np.flatnonzero(dead[a] & (p[a] <= np.maximum(r, PRICE_FLOOR)))
+                ]
+                out[live[a]] = (p_safe[a], x[a], floored, it + 1)
+            keep = ~done
+            live, weights, scales, dead, wanted, e_scaled, x, gap = (
+                v[keep] for v in (live, weights, scales, dead, wanted, e_scaled, x, gap)
+            )
+            if not live.size:
+                return out
         contrib = weights * x
         spend = e[:, None] * contrib / np.maximum(
-            contrib.sum(axis=1, keepdims=True), 1e-300
+            contrib.sum(axis=2, keepdims=True), 1e-300
         )
-    raise SolverError(
-        f"proportional response failed to converge in {cap} rounds: "
-        f"duality gap {gap:.3e}"
-    )
+    for k, g in zip(live, gap):
+        out[k] = SolverError(
+            f"proportional response failed to converge in {cap} rounds: "
+            f"duality gap {g:.3e}"
+        )
+    return out
 
 
-def _solve_tatonnement(budgets, reports, reserves, cap=200_000) -> MarketEquilibrium:
+class _Demand:
+    """Spend of every buyer in a stack of CES/Cobb-Douglas profiles.
+
+    CES rows are grouped by sigma so that each group makes one ``np.power``
+    call with a Python-float exponent, as a lone ``fisher_demand`` does:
+    numpy special-cases scalar exponents such as 2.0 and -1.0, and an array
+    of exponents can round differently.
+    """
+
+    def __init__(self, budgets, stack):
+        self.a = _stack(stack, "a")
+        self.e = np.broadcast_to(np.asarray(budgets)[None, :], self.a.shape[:2])
+        self.sigma = np.asarray([
+            [math.nan if isinstance(u, CobbDouglas) else 1.0 / (1.0 - u.rho) for u in reports]
+            for reports in stack
+        ])
+        self.cd = np.isnan(self.sigma)
+        self.groups = sorted(set(self.sigma[~self.cd]))
+        self.a_pow = np.zeros_like(self.a)
+        for s in self.groups:
+            rows = self.sigma == s
+            self.a_pow[rows] = np.power(self.a[rows], float(s))
+
+    def keep(self, rows) -> None:
+        for name in ("a", "e", "cd", "sigma", "a_pow"):
+            setattr(self, name, getattr(self, name)[rows])
+
+    def __call__(self, p) -> np.ndarray:
+        x = np.empty_like(self.a)
+        prices = np.broadcast_to(p[:, None, :], x.shape)
+        rows = self.cd
+        x[rows] = self.e[rows][:, None] * self.a[rows] / prices[rows]
+        for s in self.groups:
+            rows = self.sigma == s
+            q = prices[rows]
+            spend = self.a_pow[rows] * np.power(q, 1.0 - float(s))
+            spend /= spend.sum(axis=1, keepdims=True)
+            x[rows] = self.e[rows][:, None] * spend / q
+        return x
+
+
+def _solve_tatonnement(budgets, stack, reserves, cap=200_000) -> list:
     e = np.asarray(budgets)
-    m = reports[0].m
+    demand = _Demand(budgets, stack)
+    live = np.arange(len(stack))
+    m = demand.a.shape[2]
     r = np.zeros(m) if reserves is None else np.asarray(reserves)
-    mass = np.asarray([u.a for u in reports]).sum(axis=0)
-    dead = mass <= 0.0
-    p = np.maximum(np.full(m, e.sum() / m), np.maximum(r, PRICE_FLOOR))
-    step = 0.1
-    last = math.inf
+    low = np.maximum(r, PRICE_FLOOR)
+    dead = demand.a.sum(axis=1) <= 0.0
+    p = np.maximum(np.full((live.size, m), e.sum() / m), low)
+    step = np.full(live.size, 0.1)
+    last = np.full(live.size, math.inf)
+    out = [None] * len(stack)
     for it in range(cap):
-        x = np.stack([fisher_demand(u, p, b) for u, b in zip(reports, e)])
-        z = x.sum(axis=0) - 1.0
+        x = demand(p)
+        z = x.sum(axis=1) - 1.0
         # At reserve-floored goods only excess demand counts against us.
-        at_floor = p <= np.maximum(r, PRICE_FLOOR) * (1.0 + 1e-12)
+        at_floor = p <= low * (1.0 + 1e-12)
         resid = np.where(at_floor, np.maximum(z, 0.0), np.abs(z))
         resid[dead] = 0.0
-        worst = float(resid.max()) if m else 0.0
-        if worst <= CLEAR_TOL:
-            floored = [int(j) for j in np.flatnonzero(dead)]
-            p = np.where(dead, np.maximum(r, PRICE_FLOOR), p)
-            return _finish(budgets, reserves, p, x, reports, floored, it + 1)
-        p = np.maximum(p * (1.0 + step * np.clip(z, -0.9, 0.9)), np.maximum(r, PRICE_FLOOR))
-        if worst < last:
-            step = min(step * 1.05, 0.5)
-        else:
-            step = max(step * 0.5, 1e-4)
+        worst = resid.max(axis=1)
+        done = worst <= CLEAR_TOL
+        if done.any():
+            for a in np.flatnonzero(done):
+                floored = [int(j) for j in np.flatnonzero(dead[a])]
+                out[live[a]] = (np.where(dead[a], low, p[a]), x[a], floored, it + 1)
+            keep = ~done
+            demand.keep(keep)
+            live, dead, p, z, worst, step, last = (
+                v[keep] for v in (live, dead, p, z, worst, step, last)
+            )
+            if not live.size:
+                return out
+        p = np.maximum(p * (1.0 + step[:, None] * np.clip(z, -0.9, 0.9)), low)
+        step = np.where(worst < last, np.minimum(step * 1.05, 0.5), np.maximum(step * 0.5, 1e-4))
         last = worst
-    raise SolverError(
-        f"price adjustment failed to converge in {cap} rounds: max residual {last:.3e}"
-    )
+    for k, worst in zip(live, last):
+        out[k] = SolverError(
+            f"price adjustment failed to converge in {cap} rounds: max residual {worst:.3e}"
+        )
+    return out
+
+
+_SOLVERS = {
+    "cobb-douglas": _solve_cobb_douglas,
+    "linear": _solve_linear,
+    "ces": _solve_tatonnement,
+}
+
+
+def _solve_profiles(market: FisherMarket, profiles) -> list[MarketEquilibrium]:
+    """Equilibria of many report profiles of one market, in profile order.
+
+    Profiles that share a solver are solved together as one stack.  Reports
+    no solver takes raise before any solve; when solves fail, the error
+    raised is the one of the first failing profile, as a profile-by-profile
+    loop would raise it.
+    """
+    profiles = [tuple(reports) for reports in profiles]
+    groups: dict = {}
+    for k, reports in enumerate(profiles):
+        if len(reports) != market.buyers:
+            raise ValueError("one report per buyer")
+        if any(u.m != market.m for u in reports):
+            raise ValueError("report good-count mismatch")
+        kinds = {_family_name(u) for u in reports}
+        if len(kinds) > 1 and "linear" in kinds:
+            raise SolverError("linear reports cannot be mixed with other families")
+        groups.setdefault(kinds.pop() if len(kinds) == 1 else "ces", []).append(k)
+    raw = [None] * len(profiles)
+    for kind, ks in groups.items():
+        solved = _SOLVERS[kind](market.budgets, [profiles[k] for k in ks], market.reserves)
+        for k, res in zip(ks, solved):
+            raw[k] = res
+    out = []
+    for reports, res in zip(profiles, raw):
+        if isinstance(res, SolverError):
+            raise res
+        p, x, floored, iters = res
+        out.append(_finish(market.budgets, market.reserves, p, x, reports, floored, iters))
+    return out
 
 
 def solve_market(market: FisherMarket, reports: Optional[Sequence[FisherUtility]] = None) -> MarketEquilibrium:
@@ -245,31 +374,31 @@ def solve_market(market: FisherMarket, reports: Optional[Sequence[FisherUtility]
     response to a tight duality gap, and CES (or CES/Cobb-Douglas mixtures) by
     damped price adjustment on excess demand.
     """
-    reports = market.utilities if reports is None else tuple(reports)
-    if len(reports) != market.buyers:
-        raise ValueError("one report per buyer")
-    if any(u.m != market.m for u in reports):
-        raise ValueError("report good-count mismatch")
-    kinds = {_family_name(u) for u in reports}
-    if kinds == {"cobb-douglas"}:
-        return _solve_cobb_douglas(market.budgets, reports, market.reserves)
-    if kinds == {"linear"}:
-        return _solve_linear(market.budgets, reports, market.reserves)
-    if "linear" in kinds:
-        raise SolverError("linear reports cannot be mixed with other families")
-    return _solve_tatonnement(market.budgets, reports, market.reserves)
+    return _solve_profiles(market, [market.utilities if reports is None else reports])[0]
+
+
+def strategic_outcomes(
+    market: FisherMarket, profiles: Sequence[Sequence[FisherUtility]]
+) -> list[tuple[MarketEquilibrium, tuple[float, ...]]]:
+    """Clear the market on each report profile; value each bundle truthfully.
+
+    The profiles are solved as one batch; the results equal those of one
+    ``strategic_outcome`` call per profile, bit for bit.
+    """
+    return [
+        (eq, tuple(
+            float(utility(v, np.asarray(row)))
+            for v, row in zip(market.utilities, eq.allocation)
+        ))
+        for eq in _solve_profiles(market, profiles)
+    ]
 
 
 def strategic_outcome(
     market: FisherMarket, reports: Sequence[FisherUtility]
 ) -> tuple[MarketEquilibrium, tuple[float, ...]]:
     """Clear the market on the reports; value each bundle truthfully."""
-    eq = solve_market(market, reports)
-    true_utils = tuple(
-        float(utility(v, np.asarray(row)))
-        for v, row in zip(market.utilities, eq.allocation)
-    )
-    return eq, true_utils
+    return strategic_outcomes(market, [reports])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,21 +492,34 @@ class _ReportGame:
             for v, menu in zip(self.market.utilities, self.menus)
         )
 
+    def _reports(self, key) -> tuple[FisherUtility, ...]:
+        return tuple(self.menus[i][s] for i, s in enumerate(key))
+
     def utils(self, profile) -> tuple[float, ...]:
         key = tuple(profile)
         hit = self._cache.get(key)
         if hit is None:
-            reports = tuple(self.menus[i][s] for i, s in enumerate(key))
-            _, hit = strategic_outcome(self.market, reports)
+            _, hit = strategic_outcome(self.market, self._reports(key))
             self._cache[key] = hit
         return hit
 
+    def menu_utils(self, profile, i) -> list[float]:
+        """Buyer i's true utility at each entry of its menu, the others held
+        at ``profile``.  Uncached entries are solved as one batch."""
+        keys = [
+            tuple(s if h == i else a for h, a in enumerate(profile))
+            for s in range(len(self.menus[i]))
+        ]
+        todo = [key for key in keys if key not in self._cache]
+        if todo:
+            solved = strategic_outcomes(self.market, [self._reports(key) for key in todo])
+            for key, (_, utils) in zip(todo, solved):
+                self._cache[key] = utils
+        return [self._cache[key][i] for key in keys]
+
     def best_response(self, profile, i) -> int:
-        trial = list(profile)
-        best_s, best_u = trial[i], -math.inf
-        for s in range(len(self.menus[i])):
-            trial[i] = s
-            got = self.utils(trial)[i]
+        best_s, best_u = profile[i], -math.inf
+        for s, got in enumerate(self.menu_utils(profile, i)):
             if got > best_u + GAIN_TOL:
                 best_s, best_u = s, got
         return best_s
@@ -398,11 +540,16 @@ class _ReportGame:
         return True, worst
 
     def find_equilibria(self, rng: np.random.Generator, restarts=8, max_sweeps=100):
+        """Best-response walks from the truthful profile and ``restarts``
+        random ones.  Returns the certified equilibria found, keyed by
+        profile, and the number of walks dropped for not converging within
+        ``max_sweeps`` sweeps."""
         seeds = [self.truthful_profile()] + [
             tuple(int(rng.integers(0, len(m))) for m in self.menus)
             for _ in range(restarts)
         ]
         found = {}
+        dropped = 0
         for start in seeds:
             profile = list(start)
             for _ in range(max_sweeps):
@@ -415,13 +562,14 @@ class _ReportGame:
                 if not changed:
                     break
             else:
+                dropped += 1
                 continue
             key = tuple(profile)
             if key not in found:
                 ok, _ = self.is_nash(key)
                 if ok:
                     found[key] = self.utils(key)
-        return found
+        return found, dropped
 
 
 @dataclass(frozen=True)
@@ -432,6 +580,7 @@ class PoAOutcome:
     stated_bound: Optional[float]
     worst_profile: tuple[int, ...]
     equilibria: int
+    walks_dropped: int  # best-response walks that never converged
 
 
 def _ratio_pair(market, truthful_utils, ne_utils) -> tuple[float, float]:
@@ -464,7 +613,7 @@ def market_poa_search(
     truthful = game.utils(game.truthful_profile())
     scaling_ok = audit_scaling(market).consistent
     bound = math.exp(-market.m / market.largeness)
-    found = game.find_equilibria(rng, restarts=restarts)
+    found, dropped = game.find_equilibria(rng, restarts=restarts)
     worst_gm, worst_sum, worst_key = math.inf, math.inf, game.truthful_profile()
     for key, utils in found.items():
         gm, sm = _ratio_pair(market, truthful, utils)
@@ -479,7 +628,7 @@ def market_poa_search(
             raise InternalCheckError(
                 f"certified equilibrium sum ratio {sm} beats the floor {bound}"
             )
-    return PoAOutcome(worst_gm, worst_sum, bound, None, worst_key, len(found))
+    return PoAOutcome(worst_gm, worst_sum, bound, None, worst_key, len(found), dropped)
 
 
 def reserve_poa_search(
@@ -510,7 +659,7 @@ def reserve_poa_search(
     L = market.largeness
     bound = math.exp(-2.0 * market.m / L)
     stated = math.exp(-2.0 * market.m / (5.0 * L))
-    found = game.find_equilibria(rng, restarts=restarts)
+    found, dropped = game.find_equilibria(rng, restarts=restarts)
     worst_gm, worst_sum, worst_key = math.inf, math.inf, game.truthful_profile()
     for key, utils in found.items():
         gm, sm = _ratio_pair(market, truthful, utils)
@@ -521,7 +670,7 @@ def reserve_poa_search(
             raise InternalCheckError(
                 f"certified reserve equilibrium sum ratio {sm} beats {bound}"
             )
-    return PoAOutcome(worst_gm, worst_sum, bound, stated, worst_key, len(found))
+    return PoAOutcome(worst_gm, worst_sum, bound, stated, worst_key, len(found), dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +871,7 @@ def run_market_learning(
         actions = tuple(actions)
         round_utils = np.zeros(n)
         for i in range(n):
-            row = np.zeros(sizes[i])
-            for s in range(sizes[i]):
-                trial = tuple(s if h == i else a for h, a in enumerate(actions))
-                row[s] = game.utils(trial)[i]
+            row = np.asarray(game.menu_utils(actions, i))
             if np.any(row > chi[i] + 1e-6 * max(1.0, chi[i])):
                 raise InternalCheckError(
                     f"buyer {i} payoff exceeds the reserve cap {chi[i]}: {row.max()}"

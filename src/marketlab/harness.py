@@ -1000,7 +1000,8 @@ def _task_fisher_poa(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: 
     ok = res.gm_ratio >= res.bound - BOUND_TOL and res.sum_ratio >= res.bound - BOUND_TOL
     out.checks.append(Check(
         sc.id, "fisher-poa-bound", ok,
-        f"L={L} seed={seed}: gm {res.gm_ratio:.4f}, sum {res.sum_ratio:.4f} vs bound {res.bound:.4f}",
+        f"L={L} seed={seed}: gm {res.gm_ratio:.4f}, sum {res.sum_ratio:.4f} vs bound {res.bound:.4f}, "
+        f"{res.walks_dropped} walks dropped",
     ))
     out.rows.append((
         sc.id, L, market.m, seed, spec["generator"]["family"],
@@ -1025,7 +1026,8 @@ def _task_fisher_reserve(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, se
     ok = res.sum_ratio >= res.bound - BOUND_TOL
     out.checks.append(Check(
         sc.id, "reserve-poa-bound", ok,
-        f"L={L} seed={seed}: sum {res.sum_ratio:.4f} vs bound {res.bound:.4f}",
+        f"L={L} seed={seed}: sum {res.sum_ratio:.4f} vs bound {res.bound:.4f}, "
+        f"{res.walks_dropped} walks dropped",
     ))
 
     trials = spec.get("compress_trials", 10)
@@ -1189,6 +1191,28 @@ def _scenario_level_checks(sc: Scenario, rows: list) -> list:
     return checks
 
 
+def _resolve_out_dir(out_dir: str | None = None) -> Path:
+    """The output directory: ``out_dir``, else $MARKETLAB_OUT, else ./results."""
+    return Path(out_dir or os.environ.get(OUT_ENV) or "results")
+
+
+def _write_summary(out: Path, summary: dict) -> Path:
+    path = out / "summary.json"
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(summary, f, indent=2)
+        f.write("\n")
+    return path
+
+
+def write_error_summary(out_dir: str | None, error: str) -> Path:
+    """A failed ``summary.json`` for a run stopped by a config error."""
+    out = _resolve_out_dir(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return _write_summary(
+        out, {"schema_version": SCHEMA_VERSION, "passed": False, "error": error, "scenarios": []}
+    )
+
+
 def run_config(
     source: str,
     out_dir: str | None = None,
@@ -1214,7 +1238,7 @@ def run_config(
             for sc in scenarios
         ]
 
-    out = Path(out_dir or os.environ.get(OUT_ENV) or "results")
+    out = _resolve_out_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     tasks = []
@@ -1270,10 +1294,7 @@ def run_config(
             for rep in reports
         ],
     }
-    summary_path = out / "summary.json"
-    with open(summary_path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2)
-        f.write("\n")
+    summary_path = _write_summary(out, summary)
 
     report = RunReport(passed=passed, scenarios=reports, out_dir=str(out), summary_path=str(summary_path))
     if not passed:

@@ -1,11 +1,16 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from marketlab import fisher
 from marketlab.errors import SolverError
 from marketlab.fisher import (
     FisherMarket,
+    _ReportGame,
     audit_scaling,
     compress_prices,
     market_poa_search,
@@ -15,10 +20,11 @@ from marketlab.fisher import (
     run_market_learning,
     solve_market,
     strategic_outcome,
+    strategic_outcomes,
     verify_price_shift,
     verify_utility_floor,
 )
-from marketlab.valuations import CES, CobbDouglas, Linear, utility
+from marketlab.valuations import CES, CobbDouglas, Linear, fisher_demand, utility
 
 from oracles import eg_grid_oracle, eg_objective
 
@@ -418,3 +424,128 @@ def test_market_learning_rejects_bad_reserves():
     )
     with pytest.raises(ValueError):
         run_market_learning(oversized, rounds=10)
+
+
+# -- batched menu evaluation -------------------------------------------------------
+
+
+def random_market(seed, n, m, family, reserves):
+    """Market with n buyers of ``family``: linear, ces-<rho>, or mix (CES and
+    Cobb-Douglas buyers side by side); optional reserves."""
+    rng = np.random.default_rng(seed)
+    budgets = tuple(float(b) for b in rng.uniform(0.5, 2.0, n))
+    utils = []
+    for i in range(n):
+        w = rng.uniform(0.05, 1.0, m)
+        if m > 1 and rng.random() < 0.2:
+            w[int(rng.integers(0, m))] = 0.0  # a good this buyer never wants
+        if family == "linear":
+            utils.append(Linear(tuple(w), float(rng.uniform(0.5, 2.0))))
+        elif family.startswith("ces"):
+            utils.append(CES(tuple(w / w.sum()), float(family[4:])))
+        elif i % 2:
+            utils.append(cd(*(w / w.sum())))
+        else:
+            utils.append(CES(tuple(w / w.sum()), (0.3, 0.5, 0.7)[i % 3]))
+    floor = None
+    if reserves:
+        floor = tuple(float(r) for r in rng.uniform(0.0, 0.3, m) * sum(budgets) / m)
+    return FisherMarket(budgets, tuple(utils), floor)
+
+
+def solved_or_error(solve):
+    try:
+        return solve()
+    except SolverError as e:
+        return str(e)
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    m=st.integers(1, 3),
+    family=st.sampled_from(("linear", "ces-0.3", "ces-0.5", "ces-0.7", "mix")),
+    reserves=st.booleans(),
+    k=st.integers(1, 9),
+)
+def test_batched_solves_equal_one_profile_solves(seed, n, m, family, reserves, k):
+    market = random_market(seed, n, m, family, reserves)
+    menus = [perturbed_reports(u, (0.05, 0.1, 0.2)) for u in market.utilities]
+    rng = np.random.default_rng(seed + 1)
+    profiles = [
+        tuple(menu[int(rng.integers(0, len(menu)))] for menu in menus) for _ in range(k)
+    ]
+    batched = solved_or_error(lambda: strategic_outcomes(market, profiles))
+    one_by_one = solved_or_error(lambda: [strategic_outcome(market, p) for p in profiles])
+    # Same bits and the same iteration counts, not just close.
+    assert batched == one_by_one
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    m=st.integers(1, 3),
+    family=st.sampled_from(("ces-0.3", "ces-0.5", "ces-0.7", "mix")),
+    k=st.integers(1, 5),
+)
+def test_stacked_demand_equals_per_buyer_demand(seed, n, m, family, k):
+    market = random_market(seed, n, m, family, False)
+    menus = [perturbed_reports(u, (0.05, 0.1, 0.2)) for u in market.utilities]
+    rng = np.random.default_rng(seed + 1)
+    profiles = [
+        tuple(menu[int(rng.integers(0, len(menu)))] for menu in menus) for _ in range(k)
+    ]
+    prices = rng.uniform(0.01, 3.0, (k, m))
+    got = fisher._Demand(market.budgets, profiles)(prices)
+    for x, reports, p in zip(got, profiles, prices):
+        want = np.stack([fisher_demand(u, p, b) for u, b in zip(reports, market.budgets)])
+        assert np.array_equal(x, want)
+
+
+class OneProfileGame(_ReportGame):
+    """Reference game that solves each menu entry on its own, in menu order."""
+
+    def menu_utils(self, profile, i):
+        return [
+            self.utils(tuple(s if h == i else a for h, a in enumerate(profile)))[i]
+            for s in range(len(self.menus[i]))
+        ]
+
+
+@pytest.mark.parametrize(
+    "family, reserves", (("linear", False), ("ces-0.5", True), ("mix", False))
+)
+def test_batched_best_responses_fill_the_same_cache(family, reserves):
+    market = random_market(7, 4, 2, family, reserves)
+    menus = [perturbed_reports(u, (0.1, 0.2)) for u in market.utilities]
+    batched, reference = _ReportGame(market, menus), OneProfileGame(market, menus)
+    got = batched.find_equilibria(np.random.default_rng(5), restarts=3)
+    want = reference.find_equilibria(np.random.default_rng(5), restarts=3)
+    assert got == want
+    assert len(batched._cache) > len(menus[0])
+    assert list(batched._cache.items()) == list(reference._cache.items())
+
+
+@pytest.mark.parametrize(
+    "seed, family, solver", ((3, "linear", "linear"), (5, "ces-0.5", "ces"))
+)
+def test_cap_failure_raises_the_first_failing_profile(monkeypatch, seed, family, solver):
+    market = random_market(seed, 5, 3, family, False)
+    menu = perturbed_reports(market.utilities[0], (0.05, 0.1, 0.2))
+    profiles = [(u,) + market.utilities[1:] for u in menu]
+    rounds = [solve_market(market, p).iterations for p in profiles]
+    # Cap the rounds at the fastest profile's count and put that profile
+    # first: it still solves, and the slower ones after it fail.
+    cap = min(rounds)
+    fastest = rounds.index(cap)
+    profiles.insert(0, profiles.pop(fastest))
+    monkeypatch.setitem(fisher._SOLVERS, solver, partial(fisher._SOLVERS[solver], cap=cap))
+    alone = [solved_or_error(lambda: solve_market(market, p)) for p in profiles]
+    failed = [msg for msg in alone if isinstance(msg, str)]
+    assert not isinstance(alone[0], str)
+    assert len(set(failed)) >= 2  # each failure reports its own residual
+    with pytest.raises(SolverError) as err:
+        strategic_outcomes(market, profiles)
+    assert str(err.value) == failed[0]

@@ -381,7 +381,31 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert main(["run", "nowhere_at_all", "--out", str(tmp_path / "o4")]) == 2
     capsys.readouterr()
-    assert main(["run", ok_cfg, "--jobs", "0"]) == 2
+    assert main(["run", ok_cfg, "--jobs", "0", "--out", str(tmp_path / "o5")]) == 2
+    summary = json.loads((tmp_path / "o5" / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["error"] == "--jobs: must be >= 1"
+
+
+def test_cli_config_error_writes_failed_summary(tmp_path, capsys, monkeypatch):
+    bad = {"schema_version": 1, "scenarios": [{"id": "x"}]}
+    cfg = write_config(tmp_path, bad, "bad.json")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["scenarios"] == []
+    assert "missing required key" in summary["error"]
+    assert f"scenario error: {summary['error']}" in err
+
+    # Without --out the summary goes where a run would put it.
+    monkeypatch.setenv(harness.OUT_ENV, str(tmp_path / "env_out"))
+    assert main(["run", "nowhere_at_all"]) == 2
+    summary = json.loads((tmp_path / "env_out" / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert "nowhere_at_all" in summary["error"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
