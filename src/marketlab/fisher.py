@@ -14,6 +14,20 @@ dropping a profile once it converges; ``solve_market`` is the one-profile
 call.  The reporting game fills a buyer's whole menu of deviations with one
 such stack (``_ReportGame.menu_utils``), and every profile still gets the
 iterates, iteration count and error a lone solve would give it, bit for bit.
+
+The solved stack is finished as one: ``_finish`` clips and rescales the
+``(K, n, m)`` allocations, checks every profile's equilibrium conditions in
+array operations and values the bundles with ``_utilities``, a stacked
+``valuations.utility`` that is equal to it to the bit; ``strategic_outcomes``
+values them truthfully with the same function.  When profiles fail, the
+error raised is the first failing profile's, whether a ``SolverError`` or a
+failed check.
+
+``run_market_learning`` plays each round on buyers x (largest menu)
+arrays.  Its draw is the inverse-CDF count that ``rng.choice(k, p=sigma)``
+makes (cumulative weights divided by their total, counted at or below one
+uniform per buyer), so it consumes the random stream of a per-buyer loop
+and draws the same actions.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalCheckError, SolverError
-from .valuations import CES, CobbDouglas, FisherUtility, Linear, utility
+from .valuations import CES, CobbDouglas, FisherUtility, Linear
 
 __all__ = [
     "FisherMarket",
@@ -122,50 +136,83 @@ def _family_name(u: FisherUtility) -> str:
     return "ces"
 
 
-def _check_equilibrium(budgets, reserves, prices, alloc, floored) -> None:
-    """Solver postconditions; a violation is a solver bug, not bad input."""
+def _check_equilibria(budgets, reserves, p, x, floored) -> None:
+    """Solver postconditions on a stack of profiles: prices ``(K, m)``,
+    allocations ``(K, n, m)`` and floored goods ``(K, m)``.  A violation is a
+    solver bug, not bad input; the error raised is the first failing
+    profile's, for the first condition it fails."""
     e = np.asarray(budgets)
-    p = np.asarray(prices)
-    x = np.asarray(alloc)
-    r = np.zeros_like(p) if reserves is None else np.asarray(reserves)
-    sold = x.sum(axis=0)
-    if np.any(sold > 1.0 + CLEAR_TOL):
-        raise InternalCheckError(f"over-allocation: {sold}")
-    live = (p > r + CLEAR_TOL) & (p > PRICE_FLOOR * 10)
-    live &= np.asarray([j not in floored for j in range(p.size)])
-    if np.any(np.abs(sold[live] - 1.0) > CLEAR_TOL):
-        raise InternalCheckError(f"market fails to clear: z={sold - 1.0}")
-    spend = x @ p
-    if np.any(np.abs(spend - e) > CLEAR_TOL * np.maximum(1.0, e)):
-        raise InternalCheckError(f"budgets not exhausted: {spend} vs {e}")
-    if reserves is None and not floored:
-        if abs(p.sum() - e.sum()) > CLEAR_TOL * max(1.0, e.sum()):
-            raise InternalCheckError(f"price sum {p.sum()} != budget sum {e.sum()}")
+    r = np.zeros(p.shape[1]) if reserves is None else np.asarray(reserves)
+    sold = x.sum(axis=1)
+    # A stacked matmul runs one product per profile, as a lone ``x @ p`` does.
+    spend = (x @ p[:, :, None])[..., 0]
+    live = (p > r + CLEAR_TOL) & (p > PRICE_FLOOR * 10) & ~floored
+    failures = [
+        ((sold > 1.0 + CLEAR_TOL).any(axis=1), lambda k: f"over-allocation: {sold[k]}"),
+        (
+            (live & (np.abs(sold - 1.0) > CLEAR_TOL)).any(axis=1),
+            lambda k: f"market fails to clear: z={sold[k] - 1.0}",
+        ),
+        (
+            (np.abs(spend - e) > CLEAR_TOL * np.maximum(1.0, e)).any(axis=1),
+            lambda k: f"budgets not exhausted: {spend[k]} vs {e}",
+        ),
+    ]
+    if reserves is None:
+        total = p.sum(axis=1)
+        failures.append((
+            ~floored.any(axis=1) & (np.abs(total - e.sum()) > CLEAR_TOL * max(1.0, e.sum())),
+            lambda k: f"price sum {total[k]} != budget sum {e.sum()}",
+        ))
+    bad = np.flatnonzero(np.any([mask for mask, _ in failures], axis=0))
+    if bad.size:
+        k = bad[0]
+        raise InternalCheckError(next(msg(k) for mask, msg in failures if mask[k]))
 
 
-def _finish(budgets, reserves, prices, alloc, reports, floored, iters) -> MarketEquilibrium:
-    p = np.maximum(np.asarray(prices, dtype=float), PRICE_FLOOR)
-    x = np.maximum(np.asarray(alloc, dtype=float), 0.0)
+def _finish(market: FisherMarket, profiles, solved) -> tuple[list[MarketEquilibrium], np.ndarray]:
+    """Clip, rescale, check and value a stack of solved profiles.
+
+    ``solved`` holds one solver entry per profile, in the form described
+    above the solvers.  Returns the equilibria and their ``(K, n, m)``
+    allocations.
+    """
+    p = np.maximum(np.array([res[0] for res in solved], dtype=float), PRICE_FLOOR)
+    x = np.maximum(np.array([res[1] for res in solved], dtype=float), 0.0)
     # Clip per-good rounding overshoot so allocations stay feasible.
-    over = x.sum(axis=0)
-    scale = np.where(over > 1.0, 1.0 / np.maximum(over, 1e-300), 1.0)
-    x = x * scale
-    sold = x.sum(axis=0)
-    _check_equilibrium(budgets, reserves, p, x, floored)
-    return MarketEquilibrium(
-        prices=tuple(float(v) for v in p),
-        allocation=tuple(tuple(float(v) for v in row) for row in x),
-        unsold=tuple(float(max(0.0, 1.0 - s)) for s in sold),
-        excess=tuple(float(s - 1.0) for s in sold),
-        utilities=tuple(float(utility(u, row)) for u, row in zip(reports, x)),
-        floored=tuple(floored),
-        iterations=iters,
-    )
+    over = x.sum(axis=1)
+    x = x * np.where(over > 1.0, 1.0 / np.maximum(over, 1e-300), 1.0)[:, None, :]
+    sold = x.sum(axis=1)
+    floored = np.array([res[2] for res in solved], dtype=bool)
+    _check_equilibria(market.budgets, market.reserves, p, x, floored)
+    left = 1.0 - sold
+    eqs = [
+        MarketEquilibrium(
+            prices=tuple(prices),
+            allocation=tuple(map(tuple, alloc)),
+            unsold=tuple(unsold),
+            excess=tuple(excess),
+            utilities=tuple(utils),
+            floored=tuple(j for j, f in enumerate(flags) if f),
+            iterations=res[3],
+        )
+        for prices, alloc, unsold, excess, utils, flags, res in zip(
+            p.tolist(),
+            x.tolist(),
+            np.where(left > 0.0, left, 0.0).tolist(),
+            (sold - 1.0).tolist(),
+            _utilities(profiles, x).tolist(),
+            floored.tolist(),
+            solved,
+        )
+    ]
+    return eqs, x
 
 
 # A solver takes budgets, a stack of K report profiles and the reserves, and
 # returns one entry per profile: ``(prices, allocation, floored, iterations)``
-# or the SolverError that profile ended with.  Profile k's iterates are the
+# with a boolean mask of the goods priced at the degeneracy floor, or the
+# SolverError that profile ended with.  Profile k's iterates are the
 # ones a stack holding only profile k would produce, bit for bit: every
 # reduction runs over the same axis of the same contiguous rows, and finished
 # profiles leave the stack rather than changing its arithmetic.
@@ -177,16 +224,14 @@ def _stack(stack, attr) -> np.ndarray:
 
 def _solve_cobb_douglas(budgets, stack, reserves) -> list:
     e = np.asarray(budgets)
-    weights = _stack(stack, "a")
-    r = np.zeros(weights.shape[2]) if reserves is None else np.asarray(reserves)
-    out = []
-    for a in weights:
-        p = np.maximum(e @ a, r)
-        floored = [int(j) for j in np.flatnonzero(p <= PRICE_FLOOR)]
-        p = np.maximum(p, PRICE_FLOOR)
-        x = (e[:, None] * a) / p[None, :]
-        out.append((p, x, floored, 0))
-    return out
+    a = _stack(stack, "a")
+    r = np.zeros(a.shape[2]) if reserves is None else np.asarray(reserves)
+    # A stacked matmul runs one product per profile, as a lone ``e @ a`` does.
+    p = np.maximum(e @ a, r)
+    floored = p <= PRICE_FLOOR
+    p = np.maximum(p, PRICE_FLOOR)
+    x = (e[:, None] * a) / p[:, None, :]
+    return list(zip(p, x, floored, [0] * len(stack)))
 
 
 def _solve_linear(budgets, stack, reserves, cap=10_000) -> list:
@@ -222,9 +267,7 @@ def _solve_linear(budgets, stack, reserves, cap=10_000) -> list:
         done = gap <= (GAP_ACCEPT if it + 1 == cap else GAP_TOL)
         if done.any():
             for a in np.flatnonzero(done):
-                floored = [
-                    int(j) for j in np.flatnonzero(dead[a] & (p[a] <= np.maximum(r, PRICE_FLOOR)))
-                ]
+                floored = dead[a] & (p[a] <= np.maximum(r, PRICE_FLOOR))
                 out[live[a]] = (p_safe[a], x[a], floored, it + 1)
             keep = ~done
             live, weights, scales, dead, wanted, e_scaled, x, gap = (
@@ -285,6 +328,33 @@ class _Demand:
         return x
 
 
+def _utilities(stack, x) -> np.ndarray:
+    """``utility(stack[k][i], x[k, i])`` for a stack of K profiles of n
+    reports and their nonnegative ``(K, n, m)`` bundles, as ``(K, n)``.
+
+    Equal to the per-buyer ``utility`` to the bit.  Cobb-Douglas rows are
+    one array expression, and CES rows one per distinct rho, passed to
+    ``np.power`` as a Python float as in ``_Demand``.  Linear rows keep one
+    1-D dot each: a stacked matmul, einsum or row sum adds the products in
+    another order.
+    """
+    a = _stack(stack, "a")
+    scale = _stack(stack, "scale")
+    rho = np.asarray([
+        [u.rho if isinstance(u, CES) else math.nan for u in reports] for reports in stack
+    ])
+    cd = np.asarray([[isinstance(u, CobbDouglas) for u in reports] for reports in stack])
+    out = np.empty(scale.shape)
+    out[cd] = scale[cd] * np.prod(np.power(x[cd], a[cd]), axis=1)
+    for r in set(rho[~np.isnan(rho)].tolist()):
+        rows = rho == r
+        inner = np.sum(a[rows] * np.power(x[rows], r), axis=1)
+        out[rows] = scale[rows] * np.power(inner, 1.0 / r)
+    for k, i in zip(*np.nonzero(~cd & np.isnan(rho))):
+        out[k, i] = (scale[k, i] * a[k, i]) @ x[k, i]
+    return out
+
+
 def _solve_tatonnement(budgets, stack, reserves, cap=200_000) -> list:
     e = np.asarray(budgets)
     demand = _Demand(budgets, stack)
@@ -308,8 +378,7 @@ def _solve_tatonnement(budgets, stack, reserves, cap=200_000) -> list:
         done = worst <= CLEAR_TOL
         if done.any():
             for a in np.flatnonzero(done):
-                floored = [int(j) for j in np.flatnonzero(dead[a])]
-                out[live[a]] = (np.where(dead[a], low, p[a]), x[a], floored, it + 1)
+                out[live[a]] = (np.where(dead[a], low, p[a]), x[a], dead[a], it + 1)
             keep = ~done
             demand.keep(keep)
             live, dead, p, z, worst, step, last = (
@@ -334,13 +403,14 @@ _SOLVERS = {
 }
 
 
-def _solve_profiles(market: FisherMarket, profiles) -> list[MarketEquilibrium]:
-    """Equilibria of many report profiles of one market, in profile order.
+def _solve_profiles(market: FisherMarket, profiles) -> tuple[list[MarketEquilibrium], np.ndarray]:
+    """Equilibria of one or more report profiles of one market, in profile
+    order, and their ``(K, n, m)`` allocations.
 
-    Profiles that share a solver are solved together as one stack.  Reports
-    no solver takes raise before any solve; when solves fail, the error
-    raised is the one of the first failing profile, as a profile-by-profile
-    loop would raise it.
+    Profiles that share a solver are solved together as one stack, and all
+    are finished and checked as one.  Reports no solver takes raise before
+    any solve; when solves or checks fail, the error raised is the one of
+    the first failing profile, as a profile-by-profile loop would raise it.
     """
     profiles = [tuple(reports) for reports in profiles]
     groups: dict = {}
@@ -358,13 +428,13 @@ def _solve_profiles(market: FisherMarket, profiles) -> list[MarketEquilibrium]:
         solved = _SOLVERS[kind](market.budgets, [profiles[k] for k in ks], market.reserves)
         for k, res in zip(ks, solved):
             raw[k] = res
-    out = []
-    for reports, res in zip(profiles, raw):
-        if isinstance(res, SolverError):
-            raise res
-        p, x, floored, iters = res
-        out.append(_finish(market.budgets, market.reserves, p, x, reports, floored, iters))
-    return out
+    failed = next((k for k, res in enumerate(raw) if isinstance(res, SolverError)), None)
+    if failed is None:
+        return _finish(market, profiles, raw)
+    if failed:
+        # A failed check on an earlier profile comes first.
+        _finish(market, profiles[:failed], raw[:failed])
+    raise raw[failed]
 
 
 def solve_market(market: FisherMarket, reports: Optional[Sequence[FisherUtility]] = None) -> MarketEquilibrium:
@@ -374,7 +444,7 @@ def solve_market(market: FisherMarket, reports: Optional[Sequence[FisherUtility]
     response to a tight duality gap, and CES (or CES/Cobb-Douglas mixtures) by
     damped price adjustment on excess demand.
     """
-    return _solve_profiles(market, [market.utilities if reports is None else reports])[0]
+    return _solve_profiles(market, [market.utilities if reports is None else reports])[0][0]
 
 
 def strategic_outcomes(
@@ -385,13 +455,11 @@ def strategic_outcomes(
     The profiles are solved as one batch; the results equal those of one
     ``strategic_outcome`` call per profile, bit for bit.
     """
-    return [
-        (eq, tuple(
-            float(utility(v, np.asarray(row)))
-            for v, row in zip(market.utilities, eq.allocation)
-        ))
-        for eq in _solve_profiles(market, profiles)
-    ]
+    if not profiles:
+        return []
+    eqs, x = _solve_profiles(market, profiles)
+    truthful = _utilities([market.utilities] * len(eqs), x).tolist()
+    return [(eq, tuple(utils)) for eq, utils in zip(eqs, truthful)]
 
 
 def strategic_outcome(
@@ -506,10 +574,8 @@ class _ReportGame:
     def menu_utils(self, profile, i) -> list[float]:
         """Buyer i's true utility at each entry of its menu, the others held
         at ``profile``.  Uncached entries are solved as one batch."""
-        keys = [
-            tuple(s if h == i else a for h, a in enumerate(profile))
-            for s in range(len(self.menus[i]))
-        ]
+        head, tail = tuple(profile[:i]), tuple(profile[i + 1:])
+        keys = [head + (s,) + tail for s in range(len(self.menus[i]))]
         todo = [key for key in keys if key not in self._cache]
         if todo:
             solved = strategic_outcomes(self.market, [self._reports(key) for key in todo])
@@ -822,6 +888,23 @@ class FisherLearningResult:
     holds: bool
 
 
+def _hedge(scores, etas, groups) -> np.ndarray:
+    """Multiplicative-weights mixtures of a buyers x (largest menu) score
+    array with learning rates ``etas`` (a column).
+
+    ``groups`` lists ``(buyers, k)`` per menu size k.  Each row is
+    normalized over its own k entries and is zero beyond them, equal to the
+    per-buyer ``w / w.sum()`` to the bit: numpy sums 8 or more entries
+    pairwise, so a zero-padded row would add in another order.
+    """
+    sigma = np.zeros(scores.shape)
+    for rows, k in groups:
+        own = scores[rows, :k]
+        w = np.exp(etas[rows] * (own - own.max(axis=1, keepdims=True)))
+        sigma[rows, :k] = w / w.sum(axis=1, keepdims=True)
+    return sigma
+
+
 def run_market_learning(
     market: FisherMarket,
     rounds: int,
@@ -845,7 +928,7 @@ def run_market_learning(
     lam = float(np.max(p_star / r))
 
     game = _ReportGame(market, [perturbed_reports(v, deltas) for v in market.utilities])
-    sizes = [len(m) for m in game.menus]
+    sizes = np.array([len(m) for m in game.menus])
     n = market.buyers
     truthful_profile = game.truthful_profile()
     truthful_utils = game.utils(truthful_profile)
@@ -855,35 +938,44 @@ def run_market_learning(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     T = rounds
-    etas = [math.sqrt(8.0 * math.log(k) / T) if k > 1 else 0.0 for k in sizes]
-    scores = [np.zeros(k) for k in sizes]
-    cum_counter = [np.zeros(k) for k in sizes]
+    # Per-buyer state is a buyers x (largest menu) array whose padding stays
+    # zero.
+    shape = (n, int(sizes.max()))
+    rows = np.arange(n)
+    groups = [(np.flatnonzero(sizes == k), int(k)) for k in np.unique(sizes)]
+    etas = np.array([math.sqrt(8.0 * math.log(k) / T) if k > 1 else 0.0 for k in sizes])[:, None]
+    chi_col = np.array(chi)[:, None]
+    cap = chi_col + 1e-6 * np.maximum(1.0, chi_col)
+    scores = np.zeros(shape)
+    cum_counter = np.zeros(shape)
     cum_realized = np.zeros(n)
+    utils = np.zeros(shape)
     welfare_sum = 0.0
 
     for _ in range(T):
-        actions = []
-        for i in range(n):
-            z = scores[i] - scores[i].max()
-            w = np.exp(etas[i] * z)
-            sigma = w / w.sum()
-            actions.append(int(rng.choice(sizes[i], p=sigma)))
-        actions = tuple(actions)
-        round_utils = np.zeros(n)
-        for i in range(n):
-            row = np.asarray(game.menu_utils(actions, i))
-            if np.any(row > chi[i] + 1e-6 * max(1.0, chi[i])):
-                raise InternalCheckError(
-                    f"buyer {i} payoff exceeds the reserve cap {chi[i]}: {row.max()}"
-                )
-            scores[i] += row / chi[i]
-            cum_counter[i] += row
-            round_utils[i] = row[actions[i]]
-        cum_realized += round_utils
-        welfare_sum += float(round_utils.sum())
+        sigma = _hedge(scores, etas, groups)
+        # Inverse-CDF draw, as ``rng.choice(k, p=sigma)`` makes it: the count
+        # of cumulative weights, divided by their total, at or below u.
+        cdf = np.cumsum(sigma, axis=1)
+        cdf /= cdf[rows, sizes - 1][:, None]
+        actions = (cdf <= rng.random(n)[:, None]).sum(axis=1)
+        profile = tuple(actions.tolist())
+        for i, k in enumerate(sizes):
+            utils[i, :k] = game.menu_utils(profile, i)
+        over = np.flatnonzero((utils > cap).any(axis=1))
+        if over.size:
+            i = int(over[0])
+            raise InternalCheckError(
+                f"buyer {i} payoff exceeds the reserve cap {chi[i]}: {utils[i, :sizes[i]].max()}"
+            )
+        scores += utils / chi_col
+        cum_counter += utils
+        realized = utils[rows, actions]
+        cum_realized += realized
+        welfare_sum += float(realized.sum())
 
     regrets = tuple(
-        float(cum_counter[i].max() - cum_realized[i]) for i in range(n)
+        float(cum_counter[i, :k].max() - cum_realized[i]) for i, k in enumerate(sizes)
     )
     phi = tuple(reg / c for reg, c in zip(regrets, chi))
     truthful_total = float(sum(truthful_utils))

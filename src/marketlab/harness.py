@@ -678,7 +678,10 @@ def _task_poa_sweep(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: i
         values, grid, model, rule=spec.get("rule", "english"),
         lam=spec.get("lam"), seed=ctx_seed,
     )
-    worst, reports, _complete = worst_equilibrium(ctx, rng, restarts=spec.get("restarts", 32))
+    worst, reports, complete, dropped = worst_equilibrium(
+        ctx, rng, restarts=spec.get("restarts", 32)
+    )
+    search = "search exhaustive" if complete else f"search best-response, {dropped} walks dropped"
 
     audit = _sweep_audit(sc, sweep_idx, gen, spec["assumptions"], n, bidders)
     if seed_idx == 0:
@@ -693,12 +696,12 @@ def _task_poa_sweep(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: i
         out.checks.append(Check(
             sc.id, "poa-bound", False,
             f"N={n} seed={seed} profile={r.profile}: ratio {r.ratio:.6f} < bound {floor:.6f}"
-            f" ({len(below)} of {len(exact)} below)",
+            f" ({len(below)} of {len(exact)} below), {search}",
         ))
     else:
         out.checks.append(Check(
             sc.id, "poa-bound", True,
-            f"N={n} seed={seed}: {len(exact)} exact equilibria above max(0, bounds)",
+            f"N={n} seed={seed}: {len(exact)} exact equilibria above max(0, bounds), {search}",
         ))
     if worst is None:
         out.checks.append(Check(sc.id, "certified-equilibrium", False, f"N={n} seed={seed}: search certified no equilibrium"))

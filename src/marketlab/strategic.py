@@ -387,10 +387,13 @@ def best_response_dynamics(
     rng: np.random.Generator,
     restarts: int = 32,
     max_sweeps: int = 200,
-) -> list[EquilibriumReport]:
-    """Round-robin best-reply walks from random profiles; returns a report
-    for every fixed point reached (certified exactly by construction)."""
+) -> tuple[list[EquilibriumReport], int]:
+    """Round-robin best-reply walks from random profiles.  Returns a report
+    for every fixed point reached (certified exactly by construction) and
+    the number of walks dropped for not converging within ``max_sweeps``
+    sweeps."""
     found: dict[tuple[int, ...], EquilibriumReport] = {}
+    dropped = 0
     for _ in range(restarts):
         profile = [int(rng.integers(0, len(ctx.menu[i]))) for i in range(ctx.players)]
         for _ in range(max_sweeps):
@@ -403,13 +406,14 @@ def best_response_dynamics(
             if not changed:
                 break
         else:
+            dropped += 1
             continue
         key = tuple(profile)
         if key not in found:
             cert = ctx.certify(key)
             if cert.kind != "not-equilibrium":
                 found[key] = ctx.report(key, cert)
-    return list(found.values())
+    return list(found.values()), dropped
 
 
 def exhaustive_equilibria(ctx: GameContext, limit: int = 100_000) -> list[EquilibriumReport]:
@@ -431,19 +435,21 @@ def worst_equilibrium(
     rng: np.random.Generator,
     restarts: int = 32,
     exhaustive_limit: int = 100_000,
-) -> tuple[Optional[EquilibriumReport], list[EquilibriumReport], bool]:
-    """Lowest-welfare certified equilibrium found; exhaustive when the
-    profile space is small enough, otherwise a best-response search whose
-    result is a lower-bound witness, not a proven worst case."""
+) -> tuple[Optional[EquilibriumReport], list[EquilibriumReport], bool, int]:
+    """Lowest-welfare certified equilibrium found, every certified report,
+    whether the search was exhaustive, and how many best-response walks it
+    dropped.  The search is exhaustive when the profile space is small
+    enough, otherwise a best-response search whose result is a lower-bound
+    witness, not a proven worst case."""
     sizes = math.prod(len(m) for m in ctx.menu)
     if sizes <= exhaustive_limit:
-        reports = exhaustive_equilibria(ctx, exhaustive_limit)
+        reports, dropped = exhaustive_equilibria(ctx, exhaustive_limit), 0
         complete = True
     else:
-        reports = best_response_dynamics(ctx, rng, restarts=restarts)
+        reports, dropped = best_response_dynamics(ctx, rng, restarts=restarts)
         complete = False
     worst = min(reports, key=lambda r: r.ratio) if reports else None
-    return worst, reports, complete
+    return worst, reports, complete, dropped
 
 
 # ---------------------------------------------------------------------------

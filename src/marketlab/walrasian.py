@@ -312,18 +312,6 @@ def max_welfare(bids, supply):
     return oracle.welfare(supply), oracle.allocation(supply)
 
 
-def english_prices(bids, supply) -> np.ndarray:
-    return WelfareOracle(bids).english(supply)
-
-
-def dutch_prices(bids, supply) -> np.ndarray:
-    return WelfareOracle(bids).dutch(supply)
-
-
-def mixed_prices(bids, supply, lam) -> np.ndarray:
-    return WelfareOracle(bids).prices(supply, "mix", lam)
-
-
 def run_mechanism(bids, supply, rule="english", lam=None, oracle=None) -> Outcome:
     """Run the auction: price by ``rule``, allocate by bid welfare."""
     oracle = oracle or WelfareOracle(bids)
@@ -402,18 +390,3 @@ def truncated_distance(p, q, ceiling) -> float:
         raise ValueError("price vectors differ in length")
     return float(np.abs(p - q).sum())
 
-
-def outcome_record(outcome, true_values=None):
-    """Flat dict of an outcome for CSV export."""
-    rec = {
-        "rule": outcome.rule if outcome.lam is None else f"mix({outcome.lam:g})",
-        "supply": ";".join(str(c) for c in outcome.supply),
-        "prices": ";".join(f"{p:.12g}" for p in outcome.prices),
-        "sw_bids": f"{outcome.sw_bids:.12g}",
-    }
-    rec["sw_true"] = (
-        f"{allocation_welfare(true_values, outcome.allocation):.12g}"
-        if true_values is not None
-        else ""
-    )
-    return rec

@@ -3,6 +3,11 @@
 Everything here is deliberately naive: direct enumerations and grid searches
 written from the definitions, with no code shared with the package internals,
 so tests compare two genuinely different routes to the same quantity.
+
+The exception is ``reference_outcome``: it takes the package's own Fisher
+solver output and finishes, checks and values it one profile and one buyer
+at a time, the loop that the stacked finish in ``fisher`` replaces and must
+match bit for bit.
 """
 
 import heapq
@@ -11,7 +16,17 @@ import math
 
 import numpy as np
 
-from marketlab.valuations import CES, CobbDouglas, Explicit, KDemand, Linear, UnitDemand
+from marketlab import fisher
+from marketlab.errors import InternalCheckError, SolverError
+from marketlab.valuations import (
+    CES,
+    CobbDouglas,
+    Explicit,
+    KDemand,
+    Linear,
+    UnitDemand,
+    utility,
+)
 
 
 def oracle_value(v, bundle):
@@ -182,6 +197,59 @@ def eg_grid_oracle(budgets, utilities, reserves=None, sweeps=4, pts=15, zooms=5)
                 alloc[:, j] = mesh[int(np.argmax(obj))]
         width /= 4.0
     return eg_objective(budgets, utilities, alloc[:n], reserves), alloc[:n]
+
+
+def reference_check(budgets, reserves, prices, alloc, floored):
+    """Fisher solver postconditions for one profile, checked on their own."""
+    e = np.asarray(budgets)
+    p = np.asarray(prices)
+    x = np.asarray(alloc)
+    r = np.zeros_like(p) if reserves is None else np.asarray(reserves)
+    sold = x.sum(axis=0)
+    if np.any(sold > 1.0 + fisher.CLEAR_TOL):
+        raise InternalCheckError(f"over-allocation: {sold}")
+    live = (p > r + fisher.CLEAR_TOL) & (p > fisher.PRICE_FLOOR * 10)
+    live &= np.asarray([j not in floored for j in range(p.size)])
+    if np.any(np.abs(sold[live] - 1.0) > fisher.CLEAR_TOL):
+        raise InternalCheckError(f"market fails to clear: z={sold - 1.0}")
+    spend = x @ p
+    if np.any(np.abs(spend - e) > fisher.CLEAR_TOL * np.maximum(1.0, e)):
+        raise InternalCheckError(f"budgets not exhausted: {spend} vs {e}")
+    if reserves is None and not floored:
+        if abs(p.sum() - e.sum()) > fisher.CLEAR_TOL * max(1.0, e.sum()):
+            raise InternalCheckError(f"price sum {p.sum()} != budget sum {e.sum()}")
+
+
+def reference_outcome(market, reports):
+    """``fisher.strategic_outcome`` one profile at a time: a lone solve,
+    then clipping, the checks and one ``utility`` call per buyer and bundle."""
+    reports = tuple(reports)
+    kinds = {type(u) for u in reports}
+    kind = "linear" if Linear in kinds else "cobb-douglas" if kinds == {CobbDouglas} else "ces"
+    res = fisher._SOLVERS[kind](market.budgets, [reports], market.reserves)[0]
+    if isinstance(res, SolverError):
+        raise res
+    prices, alloc, mask, iters = res
+    floored = [int(j) for j in np.flatnonzero(mask)]
+    p = np.maximum(np.asarray(prices, dtype=float), fisher.PRICE_FLOOR)
+    x = np.maximum(np.asarray(alloc, dtype=float), 0.0)
+    over = x.sum(axis=0)
+    x = x * np.where(over > 1.0, 1.0 / np.maximum(over, 1e-300), 1.0)
+    sold = x.sum(axis=0)
+    reference_check(market.budgets, market.reserves, p, x, floored)
+    eq = fisher.MarketEquilibrium(
+        prices=tuple(float(v) for v in p),
+        allocation=tuple(tuple(float(v) for v in row) for row in x),
+        unsold=tuple(float(max(0.0, 1.0 - s)) for s in sold),
+        excess=tuple(float(s - 1.0) for s in sold),
+        utilities=tuple(float(utility(u, row)) for u, row in zip(reports, x)),
+        floored=tuple(floored),
+        iterations=iters,
+    )
+    truthful = tuple(
+        float(utility(v, np.asarray(row))) for v, row in zip(market.utilities, eq.allocation)
+    )
+    return eq, truthful
 
 
 def random_market(rng, max_bidders=5, max_goods=3, max_cap=2, max_copies=4):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketlab import fisher
-from marketlab.errors import SolverError
+from marketlab.errors import InternalCheckError, SolverError
 from marketlab.fisher import (
+    FisherLearningResult,
     FisherMarket,
     _ReportGame,
     audit_scaling,
@@ -26,7 +27,7 @@ from marketlab.fisher import (
 )
 from marketlab.valuations import CES, CobbDouglas, Linear, fisher_demand, utility
 
-from oracles import eg_grid_oracle, eg_objective
+from oracles import eg_grid_oracle, eg_objective, reference_outcome
 
 
 def cd(*weights, scale=1.0):
@@ -426,12 +427,141 @@ def test_market_learning_rejects_bad_reserves():
         run_market_learning(oversized, rounds=10)
 
 
+def loop_market_learning(market, rounds, deltas, seed):
+    """Reference for ``run_market_learning`` on valid reserve markets: the
+    per-buyer loop with one ``rng.choice`` draw and one menu row per buyer
+    and round."""
+    plain = FisherMarket(market.budgets, market.utilities)
+    lam = float(np.max(np.asarray(solve_market(plain).prices) / np.asarray(market.reserves)))
+    game = _ReportGame(market, [perturbed_reports(v, deltas) for v in market.utilities])
+    sizes = [len(m) for m in game.menus]
+    n = market.buyers
+    truthful_utils = game.utils(game.truthful_profile())
+    chi = [lam * u for u in truthful_utils]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    T = rounds
+    etas = [math.sqrt(8.0 * math.log(k) / T) if k > 1 else 0.0 for k in sizes]
+    scores = [np.zeros(k) for k in sizes]
+    cum_counter = [np.zeros(k) for k in sizes]
+    cum_realized = np.zeros(n)
+    welfare_sum = 0.0
+    for _ in range(T):
+        actions = []
+        for i in range(n):
+            w = np.exp(etas[i] * (scores[i] - scores[i].max()))
+            actions.append(int(rng.choice(sizes[i], p=w / w.sum())))
+        actions = tuple(actions)
+        round_utils = np.zeros(n)
+        for i in range(n):
+            row = np.asarray(game.menu_utils(actions, i))
+            if np.any(row > chi[i] + 1e-6 * max(1.0, chi[i])):
+                raise InternalCheckError(
+                    f"buyer {i} payoff exceeds the reserve cap {chi[i]}: {row.max()}"
+                )
+            scores[i] += row / chi[i]
+            cum_counter[i] += row
+            round_utils[i] = row[actions[i]]
+        cum_realized += round_utils
+        welfare_sum += float(round_utils.sum())
+    regrets = tuple(float(cum_counter[i].max() - cum_realized[i]) for i in range(n))
+    phi = tuple(reg / c for reg, c in zip(regrets, chi))
+    truthful_total = float(sum(truthful_utils))
+    bound_factor = math.exp(-2.0 * market.m / market.largeness) - max(phi) / T * lam
+    rhs = bound_factor * truthful_total
+    avg = welfare_sum / T
+    holds = avg >= rhs - 1e-9 * max(1.0, abs(rhs))
+    if not holds:
+        raise InternalCheckError(
+            f"average welfare {avg} fell below the regret-adjusted floor {rhs}"
+        )
+    return FisherLearningResult(T, avg, truthful_total, bound_factor, rhs, lam, regrets, phi, holds)
+
+
+def learning_market(family, m, seed):
+    """Reserve market of four buyers whose menus differ in size: buyer i
+    never wants min(i, m - 1) goods, so with two deltas an m = 3 market has
+    menus of 13, 9, 1 and 1 entries."""
+    rng = np.random.default_rng(seed)
+    utils = []
+    for i in range(4):
+        w = rng.uniform(0.2, 1.0, m)
+        w[: min(i, m - 1)] = 0.0
+        w /= w.sum()
+        if family == "linear":
+            utils.append(Linear(tuple(w), float(rng.uniform(0.5, 2.0))))
+        elif family == "ces":
+            utils.append(CES(tuple(w), (0.3, 0.5, 0.7)[i % 3]))
+        else:
+            utils.append(cd(*w))
+    plain = FisherMarket(tuple(rng.uniform(0.5, 2.0, 4)), tuple(utils))
+    reserves = tuple(p / 5.0 for p in solve_market(plain).prices)
+    return FisherMarket(plain.budgets, plain.utilities, reserves)
+
+
+def learned_or_error(learn):
+    try:
+        return learn()
+    except InternalCheckError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize(
+    "family, m, seed, sizes",
+    (
+        ("cd", 3, 0, [13, 9, 1, 1]),
+        ("cd", 3, 1, [13, 9, 1, 1]),
+        ("linear", 3, 2, [13, 9, 1, 1]),
+        ("ces", 3, 3, [13, 9, 1, 1]),
+        ("cd", 2, 4, [9, 1, 1, 1]),
+        ("cd", 1, 5, [1, 1, 1, 1]),
+    ),
+)
+def test_market_learning_equals_the_per_buyer_loop(family, m, seed, sizes):
+    market = learning_market(family, m, seed)
+    assert [len(perturbed_reports(u, (0.1, 0.2))) for u in market.utilities] == sizes
+    got = run_market_learning(market, rounds=40, deltas=(0.1, 0.2), seed=seed)
+    want = loop_market_learning(market, 40, (0.1, 0.2), seed)
+    assert got == want
+
+
+def test_hedge_mixtures_equal_per_buyer_normalization():
+    rng = np.random.default_rng(0)
+    sizes = np.array([13, 9, 1, 13, 8, 7, 2])
+    groups = [(np.flatnonzero(sizes == k), int(k)) for k in np.unique(sizes)]
+    etas = rng.uniform(0.0, 1.0, (len(sizes), 1))
+    own = np.arange(13) < sizes[:, None]
+    for _ in range(100):
+        scores = np.where(own, rng.uniform(0.0, 40.0, own.shape), 0.0)
+        got = fisher._hedge(scores, etas, groups)
+        for i, k in enumerate(sizes):
+            w = np.exp(float(etas[i, 0]) * (scores[i, :k] - scores[i, :k].max()))
+            # Bit-equal, rows of 8 or more entries included.
+            assert np.array_equal(got[i, :k], w / w.sum())
+            assert not got[i, k:].any()
+
+
+def test_market_learning_names_the_first_buyer_over_the_cap(monkeypatch):
+    market = learning_market("cd", 3, 0)
+    menu_utils = _ReportGame.menu_utils
+
+    def inflated(game, profile, i):
+        # Buyers 1 and 2 both exceed their cap from the first round on.
+        return [u * (1e3 if i in (1, 2) else 1.0) for u in menu_utils(game, profile, i)]
+
+    monkeypatch.setattr(_ReportGame, "menu_utils", inflated)
+    got = learned_or_error(lambda: run_market_learning(market, 10, (0.1, 0.2), 0))
+    want = learned_or_error(lambda: loop_market_learning(market, 10, (0.1, 0.2), 0))
+    assert got.startswith("buyer 1 payoff exceeds the reserve cap")
+    assert got == want
+
+
 # -- batched menu evaluation -------------------------------------------------------
 
 
 def random_market(seed, n, m, family, reserves):
-    """Market with n buyers of ``family``: linear, ces-<rho>, or mix (CES and
-    Cobb-Douglas buyers side by side); optional reserves."""
+    """Market with n buyers of ``family``: linear, ces-<rho>, cd
+    (Cobb-Douglas), or mix (CES and Cobb-Douglas buyers side by side);
+    optional reserves."""
     rng = np.random.default_rng(seed)
     budgets = tuple(float(b) for b in rng.uniform(0.5, 2.0, n))
     utils = []
@@ -443,7 +573,7 @@ def random_market(seed, n, m, family, reserves):
             utils.append(Linear(tuple(w), float(rng.uniform(0.5, 2.0))))
         elif family.startswith("ces"):
             utils.append(CES(tuple(w / w.sum()), float(family[4:])))
-        elif i % 2:
+        elif family == "cd" or i % 2:
             utils.append(cd(*(w / w.sum())))
         else:
             utils.append(CES(tuple(w / w.sum()), (0.3, 0.5, 0.7)[i % 3]))
@@ -460,12 +590,12 @@ def solved_or_error(solve):
         return str(e)
 
 
-@settings(max_examples=60)
+@settings(max_examples=100)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 8),
+    n=st.integers(1, 9),
     m=st.integers(1, 3),
-    family=st.sampled_from(("linear", "ces-0.3", "ces-0.5", "ces-0.7", "mix")),
+    family=st.sampled_from(("linear", "ces-0.3", "ces-0.5", "ces-0.7", "mix", "cd")),
     reserves=st.booleans(),
     k=st.integers(1, 9),
 )
@@ -478,8 +608,35 @@ def test_batched_solves_equal_one_profile_solves(seed, n, m, family, reserves, k
     ]
     batched = solved_or_error(lambda: strategic_outcomes(market, profiles))
     one_by_one = solved_or_error(lambda: [strategic_outcome(market, p) for p in profiles])
+    # The per-profile finish, checks and utility calls on lone solves.  At
+    # n >= 8 numpy sums over buyers pairwise, so n = 9 is covered too.
+    loop = solved_or_error(lambda: [reference_outcome(market, p) for p in profiles])
     # Same bits and the same iteration counts, not just close.
-    assert batched == one_by_one
+    assert batched == one_by_one == loop
+
+
+def test_a_failed_check_before_a_solver_error_is_raised(monkeypatch):
+    market = random_market(3, 4, 2, "ces-0.5", False)
+    profiles = [market.utilities] * 3
+    solve = fisher._SOLVERS["ces"]
+
+    def broken(budgets, stack, reserves):
+        out = solve(budgets, stack, reserves)
+        p, x, floored, iters = out[0]
+        x = x.copy()
+        x[:, 0] = 1.0  # every buyer gets all of good 0
+        out[0] = (p, x, floored, iters)
+        if len(out) > 1:
+            out[1] = SolverError("profile 1 did not converge")
+        return out
+
+    monkeypatch.setitem(fisher._SOLVERS, "ces", broken)
+    with pytest.raises(InternalCheckError) as alone:
+        reference_outcome(market, profiles[0])
+    assert str(alone.value).startswith("budgets not exhausted")
+    with pytest.raises(InternalCheckError) as stacked:
+        strategic_outcomes(market, profiles)
+    assert str(stacked.value) == str(alone.value)
 
 
 @settings(max_examples=300)

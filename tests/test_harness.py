@@ -262,6 +262,9 @@ def test_audit_runs_once_per_sweep_point(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, doc)
     run_config(cfg, out_dir=str(tmp_path / "serial"))
     assert calls == [4, 5]
+    summary = json.loads((tmp_path / "serial" / "summary.json").read_text())
+    details = [c["detail"] for c in summary["scenarios"][0]["checks"] if c["name"] == "poa-bound"]
+    assert len(details) == 6 and all(d.endswith(", search exhaustive") for d in details)
     run_config(cfg, out_dir=str(tmp_path / "parallel"), jobs=2)
     serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
     assert serial == (tmp_path / "parallel" / "sweep.csv").read_bytes()

@@ -88,8 +88,8 @@ def test_bully_truthful_profile_is_also_nash_at_ratio_one():
 
 def test_bully_worst_equilibrium_is_found_exhaustively():
     ctx = bully_context()
-    worst, reports, complete = worst_equilibrium(ctx, np.random.default_rng(0))
-    assert complete
+    worst, reports, complete, dropped = worst_equilibrium(ctx, np.random.default_rng(0))
+    assert complete and dropped == 0
     assert worst.ratio == 0.1
     assert {r.ratio for r in reports} >= {0.1, 1.0}
 
@@ -133,12 +133,36 @@ def test_best_response_dynamics_reaches_certified_fixed_points():
     vals = unit((10.0, 1.0))
     grids = [ScalingGrid((0.0, 1.0)), ScalingGrid((0.0, 1.0, 10.0))]
     ctx = GameContext(vals, grids, FixedCounts((1,)), rule="english")
-    reports = best_response_dynamics(ctx, np.random.default_rng(7), restarts=16)
-    assert reports
+    reports, dropped = best_response_dynamics(ctx, np.random.default_rng(7), restarts=16)
+    assert reports and dropped == 0
     for rep in reports:
         assert rep.certification.kind == "exact-nash"
     exhaustive = {r.profile for r in exhaustive_equilibria(ctx)}
     assert {r.profile for r in reports} <= exhaustive
+
+
+def test_best_response_dynamics_counts_dropped_walks():
+    vals = unit((10.0, 1.0))
+    grids = [ScalingGrid((0.0, 1.0)), ScalingGrid((0.0, 1.0, 10.0))]
+    ctx = GameContext(vals, grids, FixedCounts((1,)), rule="english")
+    # One sweep converges only from a start that is already a fixed point.
+    starts = np.random.default_rng(7)
+    fixed = sum(
+        all(
+            ctx.best_response(list(p), i)[0] == p[i]
+            for i in range(2)
+        )
+        for p in ([int(starts.integers(0, len(m))) for m in ctx.menu] for _ in range(16))
+    )
+    reports, dropped = best_response_dynamics(
+        ctx, np.random.default_rng(7), restarts=16, max_sweeps=1
+    )
+    assert 0 < dropped == 16 - fixed
+    assert {r.profile for r in reports} <= {r.profile for r in exhaustive_equilibria(ctx)}
+    worst, found, complete, walks_dropped = worst_equilibrium(
+        ctx, np.random.default_rng(7), restarts=16, exhaustive_limit=1
+    )
+    assert not complete and walks_dropped == 0 and worst is not None
 
 
 def test_report_rejects_ratio_above_one():

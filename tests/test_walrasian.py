@@ -10,11 +10,7 @@ from marketlab.walrasian import (
     WelfareOracle,
     allocation_welfare,
     assert_valid_outcome,
-    dutch_prices,
-    english_prices,
     max_welfare,
-    mixed_prices,
-    outcome_record,
     run_mechanism,
     truncated_distance,
     validate_outcome,
@@ -33,26 +29,29 @@ def test_max_welfare_single_good():
 
 
 def test_english_prices_single_good():
-    assert english_prices(THREE_UNIT_BIDDERS, (2,)) == pytest.approx([2.0])
-    assert english_prices(THREE_UNIT_BIDDERS, (0,)) == pytest.approx([5.0])
-    assert english_prices(THREE_UNIT_BIDDERS, (3,)) == pytest.approx([0.0])
+    oracle = WelfareOracle(THREE_UNIT_BIDDERS)
+    assert oracle.english((2,)) == pytest.approx([2.0])
+    assert oracle.english((0,)) == pytest.approx([5.0])
+    assert oracle.english((3,)) == pytest.approx([0.0])
 
 
 def test_dutch_prices_single_good():
-    assert dutch_prices(THREE_UNIT_BIDDERS, (2,)) == pytest.approx([3.0])
-    assert dutch_prices(THREE_UNIT_BIDDERS, (0,))[0] == math.inf
-    assert dutch_prices(THREE_UNIT_BIDDERS, (4,)) == pytest.approx([0.0])
+    oracle = WelfareOracle(THREE_UNIT_BIDDERS)
+    assert oracle.dutch((2,)) == pytest.approx([3.0])
+    assert oracle.dutch((0,))[0] == math.inf
+    assert oracle.dutch((4,)) == pytest.approx([0.0])
 
 
 def test_mixed_prices_blend_and_sentinel():
-    assert mixed_prices(THREE_UNIT_BIDDERS, (2,), 0.5) == pytest.approx([2.5])
-    assert mixed_prices(THREE_UNIT_BIDDERS, (2,), 0.0) == pytest.approx([2.0])
-    assert mixed_prices(THREE_UNIT_BIDDERS, (2,), 1.0) == pytest.approx([3.0])
+    oracle = WelfareOracle(THREE_UNIT_BIDDERS)
+    assert oracle.prices((2,), "mix", 0.5) == pytest.approx([2.5])
+    assert oracle.prices((2,), "mix", 0.0) == pytest.approx([2.0])
+    assert oracle.prices((2,), "mix", 1.0) == pytest.approx([3.0])
     # At zero supply the high end is infinite and any positive blend keeps it.
-    assert mixed_prices(THREE_UNIT_BIDDERS, (0,), 0.5)[0] == math.inf
-    assert mixed_prices(THREE_UNIT_BIDDERS, (0,), 0.0) == pytest.approx([5.0])
+    assert oracle.prices((0,), "mix", 0.5)[0] == math.inf
+    assert oracle.prices((0,), "mix", 0.0) == pytest.approx([5.0])
     with pytest.raises(ValueError):
-        mixed_prices(THREE_UNIT_BIDDERS, (2,), 1.5)
+        oracle.prices((2,), "mix", 1.5)
 
 
 def test_mixed_rule_stays_valid_with_zero_supply_good():
@@ -222,16 +221,6 @@ def test_truncated_distance():
         truncated_distance((1.0,), (1.0,), -1.0)
     with pytest.raises(ValueError):
         truncated_distance((1.0,), (1.0, 2.0), 1.0)
-
-
-def test_outcome_record_round_trip():
-    out = run_mechanism(THREE_UNIT_BIDDERS, (2,), "english")
-    rec = outcome_record(out, true_values=THREE_UNIT_BIDDERS)
-    assert rec["rule"] == "english"
-    assert rec["supply"] == "2"
-    assert rec["prices"] == "2"
-    assert float(rec["sw_bids"]) == 8.0
-    assert float(rec["sw_true"]) == 8.0
 
 
 def test_oracle_input_validation():
