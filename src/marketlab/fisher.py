@@ -216,6 +216,22 @@ def _finish(market: FisherMarket, profiles, solved) -> tuple[list[MarketEquilibr
 # ones a stack holding only profile k would produce, bit for bit: every
 # reduction runs over the same axis of the same contiguous rows, and finished
 # profiles leave the stack rather than changing its arithmetic.
+#
+# Proportional response runs in chunks of rounds.  The update alone runs for
+# R rounds and keeps every round's prices and allocation; then the duality
+# gap of all R rounds of every profile is computed in one pass.  The dual is
+# bit-equal to a per-round one.  The primal's stacked product adds in another
+# order than one 1-D dot per profile, so it only rules rounds out: a round
+# whose stacked gap is above the tolerance by more than a rounding bound is
+# not done, and every other round is decided on the per-round formula, in
+# round order.  A profile therefore stops at the round, with the iterates
+# and the gap, of a solver that checks every round.  R starts at
+# ``_CHUNK_FIRST`` and doubles up to ``_CHUNK_MAX``, and R * K * n * m stays
+# within ``_CHUNK_ELEMENTS`` so that a large market keeps its chunks small.
+
+_CHUNK_FIRST = 16
+_CHUNK_MAX = 256
+_CHUNK_ELEMENTS = 1 << 18  # 2 MiB of float64 per (R, K, n, m) array
 
 
 def _stack(stack, attr) -> np.ndarray:
@@ -235,56 +251,95 @@ def _solve_cobb_douglas(budgets, stack, reserves) -> list:
 
 
 def _solve_linear(budgets, stack, reserves, cap=10_000) -> list:
+    """Proportional response on a stack of linear profiles, each run until
+    its duality gap is at most ``GAP_TOL``, or ``GAP_ACCEPT`` at round
+    ``cap``.
+
+    Rounds run in chunks, as described above the solvers: the stacked gap of
+    a chunk only rules rounds out, and a round it leaves in is decided on the
+    exact gap, ``dual - (e @ logs + unsold @ r)`` with one 1-D dot per
+    profile, in round order.  A profile leaves the stack at the end of the
+    chunk it finished in.
+    """
     e = np.asarray(budgets)
+    e_col = e[:, None]
     weights = _stack(stack, "a")  # profiles x buyers x goods
     scales = _stack(stack, "scale")
     live = np.arange(len(stack))  # profile of each stack row
     m = weights.shape[2]
     r = np.zeros(m) if reserves is None else np.asarray(reserves)
+    low = np.maximum(r, PRICE_FLOOR)
     dead = weights.sum(axis=1) <= 0.0  # demanded by nobody
     wanted = weights > 0
     e_scaled = e * scales
-    row_mass = weights.sum(axis=2, keepdims=True)
-    spend = e[:, None] * weights / row_mass
+    spend = e_col * weights / weights.sum(axis=2, keepdims=True)
     out = [None] * len(stack)
-    for it in range(cap):
-        p = np.maximum(spend.sum(axis=1), r)
-        p_safe = np.maximum(p, PRICE_FLOOR)
-        x = spend / p_safe[:, None, :]
-        logs = np.log(np.maximum((weights * x).sum(axis=2) * scales, 1e-300))
-        # One 1-D dot per profile keeps the BLAS summation order of a lone solve.
-        primal = np.array([e @ row for row in logs])
-        if reserves is not None:
-            primal += [row @ r for row in np.maximum(1.0 - x.sum(axis=1), 0.0)]
+    it, rounds = 0, _CHUNK_FIRST
+    while True:
+        size = max(1, min(rounds, cap - it, _CHUNK_ELEMENTS // weights.size))
+        p = np.empty((size, live.size, m))  # prices, floored at PRICE_FLOOR
+        x = np.empty((size,) + weights.shape)
+        mass = np.empty((size,) + scales.shape)  # unscaled utility of each bundle
+        p_col, mass_col = p[:, :, None, :], mass[..., None]
+        for j in range(size):
+            np.maximum(np.add.reduce(spend, axis=1), low, out=p[j])
+            contrib = weights * np.divide(spend, p_col[j], out=x[j])
+            np.add.reduce(contrib, axis=2, out=mass[j])
+            spend = e_col * contrib / np.maximum(mass_col[j], 1e-300)
+
+        logs = np.log(np.maximum(mass * scales, 1e-300))
         # The dual: sup over allocations of the budget-weighted log objective
         # at prices p.
-        best = np.where(wanted, weights / p_safe[:, None, :], 0.0).max(axis=2)
-        dual = p_safe.sum(axis=1) + (e * (np.log(e_scaled * best) - 1.0)).sum(axis=1)
-        gap = dual - primal
+        best = np.where(wanted, weights / p_col, 0.0).max(axis=3)
+        dual = p.sum(axis=2) + (e * (np.log(e_scaled * best) - 1.0)).sum(axis=2)
+        primal = logs @ e
+        # The stacked gap is off the exact one by a few ulps of this.
+        magnitude = np.abs(logs) @ e + np.abs(dual) + 1.0
+        if reserves is not None:
+            unsold = np.maximum(1.0 - x.sum(axis=2), 0.0)
+            kept = unsold @ r
+            primal += kept
+            magnitude += kept
+
+        def exact_gap(j, a):
+            # One 1-D dot per profile keeps the BLAS summation order of a
+            # lone solve.
+            primal = e @ logs[j, a]
+            if reserves is not None:
+                primal += unsold[j, a] @ r
+            return dual[j, a] - primal
+
         # Each update spends every budget in full, so the market clears
         # identically at every round; a run that exhausts the budget of
         # rounds with a small residual gap is still usable.
-        done = gap <= (GAP_ACCEPT if it + 1 == cap else GAP_TOL)
+        tol = np.full((size, 1), GAP_TOL)
+        if it + size == cap:
+            tol[-1] = GAP_ACCEPT
+        near = dual - primal <= tol + 1e-11 * magnitude
+        done = np.zeros(live.size, dtype=bool)
+        for a in np.flatnonzero(near.any(axis=0)):
+            for j in np.flatnonzero(near[:, a]).tolist():
+                if exact_gap(j, a) <= tol[j, 0]:
+                    floored = dead[a] & (p[j, a] <= low)
+                    out[live[a]] = (p[j, a].copy(), x[j, a].copy(), floored, it + j + 1)
+                    done[a] = True
+                    break
+        it += size
+        if it == cap:
+            for a in np.flatnonzero(~done):
+                out[live[a]] = SolverError(
+                    f"proportional response failed to converge in {cap} rounds: "
+                    f"duality gap {exact_gap(size - 1, a):.3e}"
+                )
+            return out
         if done.any():
-            for a in np.flatnonzero(done):
-                floored = dead[a] & (p[a] <= np.maximum(r, PRICE_FLOOR))
-                out[live[a]] = (p_safe[a], x[a], floored, it + 1)
             keep = ~done
-            live, weights, scales, dead, wanted, e_scaled, x, gap = (
-                v[keep] for v in (live, weights, scales, dead, wanted, e_scaled, x, gap)
+            live, weights, scales, dead, wanted, e_scaled, spend = (
+                v[keep] for v in (live, weights, scales, dead, wanted, e_scaled, spend)
             )
             if not live.size:
                 return out
-        contrib = weights * x
-        spend = e[:, None] * contrib / np.maximum(
-            contrib.sum(axis=2, keepdims=True), 1e-300
-        )
-    for k, g in zip(live, gap):
-        out[k] = SolverError(
-            f"proportional response failed to converge in {cap} rounds: "
-            f"duality gap {g:.3e}"
-        )
-    return out
+        rounds = min(2 * rounds, _CHUNK_MAX)
 
 
 class _Demand:
@@ -413,13 +468,17 @@ def _solve_profiles(market: FisherMarket, profiles) -> tuple[list[MarketEquilibr
     the first failing profile, as a profile-by-profile loop would raise it.
     """
     profiles = [tuple(reports) for reports in profiles]
+    # Menus share their report objects, so each distinct one is looked at
+    # once: its family, or None when its good count is wrong.
+    distinct = {id(u): u for reports in profiles for u in reports}
+    family = {key: _family_name(u) if u.m == market.m else None for key, u in distinct.items()}
     groups: dict = {}
     for k, reports in enumerate(profiles):
         if len(reports) != market.buyers:
             raise ValueError("one report per buyer")
-        if any(u.m != market.m for u in reports):
+        kinds = set(map(family.__getitem__, map(id, reports)))
+        if None in kinds:
             raise ValueError("report good-count mismatch")
-        kinds = {_family_name(u) for u in reports}
         if len(kinds) > 1 and "linear" in kinds:
             raise SolverError("linear reports cannot be mixed with other families")
         groups.setdefault(kinds.pop() if len(kinds) == 1 else "ces", []).append(k)

@@ -1228,6 +1228,7 @@ def run_config(
     The report (CSV files plus summary.json) is fully written before the
     failure is raised, so a red run still leaves its evidence on disk.
     """
+    start = time.perf_counter()
     scenarios = parse_config(load_config(source))
     if only is not None:
         scenarios = [sc for sc in scenarios if sc.id == only]
@@ -1281,13 +1282,14 @@ def run_config(
     summary = {
         "schema_version": SCHEMA_VERSION,
         "passed": passed,
+        "wall_time_s": round(time.perf_counter() - start, 3),
         "scenarios": [
             {
                 "id": rep.id,
                 "csv": rep.csv_path,
                 "rows": rep.rows,
                 "passed": rep.passed,
-                "wall_time_s": round(rep.seconds, 3),
+                "task_seconds": round(rep.seconds, 3),
                 "checks": [
                     {"name": c.name, "passed": c.passed, "detail": c.detail}
                     for c in rep.checks

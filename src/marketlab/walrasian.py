@@ -375,11 +375,6 @@ def assert_valid_outcome(bids, outcome, tol=1e-9):
         raise InternalCheckError("; ".join(problems))
 
 
-def allocation_welfare(values, allocation) -> float:
-    """Total value of an allocation under the given (true) valuations."""
-    return float(sum(value(v, x) for v, x in zip(values, allocation)))
-
-
 def truncated_distance(p, q, ceiling) -> float:
     """L1 distance between price vectors after capping both at ``ceiling``."""
     if ceiling < 0:

@@ -4,10 +4,12 @@ Everything here is deliberately naive: direct enumerations and grid searches
 written from the definitions, with no code shared with the package internals,
 so tests compare two genuinely different routes to the same quantity.
 
-The exception is ``reference_outcome``: it takes the package's own Fisher
+There are two exceptions.  ``reference_outcome`` takes the package's own Fisher
 solver output and finishes, checks and values it one profile and one buyer
 at a time, the loop that the stacked finish in ``fisher`` replaces and must
-match bit for bit.
+match bit for bit.  ``reference_solve_linear`` is the package's
+proportional-response solver as it was when it checked the duality gap at
+every round, which the chunked solver must match bit for bit.
 """
 
 import heapq
@@ -250,6 +252,66 @@ def reference_outcome(market, reports):
         float(utility(v, np.asarray(row))) for v, row in zip(market.utilities, eq.allocation)
     )
     return eq, truthful
+
+
+def reference_solve_linear(budgets, stack, reserves, cap=10_000, gaps=None):
+    """``fisher._solve_linear`` as it was before its rounds ran in chunks: the
+    duality gap of every live profile at every round, one 1-D dot per
+    profile.  The chunked solver must match it bit for bit, iteration counts
+    and error texts included.  When ``gaps`` is a list, each round's gaps of
+    the live profiles are appended to it as ``(live, gap)``."""
+    e = np.asarray(budgets)
+    weights = fisher._stack(stack, "a")  # profiles x buyers x goods
+    scales = fisher._stack(stack, "scale")
+    live = np.arange(len(stack))  # profile of each stack row
+    m = weights.shape[2]
+    r = np.zeros(m) if reserves is None else np.asarray(reserves)
+    dead = weights.sum(axis=1) <= 0.0  # demanded by nobody
+    wanted = weights > 0
+    e_scaled = e * scales
+    row_mass = weights.sum(axis=2, keepdims=True)
+    spend = e[:, None] * weights / row_mass
+    out = [None] * len(stack)
+    for it in range(cap):
+        p = np.maximum(spend.sum(axis=1), r)
+        p_safe = np.maximum(p, fisher.PRICE_FLOOR)
+        x = spend / p_safe[:, None, :]
+        logs = np.log(np.maximum((weights * x).sum(axis=2) * scales, 1e-300))
+        # One 1-D dot per profile keeps the BLAS summation order of a lone solve.
+        primal = np.array([e @ row for row in logs])
+        if reserves is not None:
+            primal += [row @ r for row in np.maximum(1.0 - x.sum(axis=1), 0.0)]
+        # The dual: sup over allocations of the budget-weighted log objective
+        # at prices p.
+        best = np.where(wanted, weights / p_safe[:, None, :], 0.0).max(axis=2)
+        dual = p_safe.sum(axis=1) + (e * (np.log(e_scaled * best) - 1.0)).sum(axis=1)
+        gap = dual - primal
+        if gaps is not None:
+            gaps.append((live, gap))
+        # Each update spends every budget in full, so the market clears
+        # identically at every round; a run that exhausts the budget of
+        # rounds with a small residual gap is still usable.
+        done = gap <= (fisher.GAP_ACCEPT if it + 1 == cap else fisher.GAP_TOL)
+        if done.any():
+            for a in np.flatnonzero(done):
+                floored = dead[a] & (p[a] <= np.maximum(r, fisher.PRICE_FLOOR))
+                out[live[a]] = (p_safe[a], x[a], floored, it + 1)
+            keep = ~done
+            live, weights, scales, dead, wanted, e_scaled, x, gap = (
+                v[keep] for v in (live, weights, scales, dead, wanted, e_scaled, x, gap)
+            )
+            if not live.size:
+                return out
+        contrib = weights * x
+        spend = e[:, None] * contrib / np.maximum(
+            contrib.sum(axis=2, keepdims=True), 1e-300
+        )
+    for k, g in zip(live, gap):
+        out[k] = SolverError(
+            f"proportional response failed to converge in {cap} rounds: "
+            f"duality gap {g:.3e}"
+        )
+    return out
 
 
 def random_market(rng, max_bidders=5, max_goods=3, max_cap=2, max_copies=4):

@@ -1,5 +1,7 @@
+import itertools
 import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from marketlab.fisher import (
 )
 from marketlab.valuations import CES, CobbDouglas, Linear, fisher_demand, utility
 
-from oracles import eg_grid_oracle, eg_objective, reference_outcome
+from oracles import eg_grid_oracle, eg_objective, reference_outcome, reference_solve_linear
 
 
 def cd(*weights, scale=1.0):
@@ -706,3 +708,132 @@ def test_cap_failure_raises_the_first_failing_profile(monkeypatch, seed, family,
     with pytest.raises(SolverError) as err:
         strategic_outcomes(market, profiles)
     assert str(err.value) == failed[0]
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_the_first_bad_profile_names_the_error(order):
+    market = random_market(2, 3, 2, "linear", False)
+    truth = market.utilities
+    bad = [
+        (truth[:-1], ValueError, "one report per buyer"),
+        ((Linear((0.5, 0.3, 0.2)),) + truth[1:], ValueError, "report good-count mismatch"),
+        (
+            (CES((0.5, 0.5), 0.5),) + truth[1:],
+            SolverError,
+            "linear reports cannot be mixed with other families",
+        ),
+    ]
+    profiles = [truth]
+    for k in order:
+        profiles += [bad[k][0], truth]
+    _, kind, text = bad[order[0]]
+    with pytest.raises(kind) as err:
+        strategic_outcomes(market, profiles)
+    assert type(err.value) is kind and str(err.value) == text
+    # Within one profile, a wrong good count comes before a mix of families.
+    both = (CES((0.5, 0.3, 0.2), 0.5),) + truth[1:]
+    with pytest.raises(ValueError, match="^report good-count mismatch$"):
+        strategic_outcomes(market, [truth, both] + profiles[1:])
+
+
+# -- chunked proportional response ---------------------------------------------------
+
+
+def linear_stack(seed, n, m, k, reserves):
+    """Budgets, k profiles of n linear reports over m goods, and optional
+    reserves.  Some weights are zero, and some goods nobody wants."""
+    rng = np.random.default_rng(seed)
+    budgets = tuple(rng.uniform(0.5, 2.0, n).tolist())
+    dead = rng.random(m) < 0.25
+    dead[int(rng.integers(0, m))] = False
+    stack = []
+    for _ in range(k):
+        w = rng.uniform(0.05, 1.0, (n, m))
+        w[rng.random((n, m)) < 0.2] = 0.0
+        w[:, dead] = 0.0
+        w[w.sum(axis=1) == 0.0, int(np.flatnonzero(~dead)[0])] = 0.5
+        scales = rng.uniform(0.5, 2.0, n)
+        stack.append(tuple(Linear(tuple(row), float(c)) for row, c in zip(w.tolist(), scales)))
+    floor = None
+    if reserves:
+        floor = tuple((rng.uniform(0.0, 0.3, m) * sum(budgets) / m).tolist())
+    return budgets, stack, floor
+
+
+def exact_entries(solved):
+    """Solver entries in a form ``==`` compares bit for bit, with the type of
+    the iteration count: it must be a Python int, as JSON writers need."""
+    return [
+        str(res) if isinstance(res, SolverError)
+        else (res[0].tolist(), res[1].tolist(), res[2].tolist(), res[3], type(res[3]))
+        for res in solved
+    ]
+
+
+# Chunks end after rounds 16, 48, 112, 240, 496, ...
+CAPS = (1, 2, 15, 16, 17, 47, 48, 49, 112, 241, 10_000)
+
+
+@settings(max_examples=120)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    m=st.integers(1, 4),
+    k=st.integers(1, 9),
+    reserves=st.booleans(),
+    cap=st.sampled_from(CAPS),
+    small_chunks=st.booleans(),
+)
+def test_chunked_linear_solver_equals_the_per_round_solver(
+    seed, n, m, k, reserves, cap, small_chunks
+):
+    budgets, stack, floor = linear_stack(seed, n, m, k, reserves)
+    want = exact_entries(reference_solve_linear(budgets, stack, floor, cap=cap))
+    # A small element budget caps the chunk at a few rounds.
+    elements = n * m * k * 3 if small_chunks else fisher._CHUNK_ELEMENTS
+    with mock.patch.object(fisher, "_CHUNK_ELEMENTS", elements):
+        got = exact_entries(fisher._solve_linear(budgets, stack, floor, cap=cap))
+    assert got == want
+
+
+def running_minima(gaps):
+    """Rounds (1-based) whose gap is below the gap of every earlier round."""
+    low, out = math.inf, []
+    for r, g in enumerate(gaps, 1):
+        if g < low:
+            low = g
+            out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("seed, reserves", ((0, False), (1, True), (4, False), (6, True)))
+def test_the_stopping_round_is_decided_on_the_exact_gap(monkeypatch, seed, reserves):
+    budgets, stack, floor = linear_stack(seed, 4, 3, 3, reserves)
+    trace = []
+    finished = reference_solve_linear(budgets, stack, floor, gaps=trace)[0][3]
+    # Profile 0's exact gap at each round until it finished.
+    gaps = [float(gap[list(live).index(0)]) for live, gap in trace[:finished]]
+    minima = running_minima(gaps[:-1])
+    rounds = sorted({max(r for r in minima if r <= t) for t in (1, 15, 16, 17, 48, finished)})
+    assert len(rounds) >= 3
+
+    def both(cap=10_000):
+        want = exact_entries(reference_solve_linear(budgets, stack, floor, cap=cap))
+        got = exact_entries(fisher._solve_linear(budgets, stack, floor, cap=cap))
+        assert got == want
+        return got[0]
+
+    for r in rounds:
+        g = gaps[r - 1]
+        with monkeypatch.context() as patch:
+            # Round r is the first whose gap is at most its own.
+            patch.setattr(fisher, "GAP_TOL", g)
+            assert both()[3] == r
+            patch.setattr(fisher, "GAP_TOL", math.nextafter(g, -math.inf))
+            assert both()[3] > r
+        with monkeypatch.context() as patch:
+            # At the last round the residual gap is accepted, or not.
+            patch.setattr(fisher, "GAP_ACCEPT", g)
+            assert both(cap=r)[3] == r
+            patch.setattr(fisher, "GAP_ACCEPT", math.nextafter(g, -math.inf))
+            assert both(cap=r).startswith(f"proportional response failed to converge in {r} rounds")

@@ -319,6 +319,30 @@ def test_reruns_are_byte_identical(tmp_path):
     assert a == (tmp_path / "c" / "tiny_validity.csv").read_bytes()
 
 
+def test_summary_times_the_run_and_its_tasks(tmp_path):
+    cfg = write_config(tmp_path, tiny_validity(seeds=[0, 1, 2]))
+    out = tmp_path / "out"
+    run_config(cfg, out_dir=str(out))
+    serial = json.loads((out / "summary.json").read_text())
+    csv = (out / "tiny_validity.csv").read_bytes()
+    run_config(cfg, out_dir=str(out), jobs=2)
+    parallel = json.loads((out / "summary.json").read_text())
+    assert (out / "tiny_validity.csv").read_bytes() == csv
+    for summary in (serial, parallel):
+        assert summary["wall_time_s"] >= 0.0
+        assert all(sc["task_seconds"] >= 0.0 for sc in summary["scenarios"])
+
+    def untimed(summary):
+        scenarios = [
+            {key: v for key, v in sc.items() if key != "task_seconds"}
+            for sc in summary["scenarios"]
+        ]
+        return {**summary, "wall_time_s": None, "scenarios": scenarios}
+
+    # The timings are the only fields allowed to differ.
+    assert untimed(serial) == untimed(parallel)
+
+
 def test_seed_override_and_filter(tmp_path):
     doc = tiny_validity()
     doc["scenarios"].append({
