@@ -24,8 +24,10 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +90,6 @@ SCHEMA_VERSION = 1
 OUT_ENV = "MARKETLAB_OUT"
 BOUND_TOL = 1e-9
 
-_WAL_MODES = ("poa_sweep", "validity", "lemmas", "bullying", "regret", "oracle")
-_FISHER_MODES = ("poa", "reserve", "regret")
 _LEMMAS = (
     "unstable-count",
     "within-count",
@@ -98,42 +98,6 @@ _LEMMAS = (
     "price-bracket",
     "smooth",
 )
-
-_COLUMNS = {
-    ("walrasian", "poa_sweep"): (
-        "scenario", "N", "seed", "rule", "ratio",
-        "bound_sqrt", "bound_log", "certification", "regret",
-    ),
-    ("walrasian", "bullying"): (
-        "scenario", "N", "seed", "rule", "ratio",
-        "bound_sqrt", "bound_log", "certification", "regret",
-    ),
-    ("walrasian", "regret"): (
-        "scenario", "N", "seed", "rule", "ratio",
-        "bound_sqrt", "bound_log", "certification", "regret",
-    ),
-    ("walrasian", "validity"): (
-        "scenario", "N", "seed", "rule", "instances", "violations",
-    ),
-    ("walrasian", "lemmas"): (
-        "scenario", "N", "seed", "lemma", "instances", "applied", "violations",
-    ),
-    ("walrasian", "oracle"): (
-        "scenario", "N", "seed", "instances", "mismatches",
-    ),
-    ("fisher", "poa"): (
-        "scenario", "L", "m", "seed", "family",
-        "ratio_gm", "ratio_sum", "bound", "equilibria",
-    ),
-    ("fisher", "reserve"): (
-        "scenario", "L", "m", "seed", "family",
-        "ratio_sum", "bound", "stated_bound", "compress_trials", "violations",
-    ),
-    ("fisher", "regret"): (
-        "scenario", "L", "m", "seed", "family", "rounds",
-        "avg_welfare", "truthful_welfare", "bound_factor", "max_phi", "holds",
-    ),
-}
 
 
 # -- schema ---------------------------------------------------------------------
@@ -148,6 +112,7 @@ class Scenario:
     sweep: tuple[int, ...]
     seeds: tuple[int, ...]
     csv: str
+    # The mode's keys, with the default of every key the config leaves out.
     spec: dict
     # Assumption audits by sweep index, filled in as the tasks run.
     audits: dict = field(default_factory=dict, compare=False, repr=False)
@@ -164,7 +129,9 @@ def _need(obj: dict, path: str, key: str, kinds, check=None):
 
 
 def _opt(obj: dict, path: str, key: str, kinds, default, check=None):
+    """An optional key: checked when given, else set to ``default`` in ``obj``."""
     if key not in obj:
+        obj[key] = default
         return default
     return _typed(obj[key], f"{path}.{key}", kinds, check)
 
@@ -195,66 +162,63 @@ def _no_extras(obj: dict, path: str, allowed):
             _fail(path, f"unknown key '{key}'")
 
 
-def _int_list(obj, path, key, minimum, required=True):
-    if key not in obj:
-        if required:
-            _fail(path, f"missing required key '{key}'")
-        return None
-    vals = _typed(obj[key], f"{path}.{key}", list, None)
+def _at_least(lo):
+    return lambda v: None if v >= lo else f"must be >= {lo}"
+
+
+def _between(lo, hi):
+    return lambda v: None if lo < v < hi else f"must lie in ({lo}, {hi})"
+
+
+def _positive(v):
+    return None if v > 0 else "must be > 0"
+
+
+def _int_list(obj, path, key, minimum):
+    vals = _need(obj, path, key, list)
     if not vals:
         _fail(f"{path}.{key}", "must be non-empty")
-    out = []
-    for i, v in enumerate(vals):
-        out.append(_typed(v, f"{path}.{key}[{i}]", int, None))
-        if out[-1] < minimum:
-            _fail(f"{path}.{key}[{i}]", f"must be >= {minimum}")
-    return tuple(out)
+    return tuple(_typed(v, f"{path}.{key}[{i}]", int, _at_least(minimum)) for i, v in enumerate(vals))
 
 
-def _float_list(obj, path, key, default, lo, hi):
-    if key not in obj:
-        return default
-    vals = _typed(obj[key], f"{path}.{key}", list, None)
-    out = []
-    for i, v in enumerate(vals):
-        x = _typed(v, f"{path}.{key}[{i}]", float, None)
-        if not lo < x < hi:
-            _fail(f"{path}.{key}[{i}]", f"must lie in ({lo}, {hi})")
-        out.append(x)
-    return tuple(out)
+def _check_deltas(spec: dict, path: str, key: str):
+    vals = _opt(spec, path, key, list, (0.05, 0.1, 0.2))
+    spec[key] = tuple(_typed(v, f"{path}.{key}[{i}]", float, _between(0.0, 1.0)) for i, v in enumerate(vals))
 
 
 def _check_values_block(vb: dict, path: str):
     kind = _need(vb, path, "kind", str, lambda k: None if k in ("uniform", "pareto") else "must be 'uniform' or 'pareto'")
     if kind == "uniform":
         _no_extras(vb, path, ("kind", "low", "high"))
-        low = _need(vb, path, "low", float, lambda x: None if x > 0 else "must be > 0")
-        high = _need(vb, path, "high", float, lambda x: None if x > 0 else "must be > 0")
+        low = _need(vb, path, "low", float, _positive)
+        high = _need(vb, path, "high", float, _positive)
         if high < low:
             _fail(f"{path}.high", "must be >= low")
     else:
         _no_extras(vb, path, ("kind", "shape", "scale"))
         _need(vb, path, "shape", float, lambda x: None if x > 1 else "must be > 1 for a finite mean")
-        _need(vb, path, "scale", float, lambda x: None if x > 0 else "must be > 0")
+        _need(vb, path, "scale", float, _positive)
 
 
-def _check_auction_generator(gen: dict, path: str):
+def _check_auction_generator(spec: dict, path: str, key: str):
+    gen = spec[key] = dict(_need(spec, path, key, dict))
+    path = f"{path}.{key}"
     _no_extras(gen, path, ("family", "cap", "goods", "bidders", "values", "supply"))
     family = _need(gen, path, "family", str, lambda f: None if f in ("unit", "kdemand") else "must be 'unit' or 'kdemand'")
-    goods = _need(gen, path, "goods", int, lambda g: None if g >= 1 else "must be >= 1")
-    cap = _opt(gen, path, "cap", int, 1, lambda c: None if c >= 1 else "must be >= 1")
+    goods = _need(gen, path, "goods", int, _at_least(1))
+    cap = _opt(gen, path, "cap", int, 1, _at_least(1))
     if family == "unit" and cap != 1:
         _fail(f"{path}.cap", "unit-demand bidders hold one item")
-    bidders = gen.get("bidders", "sweep")
+    bidders = gen.setdefault("bidders", "sweep")
     if bidders != "sweep":
-        _typed(bidders, f"{path}.bidders", int, lambda b: None if b >= 1 else "must be >= 1")
-    vb = _need(gen, path, "values", dict, None)
+        _typed(bidders, f"{path}.bidders", int, _at_least(1))
+    vb = _need(gen, path, "values", dict)
     _check_values_block(vb, f"{path}.values")
-    sup = _need(gen, path, "supply", dict, None)
+    sup = _need(gen, path, "supply", dict)
     kind = _need(sup, f"{path}.supply", "kind", str, lambda k: None if k in ("binomial", "fixed") else "must be 'binomial' or 'fixed'")
     if kind == "binomial":
         _no_extras(sup, f"{path}.supply", ("kind", "prob"))
-        _need(sup, f"{path}.supply", "prob", float, lambda p: None if 0 < p < 1 else "must lie in (0, 1)")
+        _need(sup, f"{path}.supply", "prob", float, _between(0, 1))
     else:
         _no_extras(sup, f"{path}.supply", ("kind", "counts"))
         counts = _int_list(sup, f"{path}.supply", "counts", 0)
@@ -262,55 +226,97 @@ def _check_auction_generator(gen: dict, path: str):
             _fail(f"{path}.supply.counts", f"needs one count per good ({goods})")
 
 
-def _check_corpus_block(gen: dict, path: str, defaults: dict):
-    allowed = ("max_bidders", "max_goods", "max_cap", "max_copies", "low", "high")
-    _no_extras(gen, path, allowed)
-    out = dict(defaults)
-    for key in ("max_bidders", "max_goods", "max_cap", "max_copies"):
-        out[key] = _opt(gen, path, key, int, defaults[key], lambda v: None if v >= 1 else "must be >= 1")
-    out["low"] = _opt(gen, path, "low", float, defaults["low"], lambda v: None if v > 0 else "must be > 0")
-    out["high"] = _opt(gen, path, "high", float, defaults["high"], lambda v: None if v > 0 else "must be > 0")
-    if out["high"] < out["low"]:
+def _check_corpus_block(spec: dict, path: str, key: str, defaults: dict):
+    gen = spec[key] = dict(_opt(spec, path, key, dict, {}))
+    path = f"{path}.{key}"
+    _no_extras(gen, path, defaults)
+    for name in ("max_bidders", "max_goods", "max_cap", "max_copies"):
+        _opt(gen, path, name, int, defaults[name], _at_least(1))
+    low = _opt(gen, path, "low", float, defaults["low"], _positive)
+    high = _opt(gen, path, "high", float, defaults["high"], _positive)
+    if high < low:
         _fail(f"{path}.high", "must be >= low")
-    return out
 
 
-def _check_assumptions_block(blk: dict, path: str):
+def _check_assumptions_block(spec: dict, path: str, key: str):
+    blk = _need(spec, path, key, dict)
+    path = f"{path}.{key}"
     _no_extras(blk, path, ("zeta", "rho_prime"))
-    _need(blk, path, "zeta", float, lambda z: None if z > 0 else "must be > 0")
-    _need(blk, path, "rho_prime", float, lambda r: None if r > 0 else "must be > 0")
+    _need(blk, path, "zeta", float, _positive)
+    _need(blk, path, "rho_prime", float, _positive)
 
 
-def _check_grid_block(grid: dict, path: str):
+def _check_grid_axis(vals: list, path: str, anchor: float, what: str):
+    vals = [_typed(v, f"{path}[{i}]", float, _at_least(0)) for i, v in enumerate(vals)]
+    if anchor not in vals:
+        _fail(path, f"must include {what}")
+    if len(set(vals)) != len(vals):
+        _fail(path, "must not repeat an entry")
+
+
+def _check_grid_block(spec: dict, path: str, key: str):
+    grid = spec[key] = dict(_need(spec, path, key, dict))
+    path = f"{path}.{key}"
     _no_extras(grid, path, ("scales", "offsets"))
     scales = grid.get("scales")
     if not isinstance(scales, list) or not scales:
         _fail(f"{path}.scales", "must be a non-empty list")
-    vals = []
-    for i, s in enumerate(scales):
-        vals.append(_typed(s, f"{path}.scales[{i}]", float, lambda x: None if x >= 0 else "must be >= 0"))
-    if 1.0 not in vals:
-        _fail(f"{path}.scales", "must include the truthful scale 1.0")
-    if len(set(vals)) != len(vals):
-        _fail(f"{path}.scales", "must not repeat an entry")
-    if "offsets" in grid:
-        offs = _typed(grid["offsets"], f"{path}.offsets", list, None)
-        ovals = [
-            _typed(o, f"{path}.offsets[{i}]", float, lambda x: None if x >= 0 else "must be >= 0")
-            for i, o in enumerate(offs)
-        ]
-        if 0.0 not in ovals:
-            _fail(f"{path}.offsets", "must include the zero offset")
-        if len(set(ovals)) != len(ovals):
-            _fail(f"{path}.offsets", "must not repeat an entry")
+    _check_grid_axis(scales, f"{path}.scales", 1.0, "the truthful scale 1.0")
+    _check_grid_axis(_opt(grid, path, "offsets", list, [0.0]), f"{path}.offsets", 0.0, "the zero offset")
 
 
-def _check_rule(spec: dict, path: str):
-    rule = _opt(spec, path, "rule", str, "english", lambda r: None if r in ("english", "dutch", "mix") else "must be english, dutch, or mix")
-    if rule == "mix":
-        _need(spec, path, "lam", float, lambda x: None if 0 <= x <= 1 else "must lie in [0, 1]")
-    elif "lam" in spec:
-        _fail(f"{path}.lam", "only the mix rule takes a blend weight")
+def _check_lam(spec: dict, path: str, key: str):
+    """The blend weight of the mix rule; checked after ``rule``."""
+    if spec["rule"] == "mix":
+        _need(spec, path, key, float, lambda x: None if 0 <= x <= 1 else "must lie in [0, 1]")
+    elif key in spec:
+        _fail(f"{path}.{key}", "only the mix rule takes a blend weight")
+    else:
+        spec[key] = None
+
+
+def _check_lemma_list(spec: dict, path: str, key: str):
+    lemmas = _opt(spec, path, key, list, list(_LEMMAS))
+    for i, name in enumerate(lemmas):
+        _typed(name, f"{path}.{key}[{i}]", str, lambda n: None if n in _LEMMAS else f"must be one of {_LEMMAS}")
+    spec[key] = list(lemmas)
+
+
+def _check_fisher_generator(spec: dict, path: str, key: str):
+    gen = spec[key] = dict(_need(spec, path, key, dict))
+    path = f"{path}.{key}"
+    _no_extras(gen, path, ("goods", "family", "rho", "budgets", "weight_low", "weight_high"))
+    _need(gen, path, "goods", int, _at_least(1))
+    family = _need(gen, path, "family", str, lambda f: None if f in ("cobb_douglas", "linear", "ces") else "must be cobb_douglas, linear, or ces")
+    if family == "ces":
+        _need(gen, path, "rho", float, _between(0, 1))
+    elif "rho" in gen:
+        _fail(f"{path}.rho", "only the ces family takes a curvature parameter")
+    wl = _opt(gen, path, "weight_low", float, 0.2, _positive)
+    wh = _opt(gen, path, "weight_high", float, 1.0, _positive)
+    if wh < wl:
+        _fail(f"{path}.weight_high", "must be >= weight_low")
+    if "budgets" in gen:
+        budgets = _typed(gen["budgets"], f"{path}.budgets", list, None)
+        if not budgets:
+            _fail(f"{path}.budgets", "must be non-empty")
+        for i, b in enumerate(budgets):
+            _typed(b, f"{path}.budgets[{i}]", float, _positive)
+
+
+def _sweeps_binomial_trials(spec: dict, path: str, sweep: tuple):
+    if spec["generator"]["supply"]["kind"] != "binomial":
+        _fail(f"{path}.generator.supply.kind", "poa_sweep sweeps binomial trial counts")
+
+
+def _sized_by_players(spec: dict, path: str, sweep: tuple):
+    if spec["generator"]["bidders"] != "sweep":
+        _fail(f"{path}.generator.bidders", "regret mode sizes the market by 'players'")
+
+
+def _budgets_fix_the_market(spec: dict, path: str, sweep: tuple):
+    if "budgets" in spec["generator"] and len(sweep) != 1:
+        _fail(f"{path}.generator.budgets", "an explicit budget list fixes the market; use a single sweep value")
 
 
 _COMMON_KEYS = ("id", "setting", "mode", "sweep", "seeds", "csv")
@@ -320,99 +326,18 @@ def _validate_scenario(raw: dict, path: str, index: int) -> Scenario:
     _typed(raw, path, dict, None)
     sid = _need(raw, path, "id", str, lambda s: None if s and all(c.isalnum() or c == "_" for c in s) else "must be non-empty [a-z0-9_]")
     setting = _need(raw, path, "setting", str, lambda s: None if s in ("walrasian", "fisher") else "must be 'walrasian' or 'fisher'")
-    modes = _WAL_MODES if setting == "walrasian" else _FISHER_MODES
+    modes = tuple(m for s, m in _MODES if s == setting)
     mode = _need(raw, path, "mode", str, lambda m: None if m in modes else f"must be one of {modes} for setting '{setting}'")
     sweep = _int_list(raw, path, "sweep", 1)
     seeds = _int_list(raw, path, "seeds", 0)
-    csv_name = _opt(raw, path, "csv", str, sid + ".csv", None)
+    csv_name = _typed(raw.get("csv", sid + ".csv"), f"{path}.csv", str, None)
 
+    entry = _MODES[(setting, mode)]
     spec = {k: v for k, v in raw.items() if k not in _COMMON_KEYS}
-    sp = path
-    if setting == "walrasian":
-        if mode == "poa_sweep":
-            _no_extras(spec, sp, ("generator", "assumptions", "grid", "restarts", "trend_check", "rule", "lam"))
-            _check_auction_generator(_need(spec, sp, "generator", dict, None), f"{sp}.generator")
-            _check_assumptions_block(_need(spec, sp, "assumptions", dict, None), f"{sp}.assumptions")
-            _check_grid_block(_need(spec, sp, "grid", dict, None), f"{sp}.grid")
-            _opt(spec, sp, "restarts", int, 32, lambda r: None if r >= 1 else "must be >= 1")
-            _opt(spec, sp, "trend_check", bool, False, None)
-            _check_rule(spec, sp)
-            if spec["generator"]["supply"]["kind"] != "binomial":
-                _fail(f"{sp}.generator.supply.kind", "poa_sweep sweeps binomial trial counts")
-        elif mode == "validity":
-            _no_extras(spec, sp, ("generator", "mix_weight"))
-            spec["generator"] = _check_corpus_block(
-                _opt(spec, sp, "generator", dict, {}, None), f"{sp}.generator",
-                {"max_bidders": 5, "max_goods": 3, "max_cap": 2, "max_copies": 4, "low": 0.1, "high": 1.0},
-            )
-            _opt(spec, sp, "mix_weight", float, 0.5, lambda x: None if 0 <= x <= 1 else "must lie in [0, 1]")
-        elif mode == "lemmas":
-            _no_extras(spec, sp, ("generator", "lemmas", "min_applied"))
-            spec["generator"] = _check_corpus_block(
-                _opt(spec, sp, "generator", dict, {}, None), f"{sp}.generator",
-                {"max_bidders": 5, "max_goods": 2, "max_cap": 2, "max_copies": 8, "low": 0.3, "high": 1.0},
-            )
-            lemmas = spec.get("lemmas", list(_LEMMAS))
-            _typed(lemmas, f"{sp}.lemmas", list, None)
-            for i, name in enumerate(lemmas):
-                _typed(name, f"{sp}.lemmas[{i}]", str, lambda n: None if n in _LEMMAS else f"must be one of {_LEMMAS}")
-            spec["lemmas"] = list(lemmas)
-            _opt(spec, sp, "min_applied", int, 0, lambda v: None if v >= 0 else "must be >= 0")
-        elif mode == "bullying":
-            _no_extras(spec, sp, ())
-        elif mode == "regret":
-            _no_extras(spec, sp, ("generator", "assumptions", "grid", "players", "rounds", "feedback", "rule", "lam"))
-            _check_auction_generator(_need(spec, sp, "generator", dict, None), f"{sp}.generator")
-            _check_assumptions_block(_need(spec, sp, "assumptions", dict, None), f"{sp}.assumptions")
-            _check_grid_block(_need(spec, sp, "grid", dict, None), f"{sp}.grid")
-            _need(spec, sp, "players", int, lambda p: None if p >= 1 else "must be >= 1")
-            _need(spec, sp, "rounds", int, lambda t: None if t >= 1 else "must be >= 1")
-            _opt(spec, sp, "feedback", str, "full", lambda f: None if f in ("full", "bandit") else "must be 'full' or 'bandit'")
-            _check_rule(spec, sp)
-            if spec["generator"].get("bidders", "sweep") != "sweep":
-                _fail(f"{sp}.generator.bidders", "regret mode sizes the market by 'players'")
-        elif mode == "oracle":
-            _no_extras(spec, sp, ("generator",))
-            spec["generator"] = _check_corpus_block(
-                _opt(spec, sp, "generator", dict, {}, None), f"{sp}.generator",
-                {"max_bidders": 4, "max_goods": 3, "max_cap": 2, "max_copies": 3, "low": 0.1, "high": 1.0},
-            )
-    else:
-        gen = _need(spec, sp, "generator", dict, None)
-        gp = f"{sp}.generator"
-        _no_extras(gen, gp, ("goods", "family", "rho", "budgets", "weight_low", "weight_high"))
-        _need(gen, gp, "goods", int, lambda g: None if g >= 1 else "must be >= 1")
-        family = _need(gen, gp, "family", str, lambda f: None if f in ("cobb_douglas", "linear", "ces") else "must be cobb_douglas, linear, or ces")
-        if family == "ces":
-            _need(gen, gp, "rho", float, lambda r: None if 0 < r < 1 else "must lie in (0, 1)")
-        elif "rho" in gen:
-            _fail(f"{gp}.rho", "only the ces family takes a curvature parameter")
-        wl = _opt(gen, gp, "weight_low", float, 0.2, lambda v: None if v > 0 else "must be > 0")
-        wh = _opt(gen, gp, "weight_high", float, 1.0, lambda v: None if v > 0 else "must be > 0")
-        if wh < wl:
-            _fail(f"{gp}.weight_high", "must be >= weight_low")
-        if "budgets" in gen:
-            budgets = _typed(gen["budgets"], f"{gp}.budgets", list, None)
-            if not budgets:
-                _fail(f"{gp}.budgets", "must be non-empty")
-            for i, b in enumerate(budgets):
-                _typed(b, f"{gp}.budgets[{i}]", float, lambda x: None if x > 0 else "must be > 0")
-            if len(sweep) != 1:
-                _fail(f"{gp}.budgets", "an explicit budget list fixes the market; use a single sweep value")
-        spec["deltas"] = _float_list(spec, sp, "deltas", (0.05, 0.1, 0.2), 0.0, 1.0)
-        _opt(spec, sp, "restarts", int, 8, lambda r: None if r >= 1 else "must be >= 1")
-        if mode == "poa":
-            _no_extras(spec, sp, ("generator", "deltas", "restarts", "rescale"))
-            _opt(spec, sp, "rescale", bool, True, None)
-        elif mode == "reserve":
-            _no_extras(spec, sp, ("generator", "deltas", "restarts", "reserve_fraction", "compress_trials"))
-            _opt(spec, sp, "reserve_fraction", float, 0.25, lambda x: None if 0 < x <= 0.25 else "must lie in (0, 0.25]")
-            _opt(spec, sp, "compress_trials", int, 10, lambda v: None if v >= 0 else "must be >= 0")
-        elif mode == "regret":
-            _no_extras(spec, sp, ("generator", "deltas", "rounds", "reserve_fraction"))
-            _need(spec, sp, "rounds", int, lambda t: None if t >= 1 else "must be >= 1")
-            _opt(spec, sp, "reserve_fraction", float, 0.25, lambda x: None if 0 < x <= 0.25 else "must lie in (0, 0.25]")
-
+    _no_extras(spec, path, entry.keys)
+    for key, check in entry.keys.items():
+        check(spec, path, key)
+    entry.cross_check(spec, path, sweep)
     return Scenario(index, sid, setting, mode, sweep, seeds, csv_name, spec)
 
 
@@ -480,6 +405,7 @@ def _draw_bidders(rng, gen: dict, count: int):
         if gen["family"] == "unit":
             out.append(UnitDemand(w))
         else:
+            # audit_assumptions takes generators as written, without defaults.
             out.append(KDemand(w, gen.get("cap", 1)))
     return tuple(out)
 
@@ -641,52 +567,52 @@ class _TaskOut:
     seconds: float = 0.0
 
 
-def _grid_from_spec(spec: dict) -> ScalingGrid:
-    scales = tuple(float(s) for s in spec["grid"]["scales"])
-    offsets = tuple(float(o) for o in spec["grid"].get("offsets", [0.0]))
-    return ScalingGrid(scales, offsets)
-
-
-def _bounds_for(gen: dict, audit: AssumptionAudit, sweep_n: int):
-    if audit.suppress_bounds:
-        return None, None
-    cap = gen.get("cap", 1)
-    peak = max_point_mass(_build_model(gen, sweep_n))
-    sqrt_b = ratio_bound_sqrt(gen["goods"], cap, audit.zeta, audit.welfare_rate, peak)
-    log_b = ratio_bound_log(gen["goods"], cap, audit.zeta, audit.welfare_rate, peak)
-    return sqrt_b, log_b
-
-
 def _rule_label(spec: dict) -> str:
-    rule = spec.get("rule", "english")
-    if rule == "mix":
+    if spec["rule"] == "mix":
         return f"mix({spec['lam']:g})"
-    return rule
+    return spec["rule"]
 
 
-def _task_poa_sweep(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int) -> _TaskOut:
-    out = _TaskOut()
+def _auction_task(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, bidders: int, out: _TaskOut):
+    """Steps shared by poa_sweep and Walrasian regret tasks: draw the bidders,
+    the model and the grid, audit the sweep point (kept in ``out`` on the
+    first seed) and bound the ratio (None when the audit suppresses it)."""
     spec = sc.spec
     gen = spec["generator"]
     rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
-    bidders = n if gen.get("bidders", "sweep") == "sweep" else gen["bidders"]
     values = _draw_bidders(rng, gen, bidders)
     model = _build_model(gen, n)
-    grid = _grid_from_spec(spec)
-    ctx_seed = int(_task_seq(sc, sweep_idx, seed, tag=1).generate_state(1)[0])
-    ctx = GameContext(
-        values, grid, model, rule=spec.get("rule", "english"),
-        lam=spec.get("lam"), seed=ctx_seed,
+    grid = ScalingGrid(
+        tuple(float(s) for s in spec["grid"]["scales"]),
+        tuple(float(o) for o in spec["grid"]["offsets"]),
     )
-    worst, reports, complete, dropped = worst_equilibrium(
-        ctx, rng, restarts=spec.get("restarts", 32)
-    )
-    search = "search exhaustive" if complete else f"search best-response, {dropped} walks dropped"
-
     audit = _sweep_audit(sc, sweep_idx, gen, spec["assumptions"], n, bidders)
     if seed_idx == 0:
         out.audit = audit
-    sqrt_b, log_b = _bounds_for(gen, audit, n)
+    if audit.suppress_bounds:
+        sqrt_b = log_b = None
+    else:
+        peak = max_point_mass(model)
+        sqrt_b = ratio_bound_sqrt(gen["goods"], gen["cap"], audit.zeta, audit.welfare_rate, peak)
+        log_b = ratio_bound_log(gen["goods"], gen["cap"], audit.zeta, audit.welfare_rate, peak)
+    return rng, values, model, grid, audit, sqrt_b, log_b
+
+
+def _task_poa_sweep(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, out: _TaskOut):
+    spec = sc.spec
+    bidders = n if spec["generator"]["bidders"] == "sweep" else spec["generator"]["bidders"]
+    rng, values, model, grid, _, sqrt_b, log_b = _auction_task(
+        sc, sweep_idx, n, seed_idx, seed, bidders, out
+    )
+    ctx_seed = int(_task_seq(sc, sweep_idx, seed, tag=1).generate_state(1)[0])
+    ctx = GameContext(
+        values, grid, model, rule=spec["rule"],
+        lam=spec["lam"], seed=ctx_seed,
+    )
+    worst, reports, complete, dropped = worst_equilibrium(
+        ctx, rng, restarts=spec["restarts"]
+    )
+    search = "search exhaustive" if complete else f"search best-response, {dropped} walks dropped"
     floor = max(0.0, sqrt_b if sqrt_b is not None else 0.0, log_b if log_b is not None else 0.0)
 
     exact = [r for r in reports if r.certification.kind == "exact-nash"]
@@ -709,11 +635,9 @@ def _task_poa_sweep(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: i
     else:
         ratio, cert = worst.ratio, worst.certification.kind
     out.rows.append((sc.id, n, seed, _rule_label(spec), ratio, sqrt_b, log_b, cert, None))
-    return out
 
 
-def _task_bullying(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int) -> _TaskOut:
-    out = _TaskOut()
+def _task_bullying(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, out: _TaskOut):
     values = (UnitDemand((10.0,)), UnitDemand((1.0,)))
     grids = [ScalingGrid((0.0, 1.0)), ScalingGrid((0.0, 1.0, 10.0))]
     model = FixedCounts((1,))
@@ -734,19 +658,14 @@ def _task_bullying(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: in
             "supply": {"kind": "fixed", "counts": [1]},
         }
         out.audit = _sweep_audit(sc, sweep_idx, gen, {"zeta": 10.0, "rho_prime": 1.0}, n, 2)
-    return out
 
 
-def _task_wal_regret(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int) -> _TaskOut:
-    out = _TaskOut()
+def _task_wal_regret(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, out: _TaskOut):
     spec = sc.spec
-    gen = spec["generator"]
-    rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
-    players = spec["players"]
-    values = _draw_bidders(rng, gen, players)
-    model = _build_model(gen, n)
-    grid = _grid_from_spec(spec)
-    goods, cap = gen["goods"], gen.get("cap", 1)
+    _, values, model, grid, audit, sqrt_b, log_b = _auction_task(
+        sc, sweep_idx, n, seed_idx, seed, spec["players"], out
+    )
+    goods, cap = spec["generator"]["goods"], spec["generator"]["cap"]
 
     full_box = (cap,) * goods
     vmax = [value(v, full_box) for v in values]
@@ -754,12 +673,12 @@ def _task_wal_regret(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: 
     delta = max(grid.offsets)
     chi = max(max(vm, gamma * vm + delta) for vm in vmax)
     config = LearningConfig(
-        rounds=spec["rounds"], feedback=spec.get("feedback", "full"), payoff_bound=chi
+        rounds=spec["rounds"], feedback=spec["feedback"], payoff_bound=chi
     )
     lseed = int(_task_seq(sc, sweep_idx, seed, tag=1).generate_state(1)[0])
     res = run_learning(
-        values, grid, model, config, rule=spec.get("rule", "english"),
-        lam=spec.get("lam"), seed=lseed,
+        values, grid, model, config, rule=spec["rule"],
+        lam=spec["lam"], seed=lseed,
     )
     out.checks.append(Check(
         sc.id, "regret-budget", True,
@@ -767,14 +686,8 @@ def _task_wal_regret(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: 
         f"{min(res.regret_budgets):.3f}",
     ))
 
-    audit = _sweep_audit(sc, sweep_idx, gen, spec["assumptions"], n, players)
-    if seed_idx == 0:
-        out.audit = audit
-    sqrt_b, log_b = _bounds_for(gen, audit, n)
     ratio = res.average_welfare / res.expected_opt if res.expected_opt > 0 else 1.0
-    if log_b is None:
-        display = None
-    else:
+    if log_b is not None:
         caps = [gamma * vm + delta for vm in vmax]
         phi = max(
             (r / c if c > 0 else 0.0) for r, c in zip(res.regrets, caps)
@@ -793,18 +706,14 @@ def _task_wal_regret(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: 
         sc.id, n, seed, _rule_label(spec), ratio, sqrt_b, log_b,
         "no-regret", max(res.regrets),
     ))
-    return out
 
 
-def _task_validity(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int) -> _TaskOut:
-    out = _TaskOut()
+def _task_validity(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, out: _TaskOut):
     gen = sc.spec["generator"]
-    lam = sc.spec.get("mix_weight", 0.5)
+    lam = sc.spec["mix_weight"]
     rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
     rules = (("english", None), ("dutch", None), ("mix", lam))
-    violations = {label: 0 for label, _ in rules}
-    violations["lattice"] = 0
-    violations["monotone"] = 0
+    violations = dict.fromkeys(("english", "dutch", "mix", "lattice", "monotone"), 0)
     for _ in range(n):
         bids, supply = _random_gs_market(rng, gen)
         oracle = WelfareOracle(bids)
@@ -823,15 +732,13 @@ def _task_validity(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: in
             oracle.prices(bumped, "dutch") > high + 1e-9
         ):
             violations["monotone"] += 1
-    for label in ("english", "dutch", "mix", "lattice", "monotone"):
-        count = violations["mix" if label == "mix" else label]
+    for label, count in violations.items():
         shown = f"mix({lam:g})" if label == "mix" else label
         out.rows.append((sc.id, n, seed, shown, n, count))
         out.checks.append(Check(
             sc.id, f"validity-{label}", count == 0,
             f"N={n} seed={seed}: {count} violations in {n} instances",
         ))
-    return out
 
 
 def _lemma_market(rng, gen: dict):
@@ -850,8 +757,7 @@ def _lemma_market(rng, gen: dict):
     return tuple(vals), supply, cap
 
 
-def _task_lemmas(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int) -> _TaskOut:
-    out = _TaskOut()
+def _task_lemmas(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, out: _TaskOut):
     gen = sc.spec["generator"]
     rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
     for lemma in sc.spec["lemmas"]:
@@ -922,7 +828,6 @@ def _task_lemmas(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int)
             sc.id, f"lemma-{lemma}", violations == 0,
             f"N={n} seed={seed}: {violations} violations in {applied} applied of {n}",
         ))
-    return out
 
 
 def _enumerated_welfare(bids, supply) -> float:
@@ -951,8 +856,7 @@ def _enumerated_welfare(bids, supply) -> float:
     return best
 
 
-def _task_oracle(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int) -> _TaskOut:
-    out = _TaskOut()
+def _task_oracle(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, out: _TaskOut):
     gen = sc.spec["generator"]
     rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
     mismatches = 0
@@ -967,12 +871,10 @@ def _task_oracle(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int)
         sc.id, "oracle-equivalence", mismatches == 0,
         f"N={n} seed={seed}: {mismatches} mismatches in {n} instances",
     ))
-    return out
 
 
 def _draw_fisher_market(rng, gen: dict, buyers: int) -> FisherMarket:
     goods = gen["goods"]
-    wl, wh = gen.get("weight_low", 0.2), gen.get("weight_high", 1.0)
     if "budgets" in gen:
         budgets = tuple(float(b) for b in gen["budgets"])
         buyers = len(budgets)
@@ -980,7 +882,7 @@ def _draw_fisher_market(rng, gen: dict, buyers: int) -> FisherMarket:
         budgets = tuple([1.0] * buyers)
     utils = []
     for _ in range(buyers):
-        w = rng.uniform(wl, wh, goods)
+        w = rng.uniform(gen["weight_low"], gen["weight_high"], goods)
         if gen["family"] == "cobb_douglas":
             utils.append(CobbDouglas(tuple(float(x) for x in w / w.sum()), 1.0))
         elif gen["family"] == "linear":
@@ -990,15 +892,14 @@ def _draw_fisher_market(rng, gen: dict, buyers: int) -> FisherMarket:
     return FisherMarket(budgets, tuple(utils))
 
 
-def _task_fisher_poa(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: int) -> _TaskOut:
-    out = _TaskOut()
+def _task_fisher_poa(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: int, out: _TaskOut):
     spec = sc.spec
     rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
     market = _draw_fisher_market(rng, spec["generator"], L)
-    if spec.get("rescale", True):
+    if spec["rescale"]:
         market = rescale_to_unit(market)
     res = market_poa_search(
-        market, deltas=spec["deltas"], rng=rng, restarts=spec.get("restarts", 8)
+        market, deltas=spec["deltas"], rng=rng, restarts=spec["restarts"]
     )
     ok = res.gm_ratio >= res.bound - BOUND_TOL and res.sum_ratio >= res.bound - BOUND_TOL
     out.checks.append(Check(
@@ -1010,21 +911,23 @@ def _task_fisher_poa(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: 
         sc.id, L, market.m, seed, spec["generator"]["family"],
         res.gm_ratio, res.sum_ratio, res.bound, res.equilibria,
     ))
-    return out
 
 
-def _task_fisher_reserve(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: int) -> _TaskOut:
-    out = _TaskOut()
-    spec = sc.spec
+def _reserve_market(sc: Scenario, sweep_idx: int, L: int, seed: int):
+    """Steps shared by Fisher reserve and regret tasks: draw a market, solve it,
+    and reserve each good at the spec's fraction of its equilibrium price."""
     rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
-    plain = _draw_fisher_market(rng, spec["generator"], L)
+    plain = _draw_fisher_market(rng, sc.spec["generator"], L)
     pstar = np.asarray(solve_market(plain).prices)
-    fraction = spec.get("reserve_fraction", 0.25)
-    market = FisherMarket(
-        plain.budgets, plain.utilities, reserves=tuple(float(x) for x in fraction * pstar)
-    )
+    reserves = tuple(float(x) for x in sc.spec["reserve_fraction"] * pstar)
+    return rng, plain, pstar, FisherMarket(plain.budgets, plain.utilities, reserves=reserves)
+
+
+def _task_fisher_reserve(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: int, out: _TaskOut):
+    spec = sc.spec
+    rng, plain, pstar, market = _reserve_market(sc, sweep_idx, L, seed)
     res = reserve_poa_search(
-        market, deltas=spec["deltas"], rng=rng, restarts=spec.get("restarts", 8)
+        market, deltas=spec["deltas"], rng=rng, restarts=spec["restarts"]
     )
     ok = res.sum_ratio >= res.bound - BOUND_TOL
     out.checks.append(Check(
@@ -1033,7 +936,7 @@ def _task_fisher_reserve(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, se
         f"{res.walks_dropped} walks dropped",
     ))
 
-    trials = spec.get("compress_trials", 10)
+    trials = spec["compress_trials"]
     bad = 0
     total = float(sum(plain.budgets))
     for _ in range(trials):
@@ -1063,19 +966,11 @@ def _task_fisher_reserve(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, se
         sc.id, L, market.m, seed, spec["generator"]["family"],
         res.sum_ratio, res.bound, res.stated_bound, trials, bad,
     ))
-    return out
 
 
-def _task_fisher_regret(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: int) -> _TaskOut:
-    out = _TaskOut()
+def _task_fisher_regret(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: int, out: _TaskOut):
     spec = sc.spec
-    rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
-    plain = _draw_fisher_market(rng, spec["generator"], L)
-    pstar = np.asarray(solve_market(plain).prices)
-    fraction = spec.get("reserve_fraction", 0.25)
-    market = FisherMarket(
-        plain.budgets, plain.utilities, reserves=tuple(float(x) for x in fraction * pstar)
-    )
+    _, _, _, market = _reserve_market(sc, sweep_idx, L, seed)
     lseed = int(_task_seq(sc, sweep_idx, seed, tag=1).generate_state(1)[0])
     res = run_market_learning(
         market, rounds=spec["rounds"], deltas=spec["deltas"], seed=lseed
@@ -1090,28 +985,164 @@ def _task_fisher_regret(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, see
         res.average_welfare, res.truthful_total, res.bound_factor,
         max(res.phi_measured), int(res.holds),
     ))
-    return out
 
 
-_RUNNERS = {
-    ("walrasian", "poa_sweep"): _task_poa_sweep,
-    ("walrasian", "bullying"): _task_bullying,
-    ("walrasian", "regret"): _task_wal_regret,
-    ("walrasian", "validity"): _task_validity,
-    ("walrasian", "lemmas"): _task_lemmas,
-    ("walrasian", "oracle"): _task_oracle,
-    ("fisher", "poa"): _task_fisher_poa,
-    ("fisher", "reserve"): _task_fisher_reserve,
-    ("fisher", "regret"): _task_fisher_regret,
+def _ratio_trend(sc: Scenario, rows: list) -> list:
+    """The worst ratio at the largest N against the smallest, when asked for."""
+    if not sc.spec["trend_check"]:
+        return []
+    by_n = {}
+    for row in rows:
+        n, ratio = row[1], row[4]
+        if ratio is not None:
+            by_n.setdefault(n, []).append(ratio)
+    if len(by_n) < 2:
+        return []
+    lo_n, hi_n = min(by_n), max(by_n)
+    worst_lo, worst_hi = min(by_n[lo_n]), min(by_n[hi_n])
+    ok = worst_hi >= worst_lo + 0.02 or (worst_lo > 0.95 and worst_hi > 0.95)
+    return [Check(
+        sc.id, "ratio-trend", ok,
+        f"worst ratio {worst_lo:.4f} at N={lo_n} vs {worst_hi:.4f} at N={hi_n}",
+    )]
+
+
+def _lemma_coverage(sc: Scenario, rows: list) -> list:
+    """Each lemma's precondition held in at least ``min_applied`` instances."""
+    floor = sc.spec["min_applied"]
+    if floor == 0:
+        return []
+    totals = {}
+    for row in rows:
+        totals[row[3]] = totals.get(row[3], 0) + row[5]
+    checks = []
+    for lemma in sc.spec["lemmas"]:
+        got = totals.get(lemma, 0)
+        checks.append(Check(
+            sc.id, f"coverage-{lemma}", got >= floor,
+            f"{got} precondition-passing instances (need {floor})",
+        ))
+    return checks
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """One (setting, mode): its key checkers in checking order (each fills in
+    its key's default), cross-key check, CSV columns, the runner that fills
+    one task's record, and the checks over all of a scenario's rows."""
+
+    keys: dict
+    columns: tuple
+    run: Callable
+    cross_check: Callable = lambda spec, path, sweep: None
+    scenario_checks: Callable = lambda sc, rows: []
+
+
+_AUCTION_COLUMNS = (
+    "scenario", "N", "seed", "rule", "ratio",
+    "bound_sqrt", "bound_log", "certification", "regret",
+)
+_FISHER_KEYS = {
+    "generator": _check_fisher_generator,
+    "deltas": _check_deltas,
+}
+_RULE = partial(_opt, kinds=str, default="english", check=lambda r: None if r in ("english", "dutch", "mix") else "must be english, dutch, or mix")
+_FISHER_RESTARTS = partial(_opt, kinds=int, default=8, check=_at_least(1))
+_RESERVE_FRACTION = partial(_opt, kinds=float, default=0.25, check=lambda x: None if 0 < x <= 0.25 else "must lie in (0, 0.25]")
+
+# Every mode, in the order the schema lists them.
+_MODES = {
+    ("walrasian", "poa_sweep"): _Mode(
+        {
+            "generator": _check_auction_generator,
+            "assumptions": _check_assumptions_block,
+            "grid": _check_grid_block,
+            "restarts": partial(_opt, kinds=int, default=32, check=_at_least(1)),
+            "trend_check": partial(_opt, kinds=bool, default=False),
+            "rule": _RULE,
+            "lam": _check_lam,
+        },
+        _AUCTION_COLUMNS, _task_poa_sweep,
+        cross_check=_sweeps_binomial_trials, scenario_checks=_ratio_trend,
+    ),
+    ("walrasian", "validity"): _Mode(
+        {
+            "generator": partial(_check_corpus_block, defaults={"max_bidders": 5, "max_goods": 3, "max_cap": 2, "max_copies": 4, "low": 0.1, "high": 1.0}),
+            "mix_weight": partial(_opt, kinds=float, default=0.5, check=lambda x: None if 0 <= x <= 1 else "must lie in [0, 1]"),
+        },
+        ("scenario", "N", "seed", "rule", "instances", "violations"), _task_validity,
+    ),
+    ("walrasian", "lemmas"): _Mode(
+        {
+            "generator": partial(_check_corpus_block, defaults={"max_bidders": 5, "max_goods": 2, "max_cap": 2, "max_copies": 8, "low": 0.3, "high": 1.0}),
+            "lemmas": _check_lemma_list,
+            "min_applied": partial(_opt, kinds=int, default=0, check=_at_least(0)),
+        },
+        ("scenario", "N", "seed", "lemma", "instances", "applied", "violations"), _task_lemmas,
+        scenario_checks=_lemma_coverage,
+    ),
+    ("walrasian", "bullying"): _Mode({}, _AUCTION_COLUMNS, _task_bullying),
+    ("walrasian", "regret"): _Mode(
+        {
+            "generator": _check_auction_generator,
+            "assumptions": _check_assumptions_block,
+            "grid": _check_grid_block,
+            "players": partial(_need, kinds=int, check=_at_least(1)),
+            "rounds": partial(_need, kinds=int, check=_at_least(1)),
+            "feedback": partial(_opt, kinds=str, default="full", check=lambda f: None if f in ("full", "bandit") else "must be 'full' or 'bandit'"),
+            "rule": _RULE,
+            "lam": _check_lam,
+        },
+        _AUCTION_COLUMNS, _task_wal_regret, cross_check=_sized_by_players,
+    ),
+    ("walrasian", "oracle"): _Mode(
+        {"generator": partial(_check_corpus_block, defaults={"max_bidders": 4, "max_goods": 3, "max_cap": 2, "max_copies": 3, "low": 0.1, "high": 1.0})},
+        ("scenario", "N", "seed", "instances", "mismatches"), _task_oracle,
+    ),
+    ("fisher", "poa"): _Mode(
+        {
+            **_FISHER_KEYS,
+            "restarts": _FISHER_RESTARTS,
+            "rescale": partial(_opt, kinds=bool, default=True),
+        },
+        ("scenario", "L", "m", "seed", "family", "ratio_gm", "ratio_sum", "bound", "equilibria"),
+        _task_fisher_poa, cross_check=_budgets_fix_the_market,
+    ),
+    ("fisher", "reserve"): _Mode(
+        {
+            **_FISHER_KEYS,
+            "restarts": _FISHER_RESTARTS,
+            "reserve_fraction": _RESERVE_FRACTION,
+            "compress_trials": partial(_opt, kinds=int, default=10, check=_at_least(0)),
+        },
+        (
+            "scenario", "L", "m", "seed", "family",
+            "ratio_sum", "bound", "stated_bound", "compress_trials", "violations",
+        ),
+        _task_fisher_reserve, cross_check=_budgets_fix_the_market,
+    ),
+    ("fisher", "regret"): _Mode(
+        {
+            **_FISHER_KEYS,
+            "rounds": partial(_need, kinds=int, check=_at_least(1)),
+            "reserve_fraction": _RESERVE_FRACTION,
+        },
+        (
+            "scenario", "L", "m", "seed", "family", "rounds",
+            "avg_welfare", "truthful_welfare", "bound_factor", "max_phi", "holds",
+        ),
+        _task_fisher_regret, cross_check=_budgets_fix_the_market,
+    ),
 }
 
 
 def _run_task(args) -> _TaskOut:
     sc, sweep_idx, sweep_val, seed_idx, seed = args
-    runner = _RUNNERS[(sc.setting, sc.mode)]
+    runner = _MODES[(sc.setting, sc.mode)].run
     start = time.perf_counter()
+    result = _TaskOut()
     try:
-        result = runner(sc, sweep_idx, sweep_val, seed_idx, seed)
+        runner(sc, sweep_idx, sweep_val, seed_idx, seed, result)
     except (InternalCheckError, SolverError) as e:
         result = _TaskOut(checks=[Check(
             sc.id, f"{sc.mode}-internal", False,
@@ -1164,36 +1195,6 @@ class RunReport:
         return [c for s in self.scenarios for c in s.checks if not c.passed]
 
 
-def _scenario_level_checks(sc: Scenario, rows: list) -> list:
-    checks = []
-    if sc.setting == "walrasian" and sc.mode == "poa_sweep" and sc.spec.get("trend_check"):
-        by_n = {}
-        for row in rows:
-            n, ratio = row[1], row[4]
-            if ratio is not None:
-                by_n.setdefault(n, []).append(ratio)
-        if len(by_n) >= 2:
-            lo_n, hi_n = min(by_n), max(by_n)
-            worst_lo, worst_hi = min(by_n[lo_n]), min(by_n[hi_n])
-            ok = worst_hi >= worst_lo + 0.02 or (worst_lo > 0.95 and worst_hi > 0.95)
-            checks.append(Check(
-                sc.id, "ratio-trend", ok,
-                f"worst ratio {worst_lo:.4f} at N={lo_n} vs {worst_hi:.4f} at N={hi_n}",
-            ))
-    if sc.setting == "walrasian" and sc.mode == "lemmas" and sc.spec.get("min_applied", 0) > 0:
-        floor = sc.spec["min_applied"]
-        totals = {}
-        for row in rows:
-            totals[row[3]] = totals.get(row[3], 0) + row[5]
-        for lemma in sc.spec["lemmas"]:
-            got = totals.get(lemma, 0)
-            checks.append(Check(
-                sc.id, f"coverage-{lemma}", got >= floor,
-                f"{got} precondition-passing instances (need {floor})",
-            ))
-    return checks
-
-
 def _resolve_out_dir(out_dir: str | None = None) -> Path:
     """The output directory: ``out_dir``, else $MARKETLAB_OUT, else ./results."""
     return Path(out_dir or os.environ.get(OUT_ENV) or "results")
@@ -1237,10 +1238,7 @@ def run_config(
     if seed_override is not None:
         if seed_override < 0:
             raise ScenarioError("--seed-override: must be >= 0")
-        scenarios = [
-            Scenario(sc.index, sc.id, sc.setting, sc.mode, sc.sweep, (seed_override,), sc.csv, sc.spec)
-            for sc in scenarios
-        ]
+        scenarios = [replace(sc, seeds=(seed_override,)) for sc in scenarios]
 
     out = _resolve_out_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -1269,9 +1267,10 @@ def run_config(
             seconds += res.seconds
             if res.audit is not None:
                 audits.append(res.audit)
-        checks.extend(_scenario_level_checks(sc, rows))
+        entry = _MODES[(sc.setting, sc.mode)]
+        checks.extend(entry.scenario_checks(sc, rows))
         csv_path = out / sc.csv
-        _write_csv(csv_path, _COLUMNS[(sc.setting, sc.mode)], rows)
+        _write_csv(csv_path, entry.columns, rows)
         ok = all(c.passed for c in checks)
         passed = passed and ok
         reports.append(ScenarioReport(

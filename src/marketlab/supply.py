@@ -92,15 +92,26 @@ class TabularCounts:
 MultiplicityModel = Union[BinomialCounts, FixedCounts, TabularCounts]
 
 
+def _binomial_term(n: int, i: int, p: float) -> float:
+    try:
+        return math.comb(n, i) * p**i * (1.0 - p) ** (n - i)
+    except OverflowError:
+        # comb(n, i) is past the float range (n above about 1030), so the term
+        # is taken in log space; that happens only for 0 < i < n, where p = 0
+        # or p = 1 gives 0.
+        if p in (0.0, 1.0):
+            return 0.0
+        log_comb = math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+        return math.exp(log_comb + i * math.log(p) + (n - i) * math.log1p(-p))
+
+
 def good_pmf(model: MultiplicityModel, j: int) -> np.ndarray:
     """Marginal pmf of good j's count as a dense vector over 0..max."""
     if not 0 <= j < model.goods:
         raise IndexError("good index out of range")
     if isinstance(model, BinomialCounts):
         n, p = model.trials, model.prob
-        return np.array(
-            [math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(n + 1)]
-        )
+        return np.array([_binomial_term(n, i, p) for i in range(n + 1)])
     if isinstance(model, FixedCounts):
         out = np.zeros(model.counts[j] + 1)
         out[model.counts[j]] = 1.0

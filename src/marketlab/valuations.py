@@ -217,46 +217,6 @@ def minimal_equivalent_bundle(v: AuctionValuation, bundle) -> Bundle:
     return min(minimal)
 
 
-def is_monotone_table(v: Explicit) -> bool:
-    """Whether the raw table already agrees with its monotone closure."""
-    return all(abs(v._table[b] - value(v, b)) <= 1e-12 for b, _ in v.entries)
-
-
-def check_gross_substitutes(v: AuctionValuation, axes):
-    """Test the substitutes property of demand on a finite price grid.
-
-    ``axes`` gives candidate prices per good; the grid is their product. For
-    every grid price p, every demanded bundle x, and every single-coordinate
-    raise q_j > p_j along the same axis, some bundle demanded at the raised
-    prices must retain x's counts on all other goods. Returns ``(True, None)``
-    or ``(False, witness)`` with witness ``(p, x, j, q_j)``.
-    """
-    axes = [sorted(float(q) for q in ax) for ax in axes]
-    if len(axes) != v.m or any(len(ax) == 0 for ax in axes):
-        raise ValueError("need one nonempty price axis per good")
-    cache: dict[tuple, tuple[Bundle, ...]] = {}
-
-    def demands(p):
-        if p not in cache:
-            cache[p] = demand_set(v, p)
-        return cache[p]
-
-    for p in itertools.product(*axes):
-        for x in demands(p):
-            for j in range(v.m):
-                for q in axes[j]:
-                    if q <= p[j]:
-                        continue
-                    raised = p[:j] + (q,) + p[j + 1 :]
-                    ok = any(
-                        all(y[h] >= x[h] for h in range(v.m) if h != j)
-                        for y in demands(raised)
-                    )
-                    if not ok:
-                        return False, (p, x, j, q)
-    return True, None
-
-
 def scale_bid(v: AuctionValuation, gamma: float, offset: float = 0.0):
     """Bid obtained by scaling item weights by gamma and adding an offset.
 
@@ -286,6 +246,8 @@ class Linear:
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(float(x) for x in self.a))
         _check_weights(self.a)
+        if not any(self.a):
+            raise ValueError("a linear utility needs a positive weight")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
@@ -325,6 +287,8 @@ class CES:
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(float(x) for x in self.a))
         _check_weights(self.a)
+        if not any(self.a):
+            raise ValueError("a CES utility needs a positive weight")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie strictly between 0 and 1")
         if self.scale <= 0:

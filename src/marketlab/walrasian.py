@@ -368,13 +368,6 @@ def validate_outcome(bids, outcome, tol=1e-9):
     return not problems, problems
 
 
-def assert_valid_outcome(bids, outcome, tol=1e-9):
-    """Raise on validation failure; for profiles known to be substitutes."""
-    ok, problems = validate_outcome(bids, outcome, tol)
-    if not ok:
-        raise InternalCheckError("; ".join(problems))
-
-
 def truncated_distance(p, q, ceiling) -> float:
     """L1 distance between price vectors after capping both at ``ceiling``."""
     if ceiling < 0:

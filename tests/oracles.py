@@ -4,12 +4,18 @@ Everything here is deliberately naive: direct enumerations and grid searches
 written from the definitions, with no code shared with the package internals,
 so tests compare two genuinely different routes to the same quantity.
 
-There are two exceptions.  ``reference_outcome`` takes the package's own Fisher
+There are exceptions.  ``reference_outcome`` takes the package's own Fisher
 solver output and finishes, checks and values it one profile and one buyer
 at a time, the loop that the stacked finish in ``fisher`` replaces and must
 match bit for bit.  ``reference_solve_linear`` is the package's
 proportional-response solver as it was when it checked the duality gap at
 every round, which the chunked solver must match bit for bit.
+``reference_parse_config`` is the package's scenario schema as it was before
+the harness kept one registry entry per mode; the registry must give the same
+errors and the same values.  ``is_monotone_table``,
+``check_gross_substitutes`` and ``assert_valid_outcome`` are test helpers
+built on the package's own ``value``, ``demand_set`` and
+``validate_outcome``.
 """
 
 import heapq
@@ -19,16 +25,22 @@ import math
 import numpy as np
 
 from marketlab import fisher
-from marketlab.errors import InternalCheckError, SolverError
+from marketlab.errors import InternalCheckError, ScenarioError, SolverError
+from marketlab.harness import SCHEMA_VERSION, Scenario
 from marketlab.valuations import (
     CES,
+    AuctionValuation,
+    Bundle,
     CobbDouglas,
     Explicit,
     KDemand,
     Linear,
     UnitDemand,
+    demand_set,
     utility,
+    value,
 )
+from marketlab.walrasian import validate_outcome
 
 
 def oracle_value(v, bundle):
@@ -327,3 +339,350 @@ def random_market(rng, max_bidders=5, max_goods=3, max_cap=2, max_copies=4):
             bids.append(KDemand(weights, int(rng.integers(1, max_cap + 1))))
     supply = tuple(int(c) for c in rng.integers(0, max_copies + 1, m))
     return tuple(bids), supply
+
+
+def is_monotone_table(v: Explicit) -> bool:
+    """Whether the raw table already agrees with its monotone closure."""
+    return all(abs(v._table[b] - value(v, b)) <= 1e-12 for b, _ in v.entries)
+
+
+def check_gross_substitutes(v: AuctionValuation, axes):
+    """Test the substitutes property of demand on a finite price grid.
+
+    ``axes`` gives candidate prices per good; the grid is their product. For
+    every grid price p, every demanded bundle x, and every single-coordinate
+    raise q_j > p_j along the same axis, some bundle demanded at the raised
+    prices must retain x's counts on all other goods. Returns ``(True, None)``
+    or ``(False, witness)`` with witness ``(p, x, j, q_j)``.
+    """
+    axes = [sorted(float(q) for q in ax) for ax in axes]
+    if len(axes) != v.m or any(len(ax) == 0 for ax in axes):
+        raise ValueError("need one nonempty price axis per good")
+    cache: dict[tuple, tuple[Bundle, ...]] = {}
+
+    def demands(p):
+        if p not in cache:
+            cache[p] = demand_set(v, p)
+        return cache[p]
+
+    for p in itertools.product(*axes):
+        for x in demands(p):
+            for j in range(v.m):
+                for q in axes[j]:
+                    if q <= p[j]:
+                        continue
+                    raised = p[:j] + (q,) + p[j + 1 :]
+                    ok = any(
+                        all(y[h] >= x[h] for h in range(v.m) if h != j)
+                        for y in demands(raised)
+                    )
+                    if not ok:
+                        return False, (p, x, j, q)
+    return True, None
+
+
+def assert_valid_outcome(bids, outcome, tol=1e-9):
+    """Raise on validation failure; for profiles known to be substitutes."""
+    ok, problems = validate_outcome(bids, outcome, tol)
+    if not ok:
+        raise InternalCheckError("; ".join(problems))
+
+
+# -- the schema before the mode registry ---------------------------------------------
+
+
+_WAL_MODES = ("poa_sweep", "validity", "lemmas", "bullying", "regret", "oracle")
+_FISHER_MODES = ("poa", "reserve", "regret")
+_LEMMAS = (
+    "unstable-count",
+    "within-count",
+    "event-probability",
+    "price-floor",
+    "price-bracket",
+    "smooth",
+)
+
+
+def _fail(path: str, msg: str):
+    raise ScenarioError(f"{path}: {msg}")
+
+
+def _need(obj: dict, path: str, key: str, kinds, check=None):
+    if key not in obj:
+        _fail(path, f"missing required key '{key}'")
+    return _typed(obj[key], f"{path}.{key}", kinds, check)
+
+
+def _opt(obj: dict, path: str, key: str, kinds, default, check=None):
+    if key not in obj:
+        return default
+    return _typed(obj[key], f"{path}.{key}", kinds, check)
+
+
+def _typed(val, path: str, kinds, check):
+    if kinds is bool:
+        ok = isinstance(val, bool)
+    elif kinds is int:
+        ok = isinstance(val, int) and not isinstance(val, bool)
+    elif kinds is float:
+        ok = isinstance(val, (int, float)) and not isinstance(val, bool)
+        val = float(val) if ok else val
+    else:
+        ok = isinstance(val, kinds)
+    if not ok:
+        name = kinds.__name__ if hasattr(kinds, "__name__") else str(kinds)
+        _fail(path, f"expected {name}, got {type(val).__name__}")
+    if check is not None:
+        err = check(val)
+        if err:
+            _fail(path, err)
+    return val
+
+
+def _no_extras(obj: dict, path: str, allowed):
+    for key in obj:
+        if key not in allowed:
+            _fail(path, f"unknown key '{key}'")
+
+
+def _int_list(obj, path, key, minimum, required=True):
+    if key not in obj:
+        if required:
+            _fail(path, f"missing required key '{key}'")
+        return None
+    vals = _typed(obj[key], f"{path}.{key}", list, None)
+    if not vals:
+        _fail(f"{path}.{key}", "must be non-empty")
+    out = []
+    for i, v in enumerate(vals):
+        out.append(_typed(v, f"{path}.{key}[{i}]", int, None))
+        if out[-1] < minimum:
+            _fail(f"{path}.{key}[{i}]", f"must be >= {minimum}")
+    return tuple(out)
+
+
+def _float_list(obj, path, key, default, lo, hi):
+    if key not in obj:
+        return default
+    vals = _typed(obj[key], f"{path}.{key}", list, None)
+    out = []
+    for i, v in enumerate(vals):
+        x = _typed(v, f"{path}.{key}[{i}]", float, None)
+        if not lo < x < hi:
+            _fail(f"{path}.{key}[{i}]", f"must lie in ({lo}, {hi})")
+        out.append(x)
+    return tuple(out)
+
+
+def _check_values_block(vb: dict, path: str):
+    kind = _need(vb, path, "kind", str, lambda k: None if k in ("uniform", "pareto") else "must be 'uniform' or 'pareto'")
+    if kind == "uniform":
+        _no_extras(vb, path, ("kind", "low", "high"))
+        low = _need(vb, path, "low", float, lambda x: None if x > 0 else "must be > 0")
+        high = _need(vb, path, "high", float, lambda x: None if x > 0 else "must be > 0")
+        if high < low:
+            _fail(f"{path}.high", "must be >= low")
+    else:
+        _no_extras(vb, path, ("kind", "shape", "scale"))
+        _need(vb, path, "shape", float, lambda x: None if x > 1 else "must be > 1 for a finite mean")
+        _need(vb, path, "scale", float, lambda x: None if x > 0 else "must be > 0")
+
+
+def _check_auction_generator(gen: dict, path: str):
+    _no_extras(gen, path, ("family", "cap", "goods", "bidders", "values", "supply"))
+    family = _need(gen, path, "family", str, lambda f: None if f in ("unit", "kdemand") else "must be 'unit' or 'kdemand'")
+    goods = _need(gen, path, "goods", int, lambda g: None if g >= 1 else "must be >= 1")
+    cap = _opt(gen, path, "cap", int, 1, lambda c: None if c >= 1 else "must be >= 1")
+    if family == "unit" and cap != 1:
+        _fail(f"{path}.cap", "unit-demand bidders hold one item")
+    bidders = gen.get("bidders", "sweep")
+    if bidders != "sweep":
+        _typed(bidders, f"{path}.bidders", int, lambda b: None if b >= 1 else "must be >= 1")
+    vb = _need(gen, path, "values", dict, None)
+    _check_values_block(vb, f"{path}.values")
+    sup = _need(gen, path, "supply", dict, None)
+    kind = _need(sup, f"{path}.supply", "kind", str, lambda k: None if k in ("binomial", "fixed") else "must be 'binomial' or 'fixed'")
+    if kind == "binomial":
+        _no_extras(sup, f"{path}.supply", ("kind", "prob"))
+        _need(sup, f"{path}.supply", "prob", float, lambda p: None if 0 < p < 1 else "must lie in (0, 1)")
+    else:
+        _no_extras(sup, f"{path}.supply", ("kind", "counts"))
+        counts = _int_list(sup, f"{path}.supply", "counts", 0)
+        if len(counts) != goods:
+            _fail(f"{path}.supply.counts", f"needs one count per good ({goods})")
+
+
+def _check_corpus_block(gen: dict, path: str, defaults: dict):
+    allowed = ("max_bidders", "max_goods", "max_cap", "max_copies", "low", "high")
+    _no_extras(gen, path, allowed)
+    out = dict(defaults)
+    for key in ("max_bidders", "max_goods", "max_cap", "max_copies"):
+        out[key] = _opt(gen, path, key, int, defaults[key], lambda v: None if v >= 1 else "must be >= 1")
+    out["low"] = _opt(gen, path, "low", float, defaults["low"], lambda v: None if v > 0 else "must be > 0")
+    out["high"] = _opt(gen, path, "high", float, defaults["high"], lambda v: None if v > 0 else "must be > 0")
+    if out["high"] < out["low"]:
+        _fail(f"{path}.high", "must be >= low")
+    return out
+
+
+def _check_assumptions_block(blk: dict, path: str):
+    _no_extras(blk, path, ("zeta", "rho_prime"))
+    _need(blk, path, "zeta", float, lambda z: None if z > 0 else "must be > 0")
+    _need(blk, path, "rho_prime", float, lambda r: None if r > 0 else "must be > 0")
+
+
+def _check_grid_block(grid: dict, path: str):
+    _no_extras(grid, path, ("scales", "offsets"))
+    scales = grid.get("scales")
+    if not isinstance(scales, list) or not scales:
+        _fail(f"{path}.scales", "must be a non-empty list")
+    vals = []
+    for i, s in enumerate(scales):
+        vals.append(_typed(s, f"{path}.scales[{i}]", float, lambda x: None if x >= 0 else "must be >= 0"))
+    if 1.0 not in vals:
+        _fail(f"{path}.scales", "must include the truthful scale 1.0")
+    if len(set(vals)) != len(vals):
+        _fail(f"{path}.scales", "must not repeat an entry")
+    if "offsets" in grid:
+        offs = _typed(grid["offsets"], f"{path}.offsets", list, None)
+        ovals = [
+            _typed(o, f"{path}.offsets[{i}]", float, lambda x: None if x >= 0 else "must be >= 0")
+            for i, o in enumerate(offs)
+        ]
+        if 0.0 not in ovals:
+            _fail(f"{path}.offsets", "must include the zero offset")
+        if len(set(ovals)) != len(ovals):
+            _fail(f"{path}.offsets", "must not repeat an entry")
+
+
+def _check_rule(spec: dict, path: str):
+    rule = _opt(spec, path, "rule", str, "english", lambda r: None if r in ("english", "dutch", "mix") else "must be english, dutch, or mix")
+    if rule == "mix":
+        _need(spec, path, "lam", float, lambda x: None if 0 <= x <= 1 else "must lie in [0, 1]")
+    elif "lam" in spec:
+        _fail(f"{path}.lam", "only the mix rule takes a blend weight")
+
+
+_COMMON_KEYS = ("id", "setting", "mode", "sweep", "seeds", "csv")
+
+
+def _validate_scenario(raw: dict, path: str, index: int) -> Scenario:
+    _typed(raw, path, dict, None)
+    sid = _need(raw, path, "id", str, lambda s: None if s and all(c.isalnum() or c == "_" for c in s) else "must be non-empty [a-z0-9_]")
+    setting = _need(raw, path, "setting", str, lambda s: None if s in ("walrasian", "fisher") else "must be 'walrasian' or 'fisher'")
+    modes = _WAL_MODES if setting == "walrasian" else _FISHER_MODES
+    mode = _need(raw, path, "mode", str, lambda m: None if m in modes else f"must be one of {modes} for setting '{setting}'")
+    sweep = _int_list(raw, path, "sweep", 1)
+    seeds = _int_list(raw, path, "seeds", 0)
+    csv_name = _opt(raw, path, "csv", str, sid + ".csv", None)
+
+    spec = {k: v for k, v in raw.items() if k not in _COMMON_KEYS}
+    sp = path
+    if setting == "walrasian":
+        if mode == "poa_sweep":
+            _no_extras(spec, sp, ("generator", "assumptions", "grid", "restarts", "trend_check", "rule", "lam"))
+            _check_auction_generator(_need(spec, sp, "generator", dict, None), f"{sp}.generator")
+            _check_assumptions_block(_need(spec, sp, "assumptions", dict, None), f"{sp}.assumptions")
+            _check_grid_block(_need(spec, sp, "grid", dict, None), f"{sp}.grid")
+            _opt(spec, sp, "restarts", int, 32, lambda r: None if r >= 1 else "must be >= 1")
+            _opt(spec, sp, "trend_check", bool, False, None)
+            _check_rule(spec, sp)
+            if spec["generator"]["supply"]["kind"] != "binomial":
+                _fail(f"{sp}.generator.supply.kind", "poa_sweep sweeps binomial trial counts")
+        elif mode == "validity":
+            _no_extras(spec, sp, ("generator", "mix_weight"))
+            spec["generator"] = _check_corpus_block(
+                _opt(spec, sp, "generator", dict, {}, None), f"{sp}.generator",
+                {"max_bidders": 5, "max_goods": 3, "max_cap": 2, "max_copies": 4, "low": 0.1, "high": 1.0},
+            )
+            _opt(spec, sp, "mix_weight", float, 0.5, lambda x: None if 0 <= x <= 1 else "must lie in [0, 1]")
+        elif mode == "lemmas":
+            _no_extras(spec, sp, ("generator", "lemmas", "min_applied"))
+            spec["generator"] = _check_corpus_block(
+                _opt(spec, sp, "generator", dict, {}, None), f"{sp}.generator",
+                {"max_bidders": 5, "max_goods": 2, "max_cap": 2, "max_copies": 8, "low": 0.3, "high": 1.0},
+            )
+            lemmas = spec.get("lemmas", list(_LEMMAS))
+            _typed(lemmas, f"{sp}.lemmas", list, None)
+            for i, name in enumerate(lemmas):
+                _typed(name, f"{sp}.lemmas[{i}]", str, lambda n: None if n in _LEMMAS else f"must be one of {_LEMMAS}")
+            spec["lemmas"] = list(lemmas)
+            _opt(spec, sp, "min_applied", int, 0, lambda v: None if v >= 0 else "must be >= 0")
+        elif mode == "bullying":
+            _no_extras(spec, sp, ())
+        elif mode == "regret":
+            _no_extras(spec, sp, ("generator", "assumptions", "grid", "players", "rounds", "feedback", "rule", "lam"))
+            _check_auction_generator(_need(spec, sp, "generator", dict, None), f"{sp}.generator")
+            _check_assumptions_block(_need(spec, sp, "assumptions", dict, None), f"{sp}.assumptions")
+            _check_grid_block(_need(spec, sp, "grid", dict, None), f"{sp}.grid")
+            _need(spec, sp, "players", int, lambda p: None if p >= 1 else "must be >= 1")
+            _need(spec, sp, "rounds", int, lambda t: None if t >= 1 else "must be >= 1")
+            _opt(spec, sp, "feedback", str, "full", lambda f: None if f in ("full", "bandit") else "must be 'full' or 'bandit'")
+            _check_rule(spec, sp)
+            if spec["generator"].get("bidders", "sweep") != "sweep":
+                _fail(f"{sp}.generator.bidders", "regret mode sizes the market by 'players'")
+        elif mode == "oracle":
+            _no_extras(spec, sp, ("generator",))
+            spec["generator"] = _check_corpus_block(
+                _opt(spec, sp, "generator", dict, {}, None), f"{sp}.generator",
+                {"max_bidders": 4, "max_goods": 3, "max_cap": 2, "max_copies": 3, "low": 0.1, "high": 1.0},
+            )
+    else:
+        gen = _need(spec, sp, "generator", dict, None)
+        gp = f"{sp}.generator"
+        _no_extras(gen, gp, ("goods", "family", "rho", "budgets", "weight_low", "weight_high"))
+        _need(gen, gp, "goods", int, lambda g: None if g >= 1 else "must be >= 1")
+        family = _need(gen, gp, "family", str, lambda f: None if f in ("cobb_douglas", "linear", "ces") else "must be cobb_douglas, linear, or ces")
+        if family == "ces":
+            _need(gen, gp, "rho", float, lambda r: None if 0 < r < 1 else "must lie in (0, 1)")
+        elif "rho" in gen:
+            _fail(f"{gp}.rho", "only the ces family takes a curvature parameter")
+        wl = _opt(gen, gp, "weight_low", float, 0.2, lambda v: None if v > 0 else "must be > 0")
+        wh = _opt(gen, gp, "weight_high", float, 1.0, lambda v: None if v > 0 else "must be > 0")
+        if wh < wl:
+            _fail(f"{gp}.weight_high", "must be >= weight_low")
+        if "budgets" in gen:
+            budgets = _typed(gen["budgets"], f"{gp}.budgets", list, None)
+            if not budgets:
+                _fail(f"{gp}.budgets", "must be non-empty")
+            for i, b in enumerate(budgets):
+                _typed(b, f"{gp}.budgets[{i}]", float, lambda x: None if x > 0 else "must be > 0")
+            if len(sweep) != 1:
+                _fail(f"{gp}.budgets", "an explicit budget list fixes the market; use a single sweep value")
+        spec["deltas"] = _float_list(spec, sp, "deltas", (0.05, 0.1, 0.2), 0.0, 1.0)
+        _opt(spec, sp, "restarts", int, 8, lambda r: None if r >= 1 else "must be >= 1")
+        if mode == "poa":
+            _no_extras(spec, sp, ("generator", "deltas", "restarts", "rescale"))
+            _opt(spec, sp, "rescale", bool, True, None)
+        elif mode == "reserve":
+            _no_extras(spec, sp, ("generator", "deltas", "restarts", "reserve_fraction", "compress_trials"))
+            _opt(spec, sp, "reserve_fraction", float, 0.25, lambda x: None if 0 < x <= 0.25 else "must lie in (0, 0.25]")
+            _opt(spec, sp, "compress_trials", int, 10, lambda v: None if v >= 0 else "must be >= 0")
+        elif mode == "regret":
+            _no_extras(spec, sp, ("generator", "deltas", "rounds", "reserve_fraction"))
+            _need(spec, sp, "rounds", int, lambda t: None if t >= 1 else "must be >= 1")
+            _opt(spec, sp, "reserve_fraction", float, 0.25, lambda x: None if 0 < x <= 0.25 else "must lie in (0, 0.25]")
+
+    return Scenario(index, sid, setting, mode, sweep, seeds, csv_name, spec)
+
+
+def reference_parse_config(cfg) -> list[Scenario]:
+    """``harness.parse_config`` as it was when each mode was spread over the
+    schema chain, the column and runner tables: the fuzz test's reference."""
+    _typed(cfg, "config", dict, None)
+    _no_extras(cfg, "config", ("schema_version", "scenarios"))
+    version = _need(cfg, "config", "schema_version", int, None)
+    if version != SCHEMA_VERSION:
+        _fail("config.schema_version", f"this build reads version {SCHEMA_VERSION}, got {version}")
+    raw = _need(cfg, "config", "scenarios", list, None)
+    if not raw:
+        _fail("config.scenarios", "must be non-empty")
+    scenarios = [
+        _validate_scenario(entry, f"config.scenarios[{i}]", i) for i, entry in enumerate(raw)
+    ]
+    seen = {}
+    for i, sc in enumerate(scenarios):
+        if sc.id in seen:
+            _fail(f"config.scenarios[{i}].id", f"duplicate id '{sc.id}' (also scenarios[{seen[sc.id]}])")
+        seen[sc.id] = i
+    return scenarios

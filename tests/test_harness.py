@@ -1,13 +1,18 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketlab import harness
 from marketlab.cli import main
 from marketlab.errors import CheckFailure, ScenarioError
 from marketlab.harness import (
-    _COLUMNS,
+    _MODES,
     _enumerated_welfare,
     _fmt,
     _random_gs_market,
@@ -18,6 +23,7 @@ from marketlab.harness import (
     run_config,
 )
 from marketlab.walrasian import max_welfare
+from oracles import reference_parse_config
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -178,7 +184,7 @@ def test_bundled_scenarios_resolve():
     scenarios = parse_config(cfg)
     assert scenarios[0].mode == "bullying"
     for sc in scenarios:
-        assert (sc.setting, sc.mode) in _COLUMNS
+        assert (sc.setting, sc.mode) in _MODES
 
 
 # -- helpers -------------------------------------------------------------------
@@ -503,3 +509,190 @@ def test_regret_mode_emits_display_columns(tmp_path):
     row = (tmp_path / "out" / "reg.csv").read_text().splitlines()[1].split(",")
     assert row[7] == "no-regret"
     assert float(row[8]) >= 0.0
+
+
+# -- schema fuzz ---------------------------------------------------------------
+
+# Each bundled scenario, shrunk so that a run takes a fraction of a second.
+_TINY = {
+    "fisher_poa": {"sweep": [2], "restarts": 1},
+    "fisher_regret": {"sweep": [2], "rounds": 20},
+    "fisher_reserve": {"sweep": [2], "compress_trials": 2},
+    "walrasian_binomial_sweep": {"sweep": [2, 3], "restarts": 2},
+    "walrasian_bullying": {},
+    "walrasian_lemma_suite": {"sweep": [3], "min_applied": 1},
+    "walrasian_oracle": {"sweep": [3]},
+    "walrasian_regret": {"sweep": [4], "players": 2, "rounds": 20},
+    "walrasian_validity": {"sweep": [3]},
+}
+
+
+def tiny_config(name):
+    doc = load_config(name)
+    for sc in doc["scenarios"]:
+        sc.update(copy.deepcopy(_TINY[name]), seeds=[0])
+    return doc
+
+
+# Scenario keys with values some tiny scenario gives them, for adding a key
+# that another mode takes.
+_FOREIGN = sorted(
+    {
+        (key, json.dumps(val))
+        for name in _TINY
+        for sc in tiny_config(name)["scenarios"]
+        for key, val in sc.items()
+        if key not in ("id", "setting", "mode", "sweep", "seeds")
+    }
+)
+_MODE_NAMES = ("poa_sweep", "validity", "lemmas", "bullying", "regret", "oracle", "poa", "reserve", "bogus")
+
+
+def _paths(obj, prefix=()):
+    """The path of every key and list entry in a scenario, nested ones too."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, val in items:
+        yield prefix + (key,)
+        if isinstance(val, (dict, list)):
+            yield from _paths(val, prefix + (key,))
+
+
+def _mutate(data, sc):
+    """Apply one mutation to a scenario: drop a key, give a value of the wrong
+    type or out of range, add an unknown key, or name a bad mode."""
+    kind = data.draw(st.sampled_from(("drop", "type", "range", "unknown", "mode")))
+    if kind == "mode":
+        sc["mode"] = data.draw(st.sampled_from(_MODE_NAMES))
+        return
+    if kind == "unknown":
+        blocks = [()] + [p for p in _paths(sc) if isinstance(_at(sc, p), dict)]
+        where = data.draw(st.sampled_from(blocks))
+        if where == ():
+            key, val = data.draw(st.sampled_from(_FOREIGN + [("surprise", "1")]))
+        else:
+            key, val = "surprise", "1"
+        _at(sc, where)[key] = json.loads(val)
+        return
+    path = data.draw(st.sampled_from(list(_paths(sc))))
+    parent = _at(sc, path[:-1])
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "type":
+        parent[path[-1]] = data.draw(st.sampled_from(("x", 1.5, True, None, [1], {"a": 1})))
+    elif isinstance(parent[path[-1]], str):
+        parent[path[-1]] = "bogus"
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from((-1, 0, -0.5, 1.5)))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _contains(new, ref) -> bool:
+    """Whether every key of ``ref`` is in ``new`` with the same value, recursively."""
+    if isinstance(ref, dict):
+        return isinstance(new, dict) and all(k in new and _contains(new[k], v) for k, v in ref.items())
+    return new == ref
+
+
+def _outcome(parse, doc):
+    try:
+        return parse(doc), None
+    except ScenarioError as e:
+        return None, str(e)
+
+
+@given(st.data())
+@settings(max_examples=400)
+def test_schema_matches_the_reference_on_mutated_configs(data):
+    name = data.draw(st.sampled_from(sorted(_TINY)))
+    doc = tiny_config(name)
+    _mutate(data, doc["scenarios"][data.draw(st.integers(0, len(doc["scenarios"]) - 1))])
+    frozen = copy.deepcopy(doc)
+    want, want_err = _outcome(reference_parse_config, copy.deepcopy(doc))
+    got, got_err = _outcome(parse_config, doc)
+    assert got_err == want_err
+    assert doc == frozen
+    if want is None:
+        return
+    for new, ref in zip(got, want, strict=True):
+        assert (new.index, new.id, new.setting, new.mode, new.sweep, new.seeds, new.csv) == (
+            ref.index, ref.id, ref.setting, ref.mode, ref.sweep, ref.seeds, ref.csv
+        )
+        assert _contains(new.spec, ref.spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        try:
+            run_config(cfg, out_dir=str(Path(tmp) / "out"))
+        except CheckFailure:
+            pass
+        assert (Path(tmp) / "out" / "summary.json").is_file()
+
+
+_AUCTION = {
+    "family": "unit",
+    "goods": 1,
+    "values": {"kind": "uniform", "low": 0.5, "high": 1.0},
+    "supply": {"kind": "binomial", "prob": 0.5},
+}
+_BOUNDS = {"assumptions": {"zeta": 1.0, "rho_prime": 0.5}}
+_FILLED_AUCTION = {
+    "generator": {**_AUCTION, "cap": 1, "bidders": "sweep"},
+    "grid": {"scales": [1.0], "offsets": [0.0]},
+    "rule": "english",
+    "lam": None,
+}
+_FILLED_FISHER = {
+    "generator": {"goods": 2, "family": "linear", "weight_low": 0.2, "weight_high": 1.0},
+    "deltas": (0.05, 0.1, 0.2),
+}
+
+
+def _corpus(bidders, goods, copies, low):
+    return {"max_bidders": bidders, "max_goods": goods, "max_cap": 2, "max_copies": copies, "low": low, "high": 1.0}
+
+
+# Each mode with only its required keys, and the spec the schema makes of it:
+# the defaults the task runners read when a config leaves a key out.
+@pytest.mark.parametrize(
+    "setting, mode, given, spec",
+    (
+        ("walrasian", "poa_sweep", {"generator": _AUCTION, "grid": {"scales": [1.0]}, **_BOUNDS},
+         {**_FILLED_AUCTION, **_BOUNDS, "restarts": 32, "trend_check": False}),
+        ("walrasian", "validity", {}, {"generator": _corpus(5, 3, 4, 0.1), "mix_weight": 0.5}),
+        ("walrasian", "lemmas", {},
+         {"generator": _corpus(5, 2, 8, 0.3), "lemmas": list(harness._LEMMAS), "min_applied": 0}),
+        ("walrasian", "bullying", {}, {}),
+        ("walrasian", "regret",
+         {"generator": _AUCTION, "grid": {"scales": [1.0]}, "players": 2, "rounds": 5, **_BOUNDS},
+         {**_FILLED_AUCTION, **_BOUNDS, "players": 2, "rounds": 5, "feedback": "full"}),
+        ("walrasian", "oracle", {}, {"generator": _corpus(4, 3, 3, 0.1)}),
+        ("fisher", "poa", {"generator": {"goods": 2, "family": "linear"}},
+         {**_FILLED_FISHER, "restarts": 8, "rescale": True}),
+        ("fisher", "reserve", {"generator": {"goods": 2, "family": "linear"}},
+         {**_FILLED_FISHER, "restarts": 8, "reserve_fraction": 0.25, "compress_trials": 10}),
+        ("fisher", "regret", {"generator": {"goods": 2, "family": "linear"}, "rounds": 5},
+         {**_FILLED_FISHER, "rounds": 5, "reserve_fraction": 0.25}),
+    ),
+)
+def test_a_left_out_key_takes_its_default(setting, mode, given, spec):
+    doc = {"schema_version": 1, "scenarios": [
+        {"id": "d", "setting": setting, "mode": mode, "sweep": [2], "seeds": [0], **copy.deepcopy(given)},
+    ]}
+    frozen = copy.deepcopy(doc)
+    (sc,) = parse_config(doc)
+    assert sc.spec == spec
+    assert doc == frozen
+
+
+def test_large_binomial_sweep_runs_through_the_cli(tmp_path, capsys):
+    doc = tiny_config("walrasian_binomial_sweep")
+    doc["scenarios"][0].update(sweep=[1100], restarts=1, grid={"scales": [0.5, 1.0]})
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["scenarios"][0]["rows"] == 1

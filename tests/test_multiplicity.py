@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,31 @@ def test_binomial_pmf_matches_scipy():
         ours = good_pmf(model, 0)
         ref = stats.binom.pmf(np.arange(trials + 1), trials, prob)
         assert np.allclose(ours, ref, atol=1e-13)
+
+
+@pytest.mark.parametrize("trials", (1, 7, 64, 500, 1000))
+@pytest.mark.parametrize("prob", (0.5, 0.3, 0.0, 1.0))
+def test_binomial_pmf_keeps_its_bits_up_to_a_thousand_trials(trials, prob):
+    # Each term as the product of comb, p^i and (1-p)^(n-i), exact in floats
+    # while comb(n, i) fits in one.
+    want = [math.comb(trials, i) * prob**i * (1.0 - prob) ** (trials - i) for i in range(trials + 1)]
+    assert good_pmf(BinomialCounts(1, trials, prob), 0).tolist() == want
+
+
+@pytest.mark.parametrize("prob", (0.5, 0.3))
+def test_binomial_pmf_past_the_float_range_of_comb(prob):
+    trials = 1100
+    got = good_pmf(BinomialCounts(1, trials, prob), 0)
+    q = Fraction(prob)
+    for i, x in enumerate(got):
+        want = float(math.comb(trials, i) * q**i * (1 - q) ** (trials - i))
+        # Terms whose p^i or (1-p)^(n-i) underflows in floats (3e-125 and
+        # less at these points) read 0.
+        assert math.isclose(x, want, rel_tol=1e-9, abs_tol=1e-100), i
+    assert abs(math.fsum(got) - 1.0) <= 1e-9
+    for edge in (0.0, 1.0):
+        point = good_pmf(BinomialCounts(1, trials, edge), 0)
+        assert point[0 if edge == 0.0 else trials] == 1.0 and math.fsum(point) == 1.0
 
 
 def test_pmf_sums_to_one_per_good():

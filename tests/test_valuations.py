@@ -15,10 +15,8 @@ from marketlab.valuations import (
     UnitDemand,
     best_utility,
     bundles_upto,
-    check_gross_substitutes,
     demand_set,
     fisher_demand,
-    is_monotone_table,
     item_values,
     max_item_value,
     minimal_equivalent_bundle,
@@ -26,7 +24,13 @@ from marketlab.valuations import (
     utility,
     value,
 )
-from oracles import oracle_demand, oracle_single_buyer_optimum, oracle_value
+from oracles import (
+    check_gross_substitutes,
+    is_monotone_table,
+    oracle_demand,
+    oracle_single_buyer_optimum,
+    oracle_value,
+)
 
 SINGLE_MINDED_PAIR = Explicit(2, 2, (((1, 1), 10.0),))
 
@@ -216,6 +220,15 @@ def test_cobb_douglas_requires_normalized_weights():
         CobbDouglas((0.5, 0.6))
     with pytest.raises(ValueError):
         CES((1.0,), rho=1.0)
+
+
+@pytest.mark.parametrize("make", (lambda a: Linear(a), lambda a: CES(a, 0.5)))
+def test_linear_and_ces_reject_all_zero_weights(make):
+    with pytest.raises(ValueError, match="needs a positive weight"):
+        make((0.0, 0.0))
+    assert make((0.0, 1.0)).a == (0.0, 1.0)
+    # An auction bid of all zeros stays valid: the corpus generators draw them.
+    assert UnitDemand((0.0, 0.0)).weights == (0.0, 0.0)
 
 
 def test_fisher_demand_cobb_douglas_spends_by_weight():

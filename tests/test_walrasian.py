@@ -8,13 +8,12 @@ from marketlab.valuations import Explicit, KDemand, UnitDemand, value
 from marketlab.walrasian import (
     Outcome,
     WelfareOracle,
-    assert_valid_outcome,
     max_welfare,
     run_mechanism,
     truncated_distance,
     validate_outcome,
 )
-from oracles import oracle_best_allocation, random_market
+from oracles import assert_valid_outcome, oracle_best_allocation, random_market
 
 THREE_UNIT_BIDDERS = (UnitDemand((5.0,)), UnitDemand((3.0,)), UnitDemand((2.0,)))
 
