@@ -11,9 +11,20 @@ Games on one good with unit-demand players all run on a single
 order-statistic kernel, ``_SingleGood``.  It ranks bids by the composite
 key (weight descending, owner descending), which is the slot order of the
 exact engine, so no two bids ever tie and the top ``n`` positive bids win
-at supply ``n``.  One call gives every player's utility for every menu
-entry at every supply atom, bit-equal to ``run_mechanism``.  Every other
+at supply ``n``.  The kernel takes a stack of P profiles: one call gives,
+for every profile, the chosen players' utilities for every menu entry at
+every supply atom, bit-equal to ``run_mechanism``, and each row is the same
+float expression as a one-profile call.  Statistics, certification and
+learning use one profile; the best-reply walks use the stack.  Every other
 game goes through the exact engine, which stays the oracle.
+
+``best_response_dynamics`` runs its walks in lockstep.  It draws every
+start profile first, in the order the walks would draw them one after
+another; each (sweep, player) step is then one ``best_responses`` call over
+the walks still moving, and a walk leaves after a sweep that changed
+nothing.  The fixed points are certified and reported in walk order, so the
+reports, the dropped count and the generator state are those of running the
+walks one at a time.
 """
 
 from __future__ import annotations
@@ -127,6 +138,7 @@ class _SingleGood:
         weights = [v.weights[0] for v in true_values]
         self.tv = np.array(weights)
         self.owner = np.arange(len(weights))
+        self._ties = -self.owner[None]  # the second sort key, one row
         self.mask = np.zeros((len(weights), max(len(m) for m in menu)), dtype=bool)
         self.cand = np.zeros(self.mask.shape)
         for i, (w, m) in enumerate(zip(weights, menu)):
@@ -135,54 +147,64 @@ class _SingleGood:
         self.rule = rule
         self.lam = lam
 
-    def bids(self, profile) -> np.ndarray:
-        return self.cand[self.owner, profile]
+    def bids(self, profiles) -> np.ndarray:
+        """bids[p, i]: player i's bid in profiles[p]."""
+        return self.cand[self.owner, profiles]
 
     def order(self, bids: np.ndarray) -> np.ndarray:
-        """Players in slot order."""
-        return np.lexsort((-self.owner, -bids))
+        """order[p]: the players in slot order under bid row p."""
+        return np.lexsort((self._ties.repeat(bids.shape[0], axis=0), -bids))
 
-    def rank(self, bids: np.ndarray) -> np.ndarray:
-        """Slot of every player's bid."""
-        rank = np.empty_like(self.owner)
-        rank[self.order(bids)] = self.owner
+    def rank(self, bids: np.ndarray, order: Optional[np.ndarray] = None) -> np.ndarray:
+        """rank[p, i]: the slot of player i's bid in row p."""
+        order = self.order(bids) if order is None else order
+        rank = np.empty_like(order)
+        rank[np.arange(order.shape[0])[:, None], order] = self.owner
         return rank
 
     def winners(self, bids: np.ndarray, supplies: np.ndarray) -> np.ndarray:
-        """won[i, a]: player i gets a copy at supply supplies[a]."""
-        return (bids > 0.0)[:, None] & (self.rank(bids)[:, None] < supplies)
+        """won[p, i, a]: player i gets a copy in row p at supply supplies[a]."""
+        return (bids > 0.0)[..., None] & (self.rank(bids)[..., None] < supplies)
 
-    def utilities(self, bids: np.ndarray, who, supplies: np.ndarray) -> np.ndarray:
-        """util[w, s, a]: true utility of player who[w] switching to menu
-        entry s while everyone else keeps ``bids``, at supply supplies[a]."""
+    def utilities(
+        self, bids: np.ndarray, who, supplies: np.ndarray, order: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """util[p, w, s, a]: true utility of player who[p, w] switching to
+        menu entry s while everyone else keeps bid row p, at supply
+        supplies[a].  ``order`` is ``self.order(bids)`` when the caller has
+        it already.  Each row is the same float expression as a one-row call."""
         who = np.asarray(who)
-        rank = self.rank(bids)
-        # Bids in slot order after a leading +inf, zero-padded past the end.
-        ranked = np.zeros(bids.size + int(supplies.max(initial=0)) + 2)
-        ranked[0] = np.inf
-        ranked[1 + rank] = bids
-        x = self.cand[who][..., None]  # (W, K, 1)
-        me = who[:, None, None]
-        own = rank[me]
+        order = self.order(bids) if order is None else order
+        profiles, players = bids.shape
+        rows = np.arange(profiles)[:, None]
+        # slots[0]: bids in slot order after a leading +inf, zero-padded past
+        # the end; slots[1]: the owner of each slot.
+        slots = np.zeros((2, profiles, players + int(supplies.max(initial=0)) + 2))
+        slots[0, :, 0] = np.inf
+        slots[0, :, 1 : players + 1] = bids[rows, order]
+        slots[1, :, 1 : players + 1] = order
+        x = self.cand[who][..., None]  # (P, W, K, 1)
+        me = who[..., None, None]
+        row = rows[..., None, None]
+        own = self.rank(bids, order)[row, me]
 
         def others(j):
-            """j-th largest bid (from 0; +inf at -1) of everyone but the player."""
-            return ranked[1 + j + (j >= own)]
+            """Bid and owner of the j-th best slot (from 0; +inf at -1) held
+            by anyone but the player."""
+            return slots[:, row, 1 + j + (j >= own)]
 
-        # Other bids ranked above the candidate under the composite key.
-        above = ((bids > x) | ((bids == x) & (self.owner > me))).sum(
-            axis=-1, keepdims=True
-        ) - (bids[me] > x)
-        wins = (x > 0.0) & (above < supplies)
-        # A winning candidate holds one of the top n slots, so the english
-        # price, the (n+1)-th largest bid, is others(n - 1), and the dutch
-        # price, the n-th largest, is the lower of the candidate and
-        # others(n - 2).  Losers' prices are never used.
-        english = others(np.maximum(supplies - 1, 0))
+        # The candidate wins at supply n when it ranks above the n-th best
+        # other bid under the composite key; that bid, others(n - 1), is
+        # then the english price, the (n+1)-th largest.  The dutch price,
+        # the n-th largest, is the lower of the candidate and others(n - 2).
+        # Losers' prices are never used.
+        english, holder = others(np.maximum(supplies - 1, 0))
+        wins = (x > english) | ((x == english) & (me > holder))
+        wins &= (x > 0.0) & (supplies > 0)
         if self.rule == "english" or (self.rule == "mix" and self.lam == 0.0):
             price = english
         else:
-            dutch = np.minimum(x, others(np.maximum(supplies - 2, -1)))
+            dutch = np.minimum(x, others(np.maximum(supplies - 2, -1))[0])
             price = dutch if self.rule == "dutch" else (
                 (1.0 - self.lam) * english + self.lam * dutch
             )
@@ -246,6 +268,10 @@ class GameContext:
         self._truthful = tuple(
             self.menu[i].index((1.0, 0.0)) for i in range(self.players)
         )
+        # Position of every menu entry in (scale, offset) order.
+        self._menu_place = tuple(
+            np.argsort(sorted(range(len(m)), key=m.__getitem__)) for m in self.menu
+        )
 
     # -- profile plumbing ---------------------------------------------------
 
@@ -277,14 +303,15 @@ class GameContext:
         is summed on its own, so equal rows give bit-equal expectations."""
         return (table[..., self._ns] * self._atom_probs).sum(axis=-1)
 
-    def _table(self, profile, who) -> np.ndarray:
-        return self._kernel.utilities(self._kernel.bids(profile), who, self._supplies)
+    def _table(self, profiles, who) -> np.ndarray:
+        """Kernel table util[p, w, s, a] over the supplies 0..max."""
+        return self._kernel.utilities(self._kernel.bids(profiles), who, self._supplies)
 
     def _fast_stats(self, profile) -> _Stats:
         k = self._kernel
-        bids = k.bids(profile)
-        util = k.utilities(bids, k.owner, self._supplies)[k.owner, profile]
-        sw = np.where(k.winners(bids, self._supplies), k.tv[:, None], 0.0).sum(axis=0)
+        bids = k.bids([profile])
+        util = k.utilities(bids, k.owner[None], self._supplies)[0, k.owner, profile]
+        sw = np.where(k.winners(bids, self._supplies)[0], k.tv[:, None], 0.0).sum(axis=0)
         sw_true = float(sw[self._ns] @ self._atom_probs)
         return _Stats(tuple(self._expect(util).tolist()), sw_true)
 
@@ -304,7 +331,7 @@ class GameContext:
     def _atom_utility(self, profile, i: int) -> np.ndarray:
         """Per-atom utility of player i, for paired Monte Carlo comparisons."""
         if self._kernel is not None:
-            return self._table(profile, [i])[0, profile[i], self._ns]
+            return self._table([profile], [[i]])[0, 0, profile[i], self._ns]
         bids = self.profile_bids(profile)
         oracle = WelfareOracle(bids)
         out = np.zeros(len(self._atom_counts))
@@ -317,7 +344,7 @@ class GameContext:
         """u[w, s]: expected utility of player who[w] switching to menu entry
         s against the rest of ``profile``; -inf past the end of its menu."""
         if self._kernel is not None:
-            u = self._expect(self._table(profile, who))
+            u = self._expect(self._table([profile], [who])[0])
             return np.where(self._kernel.mask[who], u, -np.inf)
         out = np.full((len(who), max(len(m) for m in self.menu)), -np.inf)
         for w, i in enumerate(who):
@@ -331,14 +358,32 @@ class GameContext:
 
     def best_response(self, profile, i: int) -> tuple[int, float]:
         """Best grid reply for player i, ties toward the largest entry."""
-        utils = self._menu_utils(profile, [i])[0, : len(self.menu[i])].tolist()
-        best_s, best_u = None, None
-        for s, u in enumerate(utils):
-            if best_u is None or u > best_u + GAIN_TOL or (
-                abs(u - best_u) <= GAIN_TOL
-                and self.menu[i][s] > self.menu[i][best_s]
-            ):
-                best_s, best_u = s, u
+        utils = self._menu_utils(profile, [i])[:, : len(self.menu[i])]
+        best_s, best_u = self._replies(utils, i)
+        return int(best_s[0]), float(best_u[0])
+
+    def best_responses(self, profiles, i: int) -> np.ndarray:
+        """best_response(profiles[p], i)[0] for every row p of a profile
+        stack, from one kernel call on a one-good unit-demand game."""
+        if self._kernel is None:
+            return np.array([self.best_response(p, i)[0] for p in profiles.tolist()])
+        table = self._table(profiles, np.full((len(profiles), 1), i))
+        return self._replies(self._expect(table)[:, 0, : len(self.menu[i])], i)[0]
+
+    def _replies(self, utils: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Best entry and its utility in every row of utils[p, s], the menu
+        scanned in order: an entry takes over when it gains more than
+        GAIN_TOL, or ties within GAIN_TOL and is the larger (scale, offset)."""
+        place = self._menu_place[i]
+        best_s = np.zeros(len(utils), dtype=int)
+        best_u = utils[:, 0].copy()
+        for s in range(1, utils.shape[1]):
+            u = utils[:, s]
+            take = (u > best_u + GAIN_TOL) | (
+                (abs(u - best_u) <= GAIN_TOL) & (place[s] > place[best_s])
+            )
+            best_s[take] = s
+            best_u[take] = u[take]
         return best_s, best_u
 
     def certify(self, profile, tol: float = GAIN_TOL) -> Certification:
@@ -391,29 +436,29 @@ def best_response_dynamics(
     """Round-robin best-reply walks from random profiles.  Returns a report
     for every fixed point reached (certified exactly by construction) and
     the number of walks dropped for not converging within ``max_sweeps``
-    sweeps."""
+    sweeps.  The walks run in lockstep (see the module docstring)."""
+    profiles = np.array(
+        [[int(rng.integers(0, len(m))) for m in ctx.menu] for _ in range(restarts)],
+        dtype=int,
+    ).reshape(restarts, ctx.players)
+    live = np.arange(restarts)
+    for _ in range(max_sweeps):
+        if not live.size:
+            break
+        changed = np.zeros(live.size, dtype=bool)
+        for i in range(ctx.players):
+            s = ctx.best_responses(profiles[live], i)
+            changed |= s != profiles[live, i]
+            profiles[live, i] = s
+        live = live[changed]
     found: dict[tuple[int, ...], EquilibriumReport] = {}
-    dropped = 0
-    for _ in range(restarts):
-        profile = [int(rng.integers(0, len(ctx.menu[i]))) for i in range(ctx.players)]
-        for _ in range(max_sweeps):
-            changed = False
-            for i in range(ctx.players):
-                s, _ = ctx.best_response(profile, i)
-                if s != profile[i]:
-                    profile[i] = s
-                    changed = True
-            if not changed:
-                break
-        else:
-            dropped += 1
-            continue
-        key = tuple(profile)
+    # The walks that stopped, in walk order.
+    for key in map(tuple, np.delete(profiles, live, axis=0).tolist()):
         if key not in found:
             cert = ctx.certify(key)
             if cert.kind != "not-equilibrium":
                 found[key] = ctx.report(key, cert)
-    return list(found.values()), dropped
+    return list(found.values()), int(live.size)
 
 
 def exhaustive_equilibria(ctx: GameContext, limit: int = 100_000) -> list[EquilibriumReport]:
@@ -664,6 +709,7 @@ def run_learning(
     size_col = np.array(sizes)[:, None]
     mask = np.arange(max(sizes)) < size_col
     rows = np.arange(players)
+    size_groups = [(k, np.flatnonzero(size_col[:, 0] == k)) for k in sorted(set(sizes))]
     T = config.rounds
     chi = config.payoff_bound
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -673,10 +719,16 @@ def run_learning(
         kernel = _SingleGood(true_values, menu, rule, lam)
     engine_cache: dict = {}
 
-    def counterfactuals(actions, n) -> np.ndarray:
-        """uts[i, s] = utility of player i playing s against others' actions."""
+    def play(actions, n) -> tuple[np.ndarray, float]:
+        """uts[i, s] = utility of player i playing s against others' actions,
+        and the realized welfare of the actions."""
         if kernel is not None:
-            return kernel.utilities(kernel.bids(actions), rows, np.array(n))[..., 0]
+            bids = kernel.bids(actions[None])
+            order = kernel.order(bids)
+            uts = kernel.utilities(bids, rows[None], np.array(n), order)[0, ..., 0]
+            take = min(n[0], int(np.count_nonzero(bids > 0.0)))
+            # Winners' true values, summed in slot order.
+            return uts, float(kernel.tv[order[0, :take]].sum())
         actions = actions.tolist()
         out = np.zeros(mask.shape)
         for i in range(players):
@@ -697,19 +749,11 @@ def run_learning(
                     if len(engine_cache) < 200_000:
                         engine_cache[key] = utilv
                 out[i, s] = utilv[i]
-        return out
-
-    def realized_welfare(actions, n) -> float:
-        if kernel is not None:
-            bids = kernel.bids(actions)
-            take = min(n[0], int(np.count_nonzero(bids > 0.0)))
-            # Winners' true values, summed in slot order.
-            return float(kernel.tv[kernel.order(bids)][:take].sum())
         bids = tuple(
             scale_bid(true_values[h], *menu[h][a]) for h, a in enumerate(actions)
         )
         o = run_mechanism(bids, n, rule, lam)
-        return sum(value(true_values[h], o.allocation[h]) for h in range(players))
+        return out, sum(value(true_values[h], o.allocation[h]) for h in range(players))
 
     etas = np.array(
         [math.sqrt(8.0 * math.log(k) / T) if k > 1 else 0.0 for k in sizes]
@@ -752,11 +796,12 @@ def run_learning(
         drawn = (np.cumsum(mixtures, axis=1) <= u[:, None]).sum(axis=1)
         actions = np.minimum(drawn, size_col[:, 0] - 1)
 
-        uts = counterfactuals(actions, n_t)
-        over = np.flatnonzero((np.abs(uts) > chi + 1e-9).any(axis=1))
-        if over.size:
+        uts, welfare = play(actions, n_t)
+        over = np.abs(uts) > chi + 1e-9
+        if over.any():
             raise ValueError(
-                f"payoff bound {chi} does not cover player {over[0]}'s payoffs"
+                f"payoff bound {chi} does not cover player "
+                f"{np.flatnonzero(over.any(axis=1))[0]}'s payoffs"
             )
         norm = np.where(mask, (uts + chi) / (2.0 * chi), 0.0)
         if config.feedback == "full":
@@ -764,12 +809,12 @@ def run_learning(
         else:
             scores[rows, actions] += norm[rows, actions] / mixtures[rows, actions]
         cum_counter += uts
-        # One dot per player over its own menu, so each sum keeps the order
-        # of a per-player loop.
-        for i, k in enumerate(sizes):
-            cum_mixture[i] += float(mixtures[i, :k] @ uts[i, :k])
+        # One dot per player over its own menu, batched over the players
+        # whose menus have one size: each is the same dot as a lone one.
+        for k, group in size_groups:
+            cum_mixture[group] += (mixtures[group, None, :k] @ uts[group, :k, None])[:, 0, 0]
         counts[rows, actions] += 1
-        welfare_sum += realized_welfare(actions, n_t)
+        welfare_sum += welfare
 
     regrets = tuple(
         float(cum_counter[i, :k].max() - cum_mixture[i]) for i, k in enumerate(sizes)

@@ -10,6 +10,7 @@ scale with it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Union
@@ -92,17 +93,29 @@ class TabularCounts:
 MultiplicityModel = Union[BinomialCounts, FixedCounts, TabularCounts]
 
 
+# log(DBL_MAX): comb(n, i) converts to a float when its log is below.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _log_comb(n: int, i: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+
+
 def _binomial_term(n: int, i: int, p: float) -> float:
-    try:
-        return math.comb(n, i) * p**i * (1.0 - p) ** (n - i)
-    except OverflowError:
-        # comb(n, i) is past the float range (n above about 1030), so the term
-        # is taken in log space; that happens only for 0 < i < n, where p = 0
-        # or p = 1 gives 0.
-        if p in (0.0, 1.0):
-            return 0.0
-        log_comb = math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-        return math.exp(log_comb + i * math.log(p) + (n - i) * math.log1p(-p))
+    # comb(n, i) < 2**n fits in a float below n = 1024.  Past that, the
+    # lgamma estimate, good to far better than 1, sends a term whose comb is
+    # surely too large straight to log space, without building it; only a
+    # term within 1 of the limit may still overflow in the exact product.
+    if n < 1024 or _log_comb(n, i) < _LOG_FLOAT_MAX + 1.0:
+        try:
+            return math.comb(n, i) * p**i * (1.0 - p) ** (n - i)
+        except OverflowError:
+            pass
+    # comb(n, i) is past the float range, so the term is taken in log space;
+    # that happens only for 0 < i < n, where p = 0 or p = 1 gives 0.
+    if p in (0.0, 1.0):
+        return 0.0
+    return math.exp(_log_comb(n, i) + i * math.log(p) + (n - i) * math.log1p(-p))
 
 
 def good_pmf(model: MultiplicityModel, j: int) -> np.ndarray:

@@ -12,7 +12,11 @@ proportional-response solver as it was when it checked the duality gap at
 every round, which the chunked solver must match bit for bit.
 ``reference_parse_config`` is the package's scenario schema as it was before
 the harness kept one registry entry per mode; the registry must give the same
-errors and the same values.  ``is_monotone_table``,
+errors and the same values.  ``reference_best_response_dynamics`` runs the
+best-reply walks one after another, one ``best_response`` call per step, as
+the package did before it ran them in lockstep; ``reference_draw_bidders``
+draws one bidder's weights at a time, as the harness did before it drew them
+in one call.  Both must be matched exactly.  ``is_monotone_table``,
 ``check_gross_substitutes`` and ``assert_valid_outcome`` are test helpers
 built on the package's own ``value``, ``demand_set`` and
 ``validate_outcome``.
@@ -27,6 +31,7 @@ import numpy as np
 from marketlab import fisher
 from marketlab.errors import InternalCheckError, ScenarioError, SolverError
 from marketlab.harness import SCHEMA_VERSION, Scenario
+from marketlab.strategic import EquilibriumReport, GameContext
 from marketlab.valuations import (
     CES,
     AuctionValuation,
@@ -339,6 +344,55 @@ def random_market(rng, max_bidders=5, max_goods=3, max_cap=2, max_copies=4):
             bids.append(KDemand(weights, int(rng.integers(1, max_cap + 1))))
     supply = tuple(int(c) for c in rng.integers(0, max_copies + 1, m))
     return tuple(bids), supply
+
+
+def reference_best_response_dynamics(
+    ctx: GameContext,
+    rng: np.random.Generator,
+    restarts: int = 32,
+    max_sweeps: int = 200,
+) -> tuple[list[EquilibriumReport], int]:
+    """Round-robin best-reply walks from random profiles, one walk at a time."""
+    found: dict[tuple[int, ...], EquilibriumReport] = {}
+    dropped = 0
+    for _ in range(restarts):
+        profile = [int(rng.integers(0, len(ctx.menu[i]))) for i in range(ctx.players)]
+        for _ in range(max_sweeps):
+            changed = False
+            for i in range(ctx.players):
+                s, _ = ctx.best_response(profile, i)
+                if s != profile[i]:
+                    profile[i] = s
+                    changed = True
+            if not changed:
+                break
+        else:
+            dropped += 1
+            continue
+        key = tuple(profile)
+        if key not in found:
+            cert = ctx.certify(key)
+            if cert.kind != "not-equilibrium":
+                found[key] = ctx.report(key, cert)
+    return list(found.values()), dropped
+
+
+def _reference_item_weights(rng, vb: dict, goods: int) -> tuple[float, ...]:
+    if vb["kind"] == "uniform":
+        return tuple(float(x) for x in rng.uniform(vb["low"], vb["high"], goods))
+    return tuple(float(vb["scale"] * (1.0 + x)) for x in rng.pareto(vb["shape"], goods))
+
+
+def reference_draw_bidders(rng, gen: dict, count: int):
+    """Random bidders, one weight draw per bidder."""
+    out = []
+    for _ in range(count):
+        w = _reference_item_weights(rng, gen["values"], gen["goods"])
+        if gen["family"] == "unit":
+            out.append(UnitDemand(w))
+        else:
+            out.append(KDemand(w, gen.get("cap", 1)))
+    return tuple(out)
 
 
 def is_monotone_table(v: Explicit) -> bool:

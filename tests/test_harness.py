@@ -23,7 +23,7 @@ from marketlab.harness import (
     run_config,
 )
 from marketlab.walrasian import max_welfare
-from oracles import reference_parse_config
+from oracles import reference_draw_bidders, reference_parse_config
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -696,3 +696,33 @@ def test_large_binomial_sweep_runs_through_the_cli(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert summary["scenarios"][0]["rows"] == 1
+
+
+@pytest.mark.parametrize(
+    "values",
+    ({"kind": "uniform", "low": 0.5, "high": 1.0}, {"kind": "pareto", "shape": 2.5, "scale": 0.4}),
+)
+@pytest.mark.parametrize("goods", (1, 2, 3))
+@pytest.mark.parametrize("family, cap", (("unit", 1), ("kdemand", 2)))
+def test_bidders_drawn_in_one_call_match_one_draw_per_bidder(values, goods, family, cap):
+    gen = {"family": family, "goods": goods, "cap": cap, "values": values}
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    assert harness._draw_bidders(rng, gen, 7) == reference_draw_bidders(ref, gen, 7)
+    assert rng.random() == ref.random()
+
+
+def test_regret_budget_fails_when_regret_exceeds_the_budget(tmp_path, monkeypatch, capsys):
+    doc = tiny_config("walrasian_regret")
+    doc["scenarios"][0]["feedback"] = "bandit"
+    learning_config = harness.LearningConfig
+    # Budgets a billionth of the real ones, below any measured regret.
+    monkeypatch.setattr(
+        harness, "LearningConfig", lambda **kw: learning_config(**kw, regret_scale=2e-9)
+    )
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    (budget,) = [c for c in summary["scenarios"][0]["checks"] if c["name"] == "regret-budget"]
+    assert not budget["passed"] and "exceeds" in budget["detail"]
+    assert not summary["passed"]

@@ -82,6 +82,17 @@ def test_binomial_pmf_past_the_float_range_of_comb(prob):
         assert point[0 if edge == 0.0 else trials] == 1.0 and math.fsum(point) == 1.0
 
 
+@pytest.mark.parametrize("prob", (0.5, 0.3))
+def test_binomial_pmf_at_five_thousand_trials(prob):
+    trials = 5000
+    got = good_pmf(BinomialCounts(1, trials, prob), 0)
+    assert abs(math.fsum(got) - 1.0) <= 1e-9
+    for i, x in enumerate(got):
+        log_comb = math.lgamma(trials + 1) - math.lgamma(i + 1) - math.lgamma(trials - i + 1)
+        want = math.exp(log_comb + i * math.log(prob) + (trials - i) * math.log1p(-prob))
+        assert math.isclose(x, want, rel_tol=1e-9, abs_tol=1e-300), i
+
+
 def test_pmf_sums_to_one_per_good():
     models = [
         BinomialCounts(goods=3, trials=9, prob=0.4),

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketlab.errors import InternalCheckError
 from marketlab.strategic import (
+    GAIN_TOL,
     Certification,
     EquilibriumReport,
     GameContext,
@@ -27,7 +28,7 @@ from marketlab.supply import BinomialCounts, FixedCounts, sample
 from marketlab.valuations import KDemand, UnitDemand, scale_bid, value
 from marketlab.walrasian import run_mechanism
 
-from oracles import random_market
+from oracles import random_market, reference_best_response_dynamics
 
 
 def unit(vals):
@@ -208,7 +209,7 @@ def test_fast_round_counterfactuals_match_engine():
         for rule, lam in (("english", None), ("dutch", None), ("mix", 0.4)):
             kernel = _SingleGood(vals, menu, rule, lam)
             supplies = np.arange(n_players + 2)
-            table = kernel.utilities(kernel.bids(actions), range(n_players), supplies)
+            table = kernel.utilities(kernel.bids([actions]), [range(n_players)], supplies)[0]
             for n in supplies:
                 for i in range(n_players):
                     for s in range(3):
@@ -220,11 +221,11 @@ def test_fast_round_counterfactuals_match_engine():
 def test_fast_round_realized_welfare_counts_true_values():
     vals = unit((3.0, 2.0, 1.0))
     kernel = _SingleGood(vals, [ScalingGrid((0.0, 1.0)).strategies] * 3, "english", None)
-    bids = kernel.bids((0, 1, 1))  # 0, 2, 1
-    won = kernel.winners(bids, np.array([2, 5]))
+    bids = kernel.bids([(0, 1, 1)])  # 0, 2, 1
+    won = kernel.winners(bids, np.array([2, 5]))[0]
     # Winners hold true values 2 and 1; a zero bid never fills a slot.
     assert (kernel.tv @ won).tolist() == [3.0, 3.0]
-    assert kernel.tv[kernel.order(bids)][:2].tolist() == [2.0, 1.0]
+    assert kernel.tv[kernel.order(bids)[0]][:2].tolist() == [2.0, 1.0]
 
 
 @st.composite
@@ -248,8 +249,8 @@ def test_kernel_matches_engine_exactly(game):
     kernel = _SingleGood(vals, menu, rule, lam)
     players = len(vals)
     supplies = np.arange(players + 2)
-    table = kernel.utilities(kernel.bids(actions), range(players), supplies)
-    won = kernel.winners(kernel.bids(actions), supplies)
+    table = kernel.utilities(kernel.bids([actions]), [range(players)], supplies)[0]
+    won = kernel.winners(kernel.bids([actions]), supplies)[0]
     for i in range(players):
         assert not table[i, len(menu[i]) :].any()
         for s in range(len(menu[i])):
@@ -261,6 +262,100 @@ def test_kernel_matches_engine_exactly(game):
                 assert table[i, s, n] == want, (i, s, n)
                 if s == actions[i]:
                     assert won[i, n] == bool(out.allocation[i][0])
+
+
+@given(tied_single_good_games(), st.data())
+def test_stacked_kernel_rows_equal_one_profile_calls(game, data):
+    vals, menu, _, (rule, lam) = game
+    kernel = _SingleGood(vals, menu, rule, lam)
+    players = len(vals)
+    rows = data.draw(st.integers(1, 6))
+    profiles = np.array(
+        [[data.draw(st.integers(0, len(m) - 1)) for m in menu] for _ in range(rows)]
+    )
+    width = data.draw(st.integers(1, players))
+    who = np.array([data.draw(st.permutations(range(players)))[:width] for _ in range(rows)])
+    supplies = np.arange(players + 2)
+    table = kernel.utilities(kernel.bids(profiles), who, supplies)
+    assert table.shape == (rows, width, kernel.cand.shape[1], supplies.size)
+    for p in range(rows):
+        one = kernel.utilities(kernel.bids(profiles[p : p + 1]), who[p : p + 1], supplies)
+        assert table[p].tobytes() == one[0].tobytes()
+
+
+def scalar_best_response(ctx, profile, i):
+    """The tie rule one menu entry at a time, in Python floats."""
+    utils = ctx._menu_utils(profile, [i])[0, : len(ctx.menu[i])].tolist()
+    best_s, best_u = None, None
+    for s, u in enumerate(utils):
+        if best_u is None or u > best_u + GAIN_TOL or (
+            abs(u - best_u) <= GAIN_TOL
+            and ctx.menu[i][s] > ctx.menu[i][best_s]
+        ):
+            best_s, best_u = s, u
+    return best_s, best_u
+
+
+@st.composite
+def walk_games(draw):
+    """A game for the best-reply walks: integer values and offset grids so
+    that ties are common, menus of different sizes in shuffled order, exact
+    or Monte Carlo atoms, and now and then a one-item KDemand game, which
+    runs on the exact engine.  Returns a context factory, restarts,
+    max_sweeps and a seed."""
+    engine = draw(st.sampled_from((False, False, False, True)))
+    players = draw(st.integers(1, 3 if engine else 5))
+    values = draw(st.lists(st.integers(1, 4), min_size=players, max_size=players))
+    grids = []
+    for _ in range(players):
+        scales = draw(st.sets(st.sampled_from((0.0, 0.5, 2.0, 3.0)), max_size=2)) | {1.0}
+        offsets = draw(st.sets(st.sampled_from((1.0, 2.0)), max_size=1)) | {0.0}
+        grids.append(ScalingGrid(
+            tuple(draw(st.permutations(sorted(scales)))),
+            tuple(draw(st.permutations(sorted(offsets)))),
+        ))
+    rule, lam = draw(st.sampled_from(
+        (("english", None), ("dutch", None), ("mix", 0.3), ("mix", 0.0))
+    ))
+    model = BinomialCounts(1, draw(st.integers(1, 4)), 0.5)
+    limit = draw(st.sampled_from((10_000, 0)))  # 0: Monte Carlo atoms
+    kind = (lambda v: KDemand((v,), 1)) if engine else (lambda v: UnitDemand((v,)))
+    vals = tuple(kind(float(v)) for v in values)
+
+    def make():
+        return GameContext(vals, grids, model, rule, lam, exact_limit=limit, mc_draws=16)
+
+    restarts = draw(st.integers(0, 8))
+    max_sweeps = draw(st.sampled_from((1, 2, 3, 50)))
+    return make, restarts, max_sweeps, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150)
+@given(walk_games())
+def test_lockstep_walks_match_the_walk_by_walk_reference(game):
+    make, restarts, max_sweeps, seed = game
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, dropped = best_response_dynamics(make(), rng, restarts, max_sweeps)
+    want, want_dropped = reference_best_response_dynamics(make(), ref_rng, restarts, max_sweeps)
+    assert [(r.profile, r.certification, r.ratio) for r in got] == [
+        (r.profile, r.certification, r.ratio) for r in want
+    ]
+    assert got == want
+    assert dropped == want_dropped
+    assert rng.random() == ref_rng.random()
+
+
+@given(walk_games(), st.data())
+def test_best_responses_match_the_scalar_tie_rule(game, data):
+    ctx = game[0]()
+    stack = np.array([
+        [data.draw(st.integers(0, len(m) - 1)) for m in ctx.menu]
+        for _ in range(data.draw(st.integers(1, 5)))
+    ])
+    for i in range(ctx.players):
+        want = [scalar_best_response(ctx, p, i) for p in stack.tolist()]
+        assert [ctx.best_response(p, i) for p in stack.tolist()] == want
+        assert ctx.best_responses(stack, i).tolist() == [s for s, _ in want]
 
 
 # Both paths below see the same game: a one-item KDemand is the same
