@@ -756,6 +756,18 @@ def market_poa_search(
     return PoAOutcome(worst_gm, worst_sum, bound, None, worst_key, len(found), dropped)
 
 
+def _truthful_prices(market: FisherMarket) -> np.ndarray:
+    """Equilibrium prices p* of the market without its reserves, after
+    checking that no reserve exceeds a quarter of them."""
+    p_star = np.asarray(solve_market(FisherMarket(market.budgets, market.utilities)).prices)
+    if np.any(np.asarray(market.reserves) > p_star / 4.0 + 1e-12):
+        raise ValueError(
+            f"reserves exceed a quarter of truthful prices: r={market.reserves}, "
+            f"p*={tuple(p_star)}"
+        )
+    return p_star
+
+
 def reserve_poa_search(
     market: FisherMarket,
     deltas: Sequence[float] = (0.05, 0.10, 0.20),
@@ -770,14 +782,7 @@ def reserve_poa_search(
     """
     if market.reserves is None:
         raise ValueError("market has no reserves")
-    plain = FisherMarket(market.budgets, market.utilities)
-    p_star = np.asarray(solve_market(plain).prices)
-    r = np.asarray(market.reserves)
-    if np.any(r > p_star / 4.0 + 1e-12):
-        raise ValueError(
-            f"reserves exceed a quarter of truthful prices: r={market.reserves}, "
-            f"p*={tuple(p_star)}"
-        )
+    _truthful_prices(market)
     rng = rng or np.random.default_rng(0)
     game = _ReportGame(market, [perturbed_reports(v, deltas) for v in market.utilities])
     truthful = game.utils(game.truthful_profile())
@@ -979,12 +984,7 @@ def run_market_learning(
     """
     if market.reserves is None or any(r <= 0 for r in market.reserves):
         raise ValueError("learning floor needs strictly positive reserves")
-    plain = FisherMarket(market.budgets, market.utilities)
-    p_star = np.asarray(solve_market(plain).prices)
-    r = np.asarray(market.reserves)
-    if np.any(r > p_star / 4.0 + 1e-12):
-        raise ValueError("reserves exceed a quarter of truthful prices")
-    lam = float(np.max(p_star / r))
+    lam = float(np.max(_truthful_prices(market) / np.asarray(market.reserves)))
 
     game = _ReportGame(market, [perturbed_reports(v, deltas) for v in market.utilities])
     sizes = np.array([len(m) for m in game.menus])

@@ -7,16 +7,16 @@ certify equilibria on the finite strategy grid, run no-regret dynamics,
 and check the price-comparison and utility-floor inequalities that drive
 the welfare guarantees.
 
-Games on one good with unit-demand players all run on a single
-order-statistic kernel, ``_SingleGood``.  It ranks bids by the composite
-key (weight descending, owner descending), which is the slot order of the
-exact engine, so no two bids ever tie and the top ``n`` positive bids win
-at supply ``n``.  The kernel takes a stack of P profiles: one call gives,
-for every profile, the chosen players' utilities for every menu entry at
-every supply atom, bit-equal to ``run_mechanism``, and each row is the same
-float expression as a one-profile call.  Statistics, certification and
-learning use one profile; the best-reply walks use the stack.  Every other
-game goes through the exact engine, which stays the oracle.
+Every game is evaluated through one table interface with two
+implementations, picked once by ``_auction``: ``table`` gives a profile
+stack's utilities for every menu entry at every supply, ``outcomes`` one
+profile's own utilities and true welfare per supply, ``play`` one learning
+round.  ``_SingleGood``, for unit-demand players on one good, is an
+order-statistic kernel over copy counts 0..max that ranks bids by (weight
+descending, owner descending), the engine's slot order, and matches
+``run_mechanism`` to the bit.  ``_Engine`` runs ``run_mechanism`` itself, on
+the distinct count vectors among the atoms, for every other game.  All
+expectations go through ``GameContext._expect``.
 
 ``best_response_dynamics`` runs its walks in lockstep.  It draws every
 start profile first, in the order the walks would draw them one after
@@ -123,6 +123,18 @@ class _Stats:
     sw_true: float
 
 
+def _auction(true_values, menu, goods: int, rule: str, lam: Optional[float]):
+    """The table implementation for one auction game: the order-statistic
+    kernel for unit-demand players on one good, the exact engine otherwise."""
+    if rule not in ("english", "dutch", "mix"):
+        raise ValueError(f"unknown rule {rule!r}")
+    if rule == "mix" and (lam is None or not 0.0 <= lam <= 1.0):
+        raise ValueError("mix rule needs a blend weight in [0, 1]")
+    if goods == 1 and all(isinstance(v, UnitDemand) for v in true_values):
+        return _SingleGood(true_values, menu, rule, lam)
+    return _Engine(true_values, menu, rule, lam)
+
+
 class _SingleGood:
     """Order statistics of a one-good auction among unit-demand players.
 
@@ -139,13 +151,17 @@ class _SingleGood:
         self.tv = np.array(weights)
         self.owner = np.arange(len(weights))
         self._ties = -self.owner[None]  # the second sort key, one row
-        self.mask = np.zeros((len(weights), max(len(m) for m in menu)), dtype=bool)
-        self.cand = np.zeros(self.mask.shape)
+        self.cand = np.zeros((len(weights), max(len(m) for m in menu)))
         for i, (w, m) in enumerate(zip(weights, menu)):
-            self.mask[i, : len(m)] = True
             self.cand[i, : len(m)] = [g * w + d for g, d in m]
         self.rule = rule
         self.lam = lam
+
+    def supplies(self, atoms) -> tuple[np.ndarray, np.ndarray]:
+        """The supply axis of this game's tables, copy counts 0..max, and
+        the place of every atom on it."""
+        ns = np.fromiter((c[0] for c in atoms), int)
+        return np.arange(ns.max(initial=0) + 1), ns
 
     def bids(self, profiles) -> np.ndarray:
         """bids[p, i]: player i's bid in profiles[p]."""
@@ -165,6 +181,29 @@ class _SingleGood:
     def winners(self, bids: np.ndarray, supplies: np.ndarray) -> np.ndarray:
         """won[p, i, a]: player i gets a copy in row p at supply supplies[a]."""
         return (bids > 0.0)[..., None] & (self.rank(bids)[..., None] < supplies)
+
+    def table(self, profiles, who, supplies: np.ndarray) -> np.ndarray:
+        """util[p, w, s, a]: true utility of player who[p, w] switching to
+        menu entry s against the rest of profiles[p], at supply supplies[a]."""
+        return self.utilities(self.bids(profiles), who, supplies)
+
+    def outcomes(self, profile, supplies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """util[i, a] of every player and the true welfare sw[a] of one
+        profile at every supply, welfare summed in player order."""
+        bids = self.bids([profile])
+        util = self.utilities(bids, self.owner[None], supplies)[0, self.owner, profile]
+        sw = np.where(self.winners(bids, supplies)[0], self.tv[:, None], 0.0).sum(axis=0)
+        return util, sw
+
+    def play(self, actions: np.ndarray, n) -> tuple[np.ndarray, float]:
+        """One learning round at count vector n: uts[i, s] = util of player
+        i playing s against the others' actions, and the realized welfare
+        of the actions, summed in slot order."""
+        bids = self.bids(actions[None])
+        order = self.order(bids)
+        uts = self.utilities(bids, self.owner[None], np.array(n), order)[0, ..., 0]
+        take = min(n[0], int(np.count_nonzero(bids > 0.0)))
+        return uts, float(self.tv[order[0, :take]].sum())
 
     def utilities(
         self, bids: np.ndarray, who, supplies: np.ndarray, order: Optional[np.ndarray] = None
@@ -211,6 +250,63 @@ class _SingleGood:
         return np.where(wins, self.tv[me] - price, 0.0)
 
 
+class _Engine:
+    """The tables of ``_SingleGood`` for any game, over count vectors: one
+    ``run_mechanism`` outcome per (profile, count vector), one
+    ``WelfareOracle`` per profile, cached up to ``CACHE_LIMIT`` outcomes."""
+
+    CACHE_LIMIT = 200_000
+
+    def __init__(self, true_values, menu, rule: str, lam: Optional[float]):
+        self.true_values = tuple(true_values)
+        self.menu = tuple(menu)
+        self.rule = rule
+        self.lam = lam
+        self._bids = [[scale_bid(v, g, d) for g, d in m] for v, m in zip(true_values, menu)]
+        # (profile, count vectors) -> rows of utilities and true welfare
+        self._cache: dict[tuple, np.ndarray] = {}
+
+    def supplies(self, atoms) -> tuple[tuple, np.ndarray]:
+        """The distinct count vectors among the atoms, in order of first
+        appearance, and the place of every atom among them."""
+        place: dict = {}
+        ns = np.array([place.setdefault(c, len(place)) for c in atoms], dtype=int)
+        return tuple(place), ns
+
+    def outcomes(self, profile, supplies) -> tuple[np.ndarray, np.ndarray]:
+        """util[i, a] and true welfare sw[a], as ``_SingleGood.outcomes``."""
+        key = (tuple(profile), tuple(supplies))
+        table = self._cache.get(key)
+        if table is None:
+            bids = tuple(b[s] for b, s in zip(self._bids, key[0]))
+            oracle, rows = WelfareOracle(bids), []
+            for n in key[1]:
+                o = run_mechanism(bids, n, self.rule, self.lam, oracle=oracle)
+                worth = [value(v, x) for v, x in zip(self.true_values, o.allocation)]
+                rows.append([w - c for w, c in zip(worth, o.payments)] + [sum(worth)])
+            table = np.array(rows).T
+            if len(self._cache) * len(rows) < self.CACHE_LIMIT:
+                self._cache[key] = table
+        return table[:-1], table[-1]
+
+    def table(self, profiles, who, supplies) -> np.ndarray:
+        """util[p, w, s, a], as ``_SingleGood.table``; 0 past a menu's end."""
+        who = np.asarray(who)
+        util = np.zeros((*who.shape, max(map(len, self.menu)), len(supplies)))
+        for p, profile in enumerate(np.asarray(profiles).tolist()):
+            for w, i in enumerate(who[p].tolist()):
+                for s in range(len(self.menu[i])):
+                    trial = profile[:i] + [s] + profile[i + 1 :]
+                    util[p, w, s] = self.outcomes(trial, supplies)[0][i]
+        return util
+
+    def play(self, actions: np.ndarray, n) -> tuple[np.ndarray, float]:
+        """One learning round, as ``_SingleGood.play``; the realized welfare
+        is summed in player order."""
+        uts = self.table(actions[None], [range(len(actions))], [n])[0, ..., 0]
+        return uts, float(self.outcomes(actions.tolist(), [n])[1][0])
+
+
 class GameContext:
     """Expected-outcome evaluator for one auction game.
 
@@ -239,10 +335,7 @@ class GameContext:
             raise ValueError("need one grid per player")
         self.menu = tuple(g.strategies for g in self.grids)
         self.model = model
-        if rule not in ("english", "dutch", "mix"):
-            raise ValueError(f"unknown rule {rule!r}")
-        if rule == "mix" and (lam is None or not 0.0 <= lam <= 1.0):
-            raise ValueError("mix rule needs a blend weight in [0, 1]")
+        self._game = _auction(self.true_values, self.menu, model.goods, rule, lam)
         self.rule = rule
         self.lam = lam
         self.exact = support_size(model) <= exact_limit
@@ -258,12 +351,10 @@ class GameContext:
         self._opt = np.array(
             [self._true_oracle.welfare(c) for c in self._atom_counts]
         )
-        self._kernel = None
-        if model.goods == 1 and all(isinstance(v, UnitDemand) for v in self.true_values):
-            self._kernel = _SingleGood(self.true_values, self.menu, rule, lam)
-            # Kernel tables run over supplies 0..max; atoms index into them.
-            self._ns = np.fromiter((c[0] for c in self._atom_counts), int)
-            self._supplies = np.arange(self._ns.max(initial=0) + 1)
+        # Tables run over the game's supply axis; atoms index into it.
+        self._supplies, self._ns = self._game.supplies(self._atom_counts)
+        sizes = np.array([len(m) for m in self.menu])
+        self._mask = np.arange(sizes.max()) < sizes[:, None]
         self._stats_cache: dict[tuple[int, ...], _Stats] = {}
         self._truthful = tuple(
             self.menu[i].index((1.0, 0.0)) for i in range(self.players)
@@ -278,13 +369,6 @@ class GameContext:
     def truthful_profile(self) -> tuple[int, ...]:
         return self._truthful
 
-    def bid_for(self, i: int, strategy_index: int):
-        g, d = self.menu[i][strategy_index]
-        return scale_bid(self.true_values[i], g, d)
-
-    def profile_bids(self, profile) -> tuple:
-        return tuple(self.bid_for(i, s) for i, s in enumerate(profile))
-
     def expected_opt(self) -> float:
         return float(self._opt @ self._atom_probs)
 
@@ -294,86 +378,45 @@ class GameContext:
         key = tuple(profile)
         hit = self._stats_cache.get(key)
         if hit is None:
-            hit = self._slow_stats(key) if self._kernel is None else self._fast_stats(key)
+            util, sw = self._game.outcomes(key, self._supplies)
+            hit = _Stats(tuple(self._expect(util).tolist()), float(self._expect(sw)))
             self._stats_cache[key] = hit
         return hit
 
     def _expect(self, table: np.ndarray) -> np.ndarray:
-        """Expectation of a per-supply kernel table over the atoms.  Each row
-        is summed on its own, so equal rows give bit-equal expectations."""
+        """Expectation of a per-supply table over the atoms.  Each row is
+        summed on its own, so equal rows give bit-equal expectations."""
         return (table[..., self._ns] * self._atom_probs).sum(axis=-1)
-
-    def _table(self, profiles, who) -> np.ndarray:
-        """Kernel table util[p, w, s, a] over the supplies 0..max."""
-        return self._kernel.utilities(self._kernel.bids(profiles), who, self._supplies)
-
-    def _fast_stats(self, profile) -> _Stats:
-        k = self._kernel
-        bids = k.bids([profile])
-        util = k.utilities(bids, k.owner[None], self._supplies)[0, k.owner, profile]
-        sw = np.where(k.winners(bids, self._supplies)[0], k.tv[:, None], 0.0).sum(axis=0)
-        sw_true = float(sw[self._ns] @ self._atom_probs)
-        return _Stats(tuple(self._expect(util).tolist()), sw_true)
-
-    def _slow_stats(self, profile) -> _Stats:
-        bids = self.profile_bids(profile)
-        oracle = WelfareOracle(bids)
-        utils = np.zeros(self.players)
-        sw = 0.0
-        for (counts, p) in zip(self._atom_counts, self._atom_probs):
-            out = run_mechanism(bids, counts, self.rule, self.lam, oracle=oracle)
-            for i in range(self.players):
-                u = value(self.true_values[i], out.allocation[i]) - out.payments[i]
-                utils[i] += p * u
-                sw += p * value(self.true_values[i], out.allocation[i])
-        return _Stats(tuple(float(u) for u in utils), float(sw))
 
     def _atom_utility(self, profile, i: int) -> np.ndarray:
         """Per-atom utility of player i, for paired Monte Carlo comparisons."""
-        if self._kernel is not None:
-            return self._table([profile], [[i]])[0, 0, profile[i], self._ns]
-        bids = self.profile_bids(profile)
-        oracle = WelfareOracle(bids)
-        out = np.zeros(len(self._atom_counts))
-        for t, counts in enumerate(self._atom_counts):
-            o = run_mechanism(bids, counts, self.rule, self.lam, oracle=oracle)
-            out[t] = value(self.true_values[i], o.allocation[i]) - o.payments[i]
-        return out
+        return self._game.outcomes(tuple(profile), self._supplies)[0][i, self._ns]
 
     def _menu_utils(self, profile, who) -> np.ndarray:
         """u[w, s]: expected utility of player who[w] switching to menu entry
         s against the rest of ``profile``; -inf past the end of its menu."""
-        if self._kernel is not None:
-            u = self._expect(self._table([profile], [who])[0])
-            return np.where(self._kernel.mask[who], u, -np.inf)
-        out = np.full((len(who), max(len(m) for m in self.menu)), -np.inf)
-        for w, i in enumerate(who):
-            trial = list(profile)
-            for s in range(len(self.menu[i])):
-                trial[i] = s
-                out[w, s] = self.stats(trial).utils[i]
-        return out
+        u = self._expect(self._game.table([profile], [who], self._supplies)[0])
+        return np.where(self._mask[who], u, -np.inf)
 
     # -- equilibrium machinery ----------------------------------------------
 
     def best_response(self, profile, i: int) -> tuple[int, float]:
         """Best grid reply for player i, ties toward the largest entry."""
-        utils = self._menu_utils(profile, [i])[:, : len(self.menu[i])]
-        best_s, best_u = self._replies(utils, i)
+        best_s, best_u = self._replies([profile], i)
         return int(best_s[0]), float(best_u[0])
 
     def best_responses(self, profiles, i: int) -> np.ndarray:
         """best_response(profiles[p], i)[0] for every row p of a profile
-        stack, from one kernel call on a one-good unit-demand game."""
-        if self._kernel is None:
-            return np.array([self.best_response(p, i)[0] for p in profiles.tolist()])
-        table = self._table(profiles, np.full((len(profiles), 1), i))
-        return self._replies(self._expect(table)[:, 0, : len(self.menu[i])], i)[0]
+        stack, from one table call."""
+        return self._replies(profiles, i)[0]
 
-    def _replies(self, utils: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Best entry and its utility in every row of utils[p, s], the menu
-        scanned in order: an entry takes over when it gains more than
-        GAIN_TOL, or ties within GAIN_TOL and is the larger (scale, offset)."""
+    def _replies(self, profiles, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Player i's best entry against every row of a profile stack and its
+        utility, the menu scanned in order: an entry takes over when it gains
+        more than GAIN_TOL, or ties within GAIN_TOL and is the larger (scale,
+        offset)."""
+        table = self._game.table(profiles, np.full((len(profiles), 1), i), self._supplies)
+        utils = self._expect(table)[:, 0, : len(self.menu[i])]
         place = self._menu_place[i]
         best_s = np.zeros(len(utils), dtype=int)
         best_u = utils[:, 0].copy()
@@ -696,13 +739,10 @@ def run_learning(
     asserted.  A fresh copy-count draw is made every round.
     """
     players = len(true_values)
-    if rule not in ("english", "dutch", "mix"):
-        raise ValueError(f"unknown rule {rule!r}")
-    if rule == "mix" and (lam is None or not 0.0 <= lam <= 1.0):
-        raise ValueError("mix rule needs a blend weight in [0, 1]")
     if isinstance(grids, ScalingGrid):
         grids = [grids] * players
     menu = [g.strategies for g in grids]
+    game = _auction(true_values, menu, model.goods, rule, lam)
     sizes = [len(m) for m in menu]
     # Per-player state is a players x (largest menu) array; mask marks the
     # entries each player's menu really has.
@@ -713,47 +753,6 @@ def run_learning(
     T = config.rounds
     chi = config.payoff_bound
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    kernel = None
-    if model.goods == 1 and all(isinstance(v, UnitDemand) for v in true_values):
-        kernel = _SingleGood(true_values, menu, rule, lam)
-    engine_cache: dict = {}
-
-    def play(actions, n) -> tuple[np.ndarray, float]:
-        """uts[i, s] = utility of player i playing s against others' actions,
-        and the realized welfare of the actions."""
-        if kernel is not None:
-            bids = kernel.bids(actions[None])
-            order = kernel.order(bids)
-            uts = kernel.utilities(bids, rows[None], np.array(n), order)[0, ..., 0]
-            take = min(n[0], int(np.count_nonzero(bids > 0.0)))
-            # Winners' true values, summed in slot order.
-            return uts, float(kernel.tv[order[0, :take]].sum())
-        actions = actions.tolist()
-        out = np.zeros(mask.shape)
-        for i in range(players):
-            for s in range(sizes[i]):
-                trial = tuple(s if h == i else a for h, a in enumerate(actions))
-                key = (trial, n)
-                utilv = engine_cache.get(key)
-                if utilv is None:
-                    bids = tuple(
-                        scale_bid(true_values[h], *menu[h][a])
-                        for h, a in enumerate(trial)
-                    )
-                    o = run_mechanism(bids, n, rule, lam)
-                    utilv = tuple(
-                        value(true_values[h], o.allocation[h]) - o.payments[h]
-                        for h in range(players)
-                    )
-                    if len(engine_cache) < 200_000:
-                        engine_cache[key] = utilv
-                out[i, s] = utilv[i]
-        bids = tuple(
-            scale_bid(true_values[h], *menu[h][a]) for h, a in enumerate(actions)
-        )
-        o = run_mechanism(bids, n, rule, lam)
-        return out, sum(value(true_values[h], o.allocation[h]) for h in range(players))
 
     etas = np.array(
         [math.sqrt(8.0 * math.log(k) / T) if k > 1 else 0.0 for k in sizes]
@@ -796,7 +795,7 @@ def run_learning(
         drawn = (np.cumsum(mixtures, axis=1) <= u[:, None]).sum(axis=1)
         actions = np.minimum(drawn, size_col[:, 0] - 1)
 
-        uts, welfare = play(actions, n_t)
+        uts, welfare = game.play(actions, n_t)
         over = np.abs(uts) > chi + 1e-9
         if over.any():
             raise ValueError(

@@ -16,7 +16,11 @@ errors and the same values.  ``reference_best_response_dynamics`` runs the
 best-reply walks one after another, one ``best_response`` call per step, as
 the package did before it ran them in lockstep; ``reference_draw_bidders``
 draws one bidder's weights at a time, as the harness did before it drew them
-in one call.  Both must be matched exactly.  ``is_monotone_table``,
+in one call.  Both must be matched exactly.  ``reference_engine_stats`` is
+the package's expected-outcome evaluation as it was before every game went
+through one table interface: one ``run_mechanism`` call per atom, expected
+values summed atom by atom; it is matched to 1e-12, as the tables sum
+expectations in another order.  ``is_monotone_table``,
 ``check_gross_substitutes`` and ``assert_valid_outcome`` are test helpers
 built on the package's own ``value``, ``demand_set`` and
 ``validate_outcome``.
@@ -31,7 +35,7 @@ import numpy as np
 from marketlab import fisher
 from marketlab.errors import InternalCheckError, ScenarioError, SolverError
 from marketlab.harness import SCHEMA_VERSION, Scenario
-from marketlab.strategic import EquilibriumReport, GameContext
+from marketlab.strategic import EquilibriumReport, GameContext, _Stats
 from marketlab.valuations import (
     CES,
     AuctionValuation,
@@ -42,10 +46,11 @@ from marketlab.valuations import (
     Linear,
     UnitDemand,
     demand_set,
+    scale_bid,
     utility,
     value,
 )
-from marketlab.walrasian import validate_outcome
+from marketlab.walrasian import WelfareOracle, run_mechanism, validate_outcome
 
 
 def oracle_value(v, bundle):
@@ -375,6 +380,22 @@ def reference_best_response_dynamics(
             if cert.kind != "not-equilibrium":
                 found[key] = ctx.report(key, cert)
     return list(found.values()), dropped
+
+
+def reference_engine_stats(self: GameContext, profile) -> _Stats:
+    """Expected utilities and true welfare of one profile, one mechanism run
+    per atom."""
+    bids = tuple(scale_bid(self.true_values[i], *self.menu[i][s]) for i, s in enumerate(profile))
+    oracle = WelfareOracle(bids)
+    utils = np.zeros(self.players)
+    sw = 0.0
+    for (counts, p) in zip(self._atom_counts, self._atom_probs):
+        out = run_mechanism(bids, counts, self.rule, self.lam, oracle=oracle)
+        for i in range(self.players):
+            u = value(self.true_values[i], out.allocation[i]) - out.payments[i]
+            utils[i] += p * u
+            sw += p * value(self.true_values[i], out.allocation[i])
+    return _Stats(tuple(float(u) for u in utils), float(sw))
 
 
 def _reference_item_weights(rng, vb: dict, goods: int) -> tuple[float, ...]:

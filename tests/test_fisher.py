@@ -381,11 +381,15 @@ def test_reserve_poa_two_goods_above_floor():
     assert out.sum_ratio >= out.bound - 1e-9
 
 
+# Both reserve searches reject reserves above p*/4 with one message.
+OVERSIZED = r"reserves exceed a quarter of truthful prices: r=\(.*\), p\*=\("
+
+
 def test_reserve_poa_rejects_oversized_reserves():
     market = FisherMarket(
         tuple([1.0] * 10), tuple([Linear((1.0,))] * 10), reserves=(3.0,)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=OVERSIZED):
         reserve_poa_search(market)
     with pytest.raises(ValueError):
         reserve_poa_search(FisherMarket((1.0,), (Linear((1.0,)),)))
@@ -425,7 +429,7 @@ def test_market_learning_rejects_bad_reserves():
     oversized = FisherMarket(
         plain.budgets, plain.utilities, reserves=(0.9, 0.9)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=OVERSIZED):
         run_market_learning(oversized, rounds=10)
 
 

@@ -13,6 +13,7 @@ from marketlab.strategic import (
     GameContext,
     LearningConfig,
     ScalingGrid,
+    _Engine,
     _SingleGood,
     best_response_dynamics,
     check_price_bracket,
@@ -28,7 +29,7 @@ from marketlab.supply import BinomialCounts, FixedCounts, sample
 from marketlab.valuations import KDemand, UnitDemand, scale_bid, value
 from marketlab.walrasian import run_mechanism
 
-from oracles import random_market, reference_best_response_dynamics
+from oracles import random_market, reference_best_response_dynamics, reference_engine_stats
 
 
 def unit(vals):
@@ -176,21 +177,34 @@ def test_report_rejects_ratio_above_one():
 
 
 def test_fast_stats_match_engine_stats():
+    """Both table implementations against the atom-by-atom engine reference:
+    unit-demand games on the kernel, their one-item KDemand twins and
+    two-good KDemand (cap 2) games on the engine."""
     rng = np.random.default_rng(42)
     for _ in range(12):
         n_players = int(rng.integers(2, 5))
-        vals = unit(rng.uniform(0.5, 1.0, n_players))
+        weights = rng.uniform(0.5, 1.0, n_players)
+        vals = unit(weights)
+        twins = tuple(KDemand((w,), 1) for w in weights)
+        two_goods = tuple(
+            KDemand((w, float(x)), 2) for w, x in zip(weights, rng.uniform(0.5, 1.0, n_players))
+        )
         grid = ScalingGrid((0.3, 0.7, 1.0))
         for rule, lam in (("english", None), ("dutch", None), ("mix", 0.3)):
             model = BinomialCounts(1, int(rng.integers(1, 6)), 0.5)
-            ctx = GameContext(vals, grid, model, rule=rule, lam=lam)
-            assert ctx._kernel is not None
             profile = tuple(int(rng.integers(0, 3)) for _ in range(n_players))
-            fast = ctx._fast_stats(profile)
-            slow = ctx._slow_stats(profile)
-            assert fast.sw_true == pytest.approx(slow.sw_true, abs=1e-12)
-            for a, b in zip(fast.utils, slow.utils):
-                assert a == pytest.approx(b, abs=1e-12)
+            for values, counts, kind in (
+                (vals, model, _SingleGood),
+                (twins, model, _Engine),
+                (two_goods, BinomialCounts(2, int(rng.integers(1, 4)), 0.5), _Engine),
+            ):
+                ctx = GameContext(values, grid, counts, rule=rule, lam=lam)
+                assert isinstance(ctx._game, kind)
+                got = ctx.stats(profile)
+                want = reference_engine_stats(ctx, profile)
+                assert got.sw_true == pytest.approx(want.sw_true, abs=1e-12)
+                for a, b in zip(got.utils, want.utils, strict=True):
+                    assert a == pytest.approx(b, abs=1e-12)
 
 
 def engine_utility(vals, menu, profile, i, n, rule, lam):
@@ -300,12 +314,15 @@ def scalar_best_response(ctx, profile, i):
 def walk_games(draw):
     """A game for the best-reply walks: integer values and offset grids so
     that ties are common, menus of different sizes in shuffled order, exact
-    or Monte Carlo atoms, and now and then a one-item KDemand game, which
-    runs on the exact engine.  Returns a context factory, restarts,
-    max_sweeps and a seed."""
-    engine = draw(st.sampled_from((False, False, False, True)))
-    players = draw(st.integers(1, 3 if engine else 5))
-    values = draw(st.lists(st.integers(1, 4), min_size=players, max_size=players))
+    or Monte Carlo atoms, and now and then a one-item KDemand game or a
+    two-good KDemand (cap 2) game, which run on the exact engine.  Returns a
+    context factory, restarts, max_sweeps and a seed."""
+    family = draw(st.sampled_from(("unit", "unit", "unit", "one-item", "two-good")))
+    goods = 2 if family == "two-good" else 1
+    players = draw(st.integers(1, 5 if family == "unit" else 3))
+    values = draw(st.lists(
+        st.tuples(*[st.integers(1, 4)] * goods), min_size=players, max_size=players
+    ))
     grids = []
     for _ in range(players):
         scales = draw(st.sets(st.sampled_from((0.0, 0.5, 2.0, 3.0)), max_size=2)) | {1.0}
@@ -317,10 +334,14 @@ def walk_games(draw):
     rule, lam = draw(st.sampled_from(
         (("english", None), ("dutch", None), ("mix", 0.3), ("mix", 0.0))
     ))
-    model = BinomialCounts(1, draw(st.integers(1, 4)), 0.5)
+    model = BinomialCounts(goods, draw(st.integers(1, 4)), 0.5)
     limit = draw(st.sampled_from((10_000, 0)))  # 0: Monte Carlo atoms
-    kind = (lambda v: KDemand((v,), 1)) if engine else (lambda v: UnitDemand((v,)))
-    vals = tuple(kind(float(v)) for v in values)
+    kind = {
+        "unit": UnitDemand,
+        "one-item": lambda w: KDemand(w, 1),
+        "two-good": lambda w: KDemand(w, 2),
+    }[family]
+    vals = tuple(kind(tuple(float(x) for x in v)) for v in values)
 
     def make():
         return GameContext(vals, grids, model, rule, lam, exact_limit=limit, mc_draws=16)
@@ -359,9 +380,11 @@ def test_best_responses_match_the_scalar_tie_rule(game, data):
 
 
 # Both paths below see the same game: a one-item KDemand is the same
-# valuation as a UnitDemand but runs on the exact engine.  Values, grids and
-# probabilities are dyadic, so every sum is exact and the paths must agree
-# to the bit.  Ties are common and one menu has a single entry.
+# valuation as a UnitDemand but runs on the exact engine, and the paths must
+# agree to the bit.  Values, grids and probabilities are dyadic, so every
+# sum is exact: the learning test needs that, as the kernel sums realized
+# welfare in slot order and the engine in player order.  Ties are common and
+# one menu has a single entry.
 PAIRED_WEIGHTS = (2.0, 2.0, 1.0, 3.0)
 PAIRED_GRIDS = (
     ScalingGrid((0.0, 0.5, 1.0)),
@@ -372,10 +395,10 @@ PAIRED_GRIDS = (
 PAIRED_RULES = (("english", None), ("dutch", None), ("mix", 0.5))
 
 
-def paired_values():
+def paired_values(weights=PAIRED_WEIGHTS):
     return (
-        tuple(UnitDemand((w,)) for w in PAIRED_WEIGHTS),
-        tuple(KDemand((w,), 1) for w in PAIRED_WEIGHTS),
+        tuple(UnitDemand((w,)) for w in weights),
+        tuple(KDemand((w,), 1) for w in weights),
     )
 
 
@@ -462,22 +485,30 @@ def test_learning_paths_match_player_loop_reference(rule, lam, feedback):
 
 @pytest.mark.parametrize("rule, lam", PAIRED_RULES)
 def test_best_response_and_certify_match_engine_path(rule, lam):
-    fast_vals, engine_vals = paired_values()
     rng = np.random.default_rng(11)
-    for model, limit in (
-        (FixedCounts((2,)), 10_000),
-        (BinomialCounts(1, 4, 0.5), 10_000),
-        (BinomialCounts(1, 4, 0.5), 0),  # Monte Carlo certification
+    for weights, model, limit in (
+        (PAIRED_WEIGHTS, FixedCounts((2,)), 10_000),
+        (PAIRED_WEIGHTS, BinomialCounts(1, 4, 0.5), 10_000),
+        (PAIRED_WEIGHTS, BinomialCounts(1, 4, 0.5), 0),  # Monte Carlo certification
+        # Non-dyadic weights over 13 atoms: sums round, but both paths
+        # take expectations of bit-equal tables the same way.
+        ((0.7, 1.3, 0.9, 2.1), BinomialCounts(1, 12, 0.37), 10_000),
     ):
+        fast_vals, engine_vals = paired_values(weights)
         fast = GameContext(fast_vals, PAIRED_GRIDS, model, rule, lam, exact_limit=limit, mc_draws=16)
         engine = GameContext(engine_vals, PAIRED_GRIDS, model, rule, lam, exact_limit=limit, mc_draws=16)
-        assert fast._kernel is not None and engine._kernel is None
-        for _ in range(10):
-            profile = tuple(int(rng.integers(len(m))) for m in fast.menu)
+        assert isinstance(fast._game, _SingleGood) and isinstance(engine._game, _Engine)
+        profiles = np.array([[int(rng.integers(len(m))) for m in fast.menu] for _ in range(10)])
+        for profile in map(tuple, profiles.tolist()):
             assert fast.stats(profile) == engine.stats(profile)
             assert fast.certify(profile) == engine.certify(profile)
             for i in range(fast.players):
                 assert fast.best_response(profile, i) == engine.best_response(profile, i)
+        for i in range(fast.players):
+            assert (
+                fast.best_responses(profiles, i).tolist()
+                == engine.best_responses(profiles, i).tolist()
+            )
 
 
 # -- Monte Carlo mode ----------------------------------------------------------
