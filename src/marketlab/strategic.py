@@ -18,13 +18,13 @@ descending, owner descending), the engine's slot order, and matches
 the distinct count vectors among the atoms, for every other game.  All
 expectations go through ``GameContext._expect``.
 
-``best_response_dynamics`` runs its walks in lockstep.  It draws every
-start profile first, in the order the walks would draw them one after
-another; each (sweep, player) step is then one ``best_responses`` call over
-the walks still moving, and a walk leaves after a sweep that changed
-nothing.  The fixed points are certified and reported in walk order, so the
-reports, the dropped count and the generator state are those of running the
-walks one at a time.
+Best-reply walks run in lockstep (``lockstep_walks``, which the Fisher
+reporting game shares).  Every start profile is drawn first, in the order
+the walks would draw them one after another; each (sweep, player) step is
+then one stacked best-reply call over the walks still moving, and a walk
+leaves after a sweep that changed nothing.  The fixed points are certified
+and reported in walk order, so the reports, the dropped count and the
+generator state are those of running the walks one at a time.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "Certification",
     "EquilibriumReport",
     "GameContext",
+    "lockstep_walks",
     "best_response_dynamics",
     "exhaustive_equilibria",
     "worst_equilibrium",
@@ -470,6 +471,29 @@ class GameContext:
         )
 
 
+def lockstep_walks(starts, best_responses, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Round-robin best-reply walks from the rows of ``starts``, all in step.
+
+    ``best_responses(profiles, i)`` gives player i's reply to every row of a
+    profile stack.  Each (sweep, player) step is one such call over the
+    walks still moving, and a walk leaves after a sweep that changed
+    nothing.  Returns the final profiles and the indices of the walks still
+    moving after ``max_sweeps`` sweeps.
+    """
+    profiles = np.array(starts, dtype=int)
+    live = np.arange(len(profiles))
+    for _ in range(max_sweeps):
+        if not live.size:
+            break
+        changed = np.zeros(live.size, dtype=bool)
+        for i in range(profiles.shape[1]):
+            s = best_responses(profiles[live], i)
+            changed |= s != profiles[live, i]
+            profiles[live, i] = s
+        live = live[changed]
+    return profiles, live
+
+
 def best_response_dynamics(
     ctx: GameContext,
     rng: np.random.Generator,
@@ -480,20 +504,11 @@ def best_response_dynamics(
     for every fixed point reached (certified exactly by construction) and
     the number of walks dropped for not converging within ``max_sweeps``
     sweeps.  The walks run in lockstep (see the module docstring)."""
-    profiles = np.array(
+    starts = np.array(
         [[int(rng.integers(0, len(m))) for m in ctx.menu] for _ in range(restarts)],
         dtype=int,
     ).reshape(restarts, ctx.players)
-    live = np.arange(restarts)
-    for _ in range(max_sweeps):
-        if not live.size:
-            break
-        changed = np.zeros(live.size, dtype=bool)
-        for i in range(ctx.players):
-            s = ctx.best_responses(profiles[live], i)
-            changed |= s != profiles[live, i]
-            profiles[live, i] = s
-        live = live[changed]
+    profiles, live = lockstep_walks(starts, ctx.best_responses, max_sweeps)
     found: dict[tuple[int, ...], EquilibriumReport] = {}
     # The walks that stopped, in walk order.
     for key in map(tuple, np.delete(profiles, live, axis=0).tolist()):
@@ -772,13 +787,11 @@ def run_learning(
         wts = np.where(mask, np.exp(etas * (scores - top)), 0.0)
         return wts / wts.sum(axis=1, keepdims=True)
 
-    opt_atoms = list(iter_support(model)) if support_size(model) <= 10_000 else None
-    if opt_atoms is not None:
-        true_oracle = WelfareOracle(true_values)
-        expected_opt = math.fsum(p * true_oracle.welfare(c) for c, p in opt_atoms)
+    true_oracle = WelfareOracle(true_values)
+    if support_size(model) <= 10_000:
+        expected_opt = math.fsum(p * true_oracle.welfare(c) for c, p in iter_support(model))
     else:
         sample_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        true_oracle = WelfareOracle(true_values)
         expected_opt = float(
             np.mean(
                 [true_oracle.welfare(sample(model, sample_rng)) for _ in range(2000)]

@@ -102,10 +102,6 @@ class Explicit:
         object.__setattr__(self, "entries", tuple(norm))
         object.__setattr__(self, "_table", dict(norm))
 
-    @classmethod
-    def from_table(cls, m, cap, table):
-        return cls(m, cap, tuple(table.items()))
-
 
 AuctionValuation = UnitDemand | KDemand | Explicit
 

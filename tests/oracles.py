@@ -20,7 +20,11 @@ in one call.  Both must be matched exactly.  ``reference_engine_stats`` is
 the package's expected-outcome evaluation as it was before every game went
 through one table interface: one ``run_mechanism`` call per atom, expected
 values summed atom by atom; it is matched to 1e-12, as the tables sum
-expectations in another order.  ``is_monotone_table``,
+expectations in another order.  ``reference_find_equilibria`` (with
+``reference_best_response`` and ``reference_is_nash``) is the Fisher
+reporting game's walk-by-walk search, one menu batch per step, as it was
+before its walks ran in lockstep; the equilibria, their order, the dropped
+count and the generator state must be matched exactly.  ``is_monotone_table``,
 ``check_gross_substitutes`` and ``assert_valid_outcome`` are test helpers
 built on the package's own ``value``, ``demand_set`` and
 ``validate_outcome``.
@@ -380,6 +384,63 @@ def reference_best_response_dynamics(
             if cert.kind != "not-equilibrium":
                 found[key] = ctx.report(key, cert)
     return list(found.values()), dropped
+
+
+def reference_best_response(self, profile, i) -> int:
+    best_s, best_u = profile[i], -math.inf
+    for s, got in enumerate(self.menu_utils(profile, i)):
+        if got > best_u + fisher.GAIN_TOL:
+            best_s, best_u = s, got
+    return best_s
+
+
+def reference_is_nash(self, profile) -> tuple[bool, float]:
+    base = self.utils(profile)
+    worst = 0.0
+    trial = list(profile)
+    for i in range(self.market.buyers):
+        for s in range(len(self.menus[i])):
+            if s == profile[i]:
+                continue
+            trial[i] = s
+            worst = max(worst, self.utils(trial)[i] - base[i])
+            if worst > fisher.GAIN_TOL:
+                return False, worst
+        trial[i] = profile[i]
+    return True, worst
+
+
+def reference_find_equilibria(self, rng: np.random.Generator, restarts=8, max_sweeps=100):
+    """Best-response walks from the truthful profile and ``restarts``
+    random ones.  Returns the certified equilibria found, keyed by
+    profile, and the number of walks dropped for not converging within
+    ``max_sweeps`` sweeps."""
+    seeds = [self.truthful_profile()] + [
+        tuple(int(rng.integers(0, len(m))) for m in self.menus)
+        for _ in range(restarts)
+    ]
+    found = {}
+    dropped = 0
+    for start in seeds:
+        profile = list(start)
+        for _ in range(max_sweeps):
+            changed = False
+            for i in range(self.market.buyers):
+                s = reference_best_response(self, profile, i)
+                if s != profile[i]:
+                    profile[i] = s
+                    changed = True
+            if not changed:
+                break
+        else:
+            dropped += 1
+            continue
+        key = tuple(profile)
+        if key not in found:
+            ok, _ = reference_is_nash(self, key)
+            if ok:
+                found[key] = self.utils(key)
+    return found, dropped
 
 
 def reference_engine_stats(self: GameContext, profile) -> _Stats:

@@ -16,10 +16,9 @@ from marketlab.fisher import (
     _ReportGame,
     audit_scaling,
     compress_prices,
-    market_poa_search,
     perturbed_reports,
+    poa_search,
     rescale_to_unit,
-    reserve_poa_search,
     run_market_learning,
     solve_market,
     strategic_outcome,
@@ -29,7 +28,14 @@ from marketlab.fisher import (
 )
 from marketlab.valuations import CES, CobbDouglas, Linear, fisher_demand, utility
 
-from oracles import eg_grid_oracle, eg_objective, reference_outcome, reference_solve_linear
+from oracles import (
+    eg_grid_oracle,
+    eg_objective,
+    reference_best_response,
+    reference_find_equilibria,
+    reference_outcome,
+    reference_solve_linear,
+)
 
 
 def cd(*weights, scale=1.0):
@@ -233,26 +239,52 @@ def test_perturbed_reports_cover_both_shifts():
 
 def test_truthful_only_grid_gives_ratio_one():
     market = FisherMarket((1.0, 1.0), (cd(1.0), cd(1.0)))
-    out = market_poa_search(market, deltas=())
+    out = poa_search(market, deltas=())
     assert out.gm_ratio == pytest.approx(1.0)
     assert out.sum_ratio == pytest.approx(1.0)
+    assert out.stated_bound is None
+    assert out.holds
 
 
 def test_identical_buyers_stay_above_the_welfare_floor():
     market = FisherMarket(
         tuple([1.0] * 8), tuple([cd(0.5, 0.5)] * 8)
     )
-    out = market_poa_search(market, deltas=(0.2,), rng=np.random.default_rng(3))
+    out = poa_search(market, deltas=(0.2,), rng=np.random.default_rng(3))
     assert out.bound == pytest.approx(math.exp(-0.25))
     assert out.gm_ratio >= out.bound - 1e-9
     assert out.sum_ratio >= out.bound - 1e-9
     assert out.equilibria >= 1
+    assert out.holds
 
 
-def test_poa_search_rejects_reserve_markets():
-    market = FisherMarket((1.0,), (cd(1.0),), reserves=(0.1,))
-    with pytest.raises(ValueError):
-        market_poa_search(market)
+def test_poa_search_gives_reserve_markets_the_reserve_floor():
+    plain = FisherMarket((1.0, 2.0), (cd(0.5, 0.5), cd(0.3, 0.7)))
+    reserved = FisherMarket(plain.budgets, plain.utilities, reserves=(0.1, 0.1))
+    L = plain.largeness
+    assert poa_search(plain).bound == pytest.approx(math.exp(-2 / L))
+    out = poa_search(reserved)
+    assert out.bound == pytest.approx(math.exp(-4 / L))
+    assert out.stated_bound == pytest.approx(math.exp(-4 / (5 * L)))
+
+
+@pytest.mark.parametrize("reserves", (None, (0.2, 0.2)))
+def test_the_floor_is_decided_on_the_worst_ratios(monkeypatch, reserves):
+    market = FisherMarket((1.0,) * 4, (cd(0.5, 0.5), cd(0.3, 0.7)) * 2, reserves)
+    out = poa_search(market, deltas=(0.2,))
+    assert out.equilibria >= 1
+    bound = out.bound
+
+    def shifted(gm, sm):
+        # Moves the geometric-mean and sum ratios to the given multiples of
+        # the floor.
+        monkeypatch.setattr(fisher, "_ratio_pair", lambda *a: (gm * bound, sm * bound))
+        return poa_search(market, deltas=(0.2,))
+
+    assert shifted(1.0, 1.0).holds
+    assert not shifted(1.0, 0.99).holds
+    # Only the sum ratio counts with reserves.
+    assert shifted(0.99, 1.0).holds == (reserves is not None)
 
 
 # -- price shift lemmas -----------------------------------------------------------
@@ -366,7 +398,7 @@ def test_reserve_poa_single_good_is_trivially_safe():
     market = FisherMarket(
         tuple([1.0] * 10), tuple([Linear((1.0,))] * 10), reserves=(2.5,)
     )
-    out = reserve_poa_search(market)
+    out = poa_search(market)
     assert out.bound == pytest.approx(math.exp(-0.2))
     assert out.stated_bound == pytest.approx(math.exp(-0.04))
     assert out.sum_ratio == pytest.approx(1.0)  # one-good grids collapse to truth
@@ -376,9 +408,10 @@ def test_reserve_poa_two_goods_above_floor():
     market = FisherMarket(
         tuple([1.0] * 4), tuple([cd(0.5, 0.5)] * 4), reserves=(0.5, 0.5)
     )
-    out = reserve_poa_search(market, deltas=(0.2,), rng=np.random.default_rng(5))
+    out = poa_search(market, deltas=(0.2,), rng=np.random.default_rng(5))
     assert out.bound == pytest.approx(math.exp(-1.0))
     assert out.sum_ratio >= out.bound - 1e-9
+    assert out.holds
 
 
 # Both reserve searches reject reserves above p*/4 with one message.
@@ -390,9 +423,7 @@ def test_reserve_poa_rejects_oversized_reserves():
         tuple([1.0] * 10), tuple([Linear((1.0,))] * 10), reserves=(3.0,)
     )
     with pytest.raises(ValueError, match=OVERSIZED):
-        reserve_poa_search(market)
-    with pytest.raises(ValueError):
-        reserve_poa_search(FisherMarket((1.0,), (Linear((1.0,)),)))
+        poa_search(market)
 
 
 # -- learning --------------------------------------------------------------------
@@ -668,13 +699,17 @@ def test_stacked_demand_equals_per_buyer_demand(seed, n, m, family, k):
 
 
 class OneProfileGame(_ReportGame):
-    """Reference game that solves each menu entry on its own, in menu order."""
+    """Reference game that solves each (walk, menu entry) on its own, in the
+    order the batched call lists them, and picks each reply by the
+    one-profile rule."""
 
-    def menu_utils(self, profile, i):
-        return [
-            self.utils(tuple(s if h == i else a for h, a in enumerate(profile)))[i]
-            for s in range(len(self.menus[i]))
-        ]
+    def best_responses(self, profiles, i):
+        replies = []
+        for profile in profiles.tolist():
+            for s in range(len(self.menus[i])):
+                self.utils(profile[:i] + [s] + profile[i + 1:])
+            replies.append(reference_best_response(self, profile, i))
+        return np.array(replies, dtype=int)
 
 
 @pytest.mark.parametrize(
@@ -689,6 +724,42 @@ def test_batched_best_responses_fill_the_same_cache(family, reserves):
     assert got == want
     assert len(batched._cache) > len(menus[0])
     assert list(batched._cache.items()) == list(reference._cache.items())
+
+
+def found_or_error(search):
+    """The equilibria in walk order and the dropped count, or the error."""
+    try:
+        found, dropped = search()
+    except SolverError:
+        return "SolverError"
+    return list(found.items()), dropped
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    m=st.integers(1, 3),
+    family=st.sampled_from(("linear", "ces-0.5", "cd", "mix")),
+    reserves=st.booleans(),
+    restarts=st.integers(0, 5),
+    max_sweeps=st.sampled_from((1, 2, 3, 100)),
+)
+def test_lockstep_walks_find_the_walk_by_walk_equilibria(
+    seed, n, m, family, reserves, restarts, max_sweeps
+):
+    market = random_market(seed, n, m, family, reserves)
+    menus = [perturbed_reports(u, (0.1, 0.2)) for u in market.utilities]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = found_or_error(
+        lambda: _ReportGame(market, menus).find_equilibria(rng, restarts, max_sweeps)
+    )
+    want = found_or_error(
+        lambda: reference_find_equilibria(_ReportGame(market, menus), ref_rng, restarts, max_sweeps)
+    )
+    # Keys, utilities and walk order, and the dropped count, all exact.
+    assert got == want
+    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize(

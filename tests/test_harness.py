@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketlab import harness
+from marketlab import fisher, harness
 from marketlab.cli import main
 from marketlab.errors import CheckFailure, ScenarioError
 from marketlab.harness import (
@@ -726,3 +727,52 @@ def test_regret_budget_fails_when_regret_exceeds_the_budget(tmp_path, monkeypatc
     (budget,) = [c for c in summary["scenarios"][0]["checks"] if c["name"] == "regret-budget"]
     assert not budget["passed"] and "exceeds" in budget["detail"]
     assert not summary["passed"]
+
+
+@pytest.mark.parametrize(
+    "config, check", (("fisher_poa", "fisher-poa-bound"), ("fisher_reserve", "reserve-poa-bound"))
+)
+def test_fisher_floor_check_fails_below_the_floor(tmp_path, monkeypatch, capsys, config, check):
+    ratio_pair = fisher._ratio_pair
+    # Ratios a hundredth of the real ones, below every floor.
+    monkeypatch.setattr(
+        fisher, "_ratio_pair", lambda *args: tuple(r / 100.0 for r in ratio_pair(*args))
+    )
+    out = tmp_path / "out"
+    assert main(["run", config, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert not summary["passed"]
+    for sc in summary["scenarios"]:
+        names = [c["name"] for c in sc["checks"]]
+        floors = [c for c in sc["checks"] if c["name"] == check]
+        assert floors and not any(c["passed"] for c in floors)
+        assert not any(name.endswith("-internal") for name in names)
+        # One CSV row per task, each task failing its floor.
+        with open(sc["csv"], encoding="utf-8") as f:
+            assert len(f.readlines()) == 1 + len(floors)
+
+
+def test_fisher_outputs_match_the_benchmark_reference(tmp_path):
+    """The bundled Fisher scenarios and the iterative-solver config give the
+    CSV bytes and check verdicts recorded in block 0 of the benchmark's
+    Fisher reference."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    ref = json.loads((perfbench / "reference" / "fisher.json").read_text())["blocks"]["0"]
+    configs = {
+        "fisher_poa": "fisher_poa",
+        "fisher_reserve": "fisher_reserve",
+        "fisher_regret": "fisher_regret",
+        "fisher_iterative": str(perfbench / "fisher_iterative.json"),
+    }
+    assert set(ref) == set(configs)
+    for name, config in configs.items():
+        try:
+            report = run_config(config, out_dir=str(tmp_path / name))
+        except CheckFailure as err:
+            report = err.report
+        got = [[sc.id, c.name, c.passed] for sc in report.scenarios for c in sc.checks]
+        assert got == ref[name]["checks"], name
+        for csv_name, entry in ref[name]["csv"].items():
+            data = (tmp_path / name / csv_name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"], csv_name
