@@ -37,7 +37,8 @@ the same order, as walks run one after another.
 arrays.  Its draw is the inverse-CDF count that ``rng.choice(k, p=sigma)``
 makes (cumulative weights divided by their total, counted at or below one
 uniform per buyer), so it consumes the random stream of a per-buyer loop
-and draws the same actions.
+and draws the same actions.  Its mixtures come from ``strategic._hedge``,
+the normaliser the auction game's learning loop uses.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalCheckError, SolverError
-from .strategic import lockstep_walks
+from .strategic import _hedge, lockstep_walks
 from .valuations import CES, CobbDouglas, FisherUtility, Linear
 
 __all__ = [
@@ -919,23 +920,6 @@ class FisherLearningResult:
     holds: bool
 
 
-def _hedge(scores, etas, groups) -> np.ndarray:
-    """Multiplicative-weights mixtures of a buyers x (largest menu) score
-    array with learning rates ``etas`` (a column).
-
-    ``groups`` lists ``(buyers, k)`` per menu size k.  Each row is
-    normalized over its own k entries and is zero beyond them, equal to the
-    per-buyer ``w / w.sum()`` to the bit: numpy sums 8 or more entries
-    pairwise, so a zero-padded row would add in another order.
-    """
-    sigma = np.zeros(scores.shape)
-    for rows, k in groups:
-        own = scores[rows, :k]
-        w = np.exp(etas[rows] * (own - own.max(axis=1, keepdims=True)))
-        sigma[rows, :k] = w / w.sum(axis=1, keepdims=True)
-    return sigma
-
-
 def run_market_learning(
     market: FisherMarket,
     rounds: int,
@@ -946,8 +930,8 @@ def run_market_learning(
 
     Requires strictly positive reserves at or below a quarter of the truthful
     prices.  Realized average welfare must clear the reserve welfare floor
-    minus the measured regret deficit; that inequality is arithmetic once the
-    per-round floor holds, so a violation raises.
+    minus the measured regret deficit; ``holds`` is the verdict on that
+    floor, and the run raises only when a round's payoff exceeds its cap.
     """
     if market.reserves is None or any(r <= 0 for r in market.reserves):
         raise ValueError("learning floor needs strictly positive reserves")
@@ -1009,10 +993,6 @@ def run_market_learning(
     rhs = bound_factor * truthful_total
     avg = welfare_sum / T
     holds = avg >= rhs - 1e-9 * max(1.0, abs(rhs))
-    if not holds:
-        raise InternalCheckError(
-            f"average welfare {avg} fell below the regret-adjusted floor {rhs}"
-        )
     return FisherLearningResult(
         rounds=T,
         average_welfare=avg,

@@ -16,7 +16,15 @@ order-statistic kernel over copy counts 0..max that ranks bids by (weight
 descending, owner descending), the engine's slot order, and matches
 ``run_mechanism`` to the bit.  ``_Engine`` runs ``run_mechanism`` itself, on
 the distinct count vectors among the atoms, for every other game.  All
-expectations go through ``GameContext._expect``.
+expectations go through ``GameContext._expect``.  The kernel's win-and-price
+rule is written once, in ``_SingleGood._settle``: ``utilities`` applies it to
+a stack of profiles, and ``play`` to one learning round, whose one sorted bid
+row gives every player's price slot.
+
+``run_learning`` plays each round on players x (largest menu) arrays; entries
+past a player's menu are never read.  Mixtures come from ``_hedge``, shared
+with the Fisher learning loop, which normalizes each row over its own menu,
+so every player's mixture is that of a per-player loop.
 
 Best-reply walks run in lockstep (``lockstep_walks``, which the Fisher
 reporting game shares).  Every start profile is drawn first, in the order
@@ -151,7 +159,6 @@ class _SingleGood:
         weights = [v.weights[0] for v in true_values]
         self.tv = np.array(weights)
         self.owner = np.arange(len(weights))
-        self._ties = -self.owner[None]  # the second sort key, one row
         self.cand = np.zeros((len(weights), max(len(m) for m in menu)))
         for i, (w, m) in enumerate(zip(weights, menu)):
             self.cand[i, : len(m)] = [g * w + d for g, d in m]
@@ -169,12 +176,14 @@ class _SingleGood:
         return self.cand[self.owner, profiles]
 
     def order(self, bids: np.ndarray) -> np.ndarray:
-        """order[p]: the players in slot order under bid row p."""
-        return np.lexsort((self._ties.repeat(bids.shape[0], axis=0), -bids))
+        """order[p]: the players in slot order under bid row p.  A stable
+        ascending sort keeps equal bids in owner order, so its reverse ranks
+        by (weight descending, owner descending)."""
+        return bids.argsort(axis=1, kind="stable")[:, ::-1]
 
-    def rank(self, bids: np.ndarray, order: Optional[np.ndarray] = None) -> np.ndarray:
+    def rank(self, bids: np.ndarray) -> np.ndarray:
         """rank[p, i]: the slot of player i's bid in row p."""
-        order = self.order(bids) if order is None else order
+        order = self.order(bids)
         rank = np.empty_like(order)
         rank[np.arange(order.shape[0])[:, None], order] = self.owner
         return rank
@@ -199,45 +208,61 @@ class _SingleGood:
     def play(self, actions: np.ndarray, n) -> tuple[np.ndarray, float]:
         """One learning round at count vector n: uts[i, s] = util of player
         i playing s against the others' actions, and the realized welfare
-        of the actions, summed in slot order."""
-        bids = self.bids(actions[None])
-        order = self.order(bids)
-        uts = self.utilities(bids, self.owner[None], np.array(n), order)[0, ..., 0]
-        take = min(n[0], int(np.count_nonzero(bids > 0.0)))
-        return uts, float(self.tv[order[0, :take]].sum())
+        of the actions, summed in slot order.  The same floats as the
+        ``utilities`` row, read off the round's one sorted bid row."""
+        bids = self.bids(actions)
+        order = self.order(bids[None])[0]
+        rank = np.empty_like(order)
+        rank[order] = self.owner
+        n = n[0]
+        # slots[:, 1 + k]: the bid, owner and true value in slot k, after a
+        # leading +inf bid and zero-padded past the end, as in ``utilities``.
+        slots = np.zeros((3, bids.size + n + 2))
+        slots[0, 0] = np.inf
+        slots[:, 1 : bids.size + 1] = bids[order], order, self.tv[order]
+        own = rank[:, None]
 
-    def utilities(
-        self, bids: np.ndarray, who, supplies: np.ndarray, order: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+        def others(j):
+            return slots[:2, 1 + j + (j >= own)]
+
+        uts = self._settle(self.cand, self.owner[:, None], n, others)
+        take = min(n, int(np.count_nonzero(bids > 0.0)))
+        return uts, float(slots[2, 1 : take + 1].sum())
+
+    def utilities(self, bids: np.ndarray, who, supplies: np.ndarray) -> np.ndarray:
         """util[p, w, s, a]: true utility of player who[p, w] switching to
         menu entry s while everyone else keeps bid row p, at supply
-        supplies[a].  ``order`` is ``self.order(bids)`` when the caller has
-        it already.  Each row is the same float expression as a one-row call."""
+        supplies[a].  Each row is the same float expression as a one-row call."""
         who = np.asarray(who)
-        order = self.order(bids) if order is None else order
+        rank = self.rank(bids)
         profiles, players = bids.shape
         rows = np.arange(profiles)[:, None]
         # slots[0]: bids in slot order after a leading +inf, zero-padded past
         # the end; slots[1]: the owner of each slot.
         slots = np.zeros((2, profiles, players + int(supplies.max(initial=0)) + 2))
         slots[0, :, 0] = np.inf
-        slots[0, :, 1 : players + 1] = bids[rows, order]
-        slots[1, :, 1 : players + 1] = order
-        x = self.cand[who][..., None]  # (P, W, K, 1)
+        place = 1 + rank
+        slots[0, rows, place] = bids
+        slots[1, rows, place] = self.owner
         me = who[..., None, None]
         row = rows[..., None, None]
-        own = self.rank(bids, order)[row, me]
+        own = rank[row, me]
 
         def others(j):
-            """Bid and owner of the j-th best slot (from 0; +inf at -1) held
-            by anyone but the player."""
             return slots[:, row, 1 + j + (j >= own)]
 
-        # The candidate wins at supply n when it ranks above the n-th best
-        # other bid under the composite key; that bid, others(n - 1), is
-        # then the english price, the (n+1)-th largest.  The dutch price,
-        # the n-th largest, is the lower of the candidate and others(n - 2).
-        # Losers' prices are never used.
+        return self._settle(self.cand[who][..., None], me, supplies, others)
+
+    def _settle(self, x, me, supplies, others) -> np.ndarray:
+        """True utility of player me bidding x at supply supplies, where
+        others(j) gives the bid and owner of the j-th best slot (from 0;
+        +inf at -1) held by anyone but the player.
+
+        The candidate wins at supply n when it ranks above the n-th best
+        other bid under the composite key; that bid, others(n - 1), is then
+        the english price, the (n+1)-th largest.  The dutch price, the n-th
+        largest, is the lower of the candidate and others(n - 2).  Losers'
+        prices are never used."""
         english, holder = others(np.maximum(supplies - 1, 0))
         wins = (x > english) | ((x == english) & (me > holder))
         wins &= (x > 0.0) & (supplies > 0)
@@ -734,6 +759,27 @@ class LearningResult:
     rounds: int
 
 
+def _hedge(scores, etas, groups) -> np.ndarray:
+    """Multiplicative-weights mixtures of a players x (largest menu) score
+    array with learning rates ``etas`` (a column).
+
+    ``groups`` lists ``(players, k)`` per menu size k.  Each row is
+    normalized over its own k entries and is zero beyond them, equal to the
+    per-player ``w / w.sum()`` to the bit: numpy sums 8 or more entries
+    pairwise, so a zero-padded row would add in another order.
+    """
+    def mix(own, eta):
+        w = np.exp(eta * (own - own.max(axis=1, keepdims=True)))
+        return w / w.sum(axis=1, keepdims=True)
+
+    if len(groups) == 1:  # one menu size: no row is padded
+        return mix(scores, etas)
+    sigma = np.zeros(scores.shape)
+    for rows, k in groups:
+        sigma[rows, :k] = mix(scores[rows, :k], etas[rows])
+    return sigma
+
+
 def run_learning(
     true_values,
     grids,
@@ -758,13 +804,12 @@ def run_learning(
         grids = [grids] * players
     menu = [g.strategies for g in grids]
     game = _auction(true_values, menu, model.goods, rule, lam)
-    sizes = [len(m) for m in menu]
-    # Per-player state is a players x (largest menu) array; mask marks the
-    # entries each player's menu really has.
-    size_col = np.array(sizes)[:, None]
-    mask = np.arange(max(sizes)) < size_col
+    sizes = np.array([len(m) for m in menu])
+    # Per-player state is a players x (largest menu) array; entries past a
+    # player's menu are never read.
+    size_col = sizes[:, None]
     rows = np.arange(players)
-    size_groups = [(k, np.flatnonzero(size_col[:, 0] == k)) for k in sorted(set(sizes))]
+    groups = [(np.flatnonzero(sizes == k), int(k)) for k in np.unique(sizes)]
     T = config.rounds
     chi = config.payoff_bound
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -776,16 +821,12 @@ def run_learning(
         min(1.0, math.sqrt(k * math.log(k) / ((math.e - 1.0) * T))) if k > 1 else 0.0
         for k in sizes
     ])[:, None]
-    scores = np.zeros(mask.shape)  # cumulative normalized payoffs
-    cum_counter = np.zeros(mask.shape)  # per-strategy counterfactual sums
+    shape = (players, int(sizes.max()))
+    scores = np.zeros(shape)  # cumulative normalized payoffs
+    cum_counter = np.zeros(shape)  # per-strategy counterfactual sums
     cum_mixture = np.zeros(players)
-    counts = np.zeros(mask.shape, dtype=int)
+    counts = np.zeros(shape, dtype=int)
     welfare_sum = 0.0
-
-    def hedge_mixture() -> np.ndarray:
-        top = np.where(mask, scores, -np.inf).max(axis=1, keepdims=True)
-        wts = np.where(mask, np.exp(etas * (scores - top)), 0.0)
-        return wts / wts.sum(axis=1, keepdims=True)
 
     true_oracle = WelfareOracle(true_values)
     if support_size(model) <= 10_000:
@@ -800,22 +841,21 @@ def run_learning(
 
     for _ in range(T):
         n_t = sample(model, rng)
-        mixtures = hedge_mixture()
+        mixtures = _hedge(scores, etas, groups)
         if config.feedback == "bandit":
-            mixtures = np.where(mask, (1.0 - explore) * mixtures + explore / size_col, 0.0)
+            mixtures = (1.0 - explore) * mixtures + explore / size_col
         u = rng.random(players)
         # Inverse-CDF draw: the count of cumulative weights at or below u.
         drawn = (np.cumsum(mixtures, axis=1) <= u[:, None]).sum(axis=1)
-        actions = np.minimum(drawn, size_col[:, 0] - 1)
+        actions = np.minimum(drawn, sizes - 1)
 
         uts, welfare = game.play(actions, n_t)
-        over = np.abs(uts) > chi + 1e-9
-        if over.any():
+        if np.abs(uts).max() > chi + 1e-9:
+            over = (np.abs(uts) > chi + 1e-9).any(axis=1)
             raise ValueError(
-                f"payoff bound {chi} does not cover player "
-                f"{np.flatnonzero(over.any(axis=1))[0]}'s payoffs"
+                f"payoff bound {chi} does not cover player {np.flatnonzero(over)[0]}'s payoffs"
             )
-        norm = np.where(mask, (uts + chi) / (2.0 * chi), 0.0)
+        norm = (uts + chi) / (2.0 * chi)
         if config.feedback == "full":
             scores += norm
         else:
@@ -823,7 +863,7 @@ def run_learning(
         cum_counter += uts
         # One dot per player over its own menu, batched over the players
         # whose menus have one size: each is the same dot as a lone one.
-        for k, group in size_groups:
+        for group, k in groups:
             cum_mixture[group] += (mixtures[group, None, :k] @ uts[group, :k, None])[:, 0, 0]
         counts[rows, actions] += 1
         welfare_sum += welfare
@@ -840,7 +880,7 @@ def run_learning(
                 raise InternalCheckError(
                     f"player {i} measured regret {r} exceeds budget {b}"
                 )
-    final_mix = hedge_mixture()
+    final_mix = _hedge(scores, etas, groups)
     return LearningResult(
         average_welfare=welfare_sum / T,
         expected_opt=expected_opt,

@@ -24,7 +24,11 @@ expectations in another order.  ``reference_find_equilibria`` (with
 ``reference_best_response`` and ``reference_is_nash``) is the Fisher
 reporting game's walk-by-walk search, one menu batch per step, as it was
 before its walks ran in lockstep; the equilibria, their order, the dropped
-count and the generator state must be matched exactly.  ``is_monotone_table``,
+count and the generator state must be matched exactly.
+``reference_run_learning`` is the package's no-regret loop as it was before
+a learning round was settled from one sorted bid row: masked mixtures over
+zero-padded rows and a masked payoff-bound check; on games whose menus have
+one size it must be matched exactly.  ``is_monotone_table``,
 ``check_gross_substitutes`` and ``assert_valid_outcome`` are test helpers
 built on the package's own ``value``, ``demand_set`` and
 ``validate_outcome``.
@@ -33,13 +37,23 @@ built on the package's own ``value``, ``demand_set`` and
 import heapq
 import itertools
 import math
+from typing import Optional
 
 import numpy as np
 
 from marketlab import fisher
 from marketlab.errors import InternalCheckError, ScenarioError, SolverError
 from marketlab.harness import SCHEMA_VERSION, Scenario
-from marketlab.strategic import EquilibriumReport, GameContext, _Stats
+from marketlab.strategic import (
+    EquilibriumReport,
+    GameContext,
+    LearningConfig,
+    LearningResult,
+    ScalingGrid,
+    _auction,
+    _Stats,
+)
+from marketlab.supply import MultiplicityModel, iter_support, sample, support_size
 from marketlab.valuations import (
     CES,
     AuctionValuation,
@@ -457,6 +471,124 @@ def reference_engine_stats(self: GameContext, profile) -> _Stats:
             utils[i] += p * u
             sw += p * value(self.true_values[i], out.allocation[i])
     return _Stats(tuple(float(u) for u in utils), float(sw))
+
+
+def reference_run_learning(
+    true_values,
+    grids,
+    model: MultiplicityModel,
+    config: LearningConfig,
+    rule: str = "english",
+    lam: Optional[float] = None,
+    seed: int = 0,
+) -> LearningResult:
+    """Simultaneous no-regret play over the strategy grids.
+
+    Full-information mode runs multiplicative weights on payoffs normalized
+    from [-bound, bound] to [0, 1]; each player's measured regret (on their
+    own mixture, against the best fixed menu entry in hindsight) must stay
+    within the documented budget, or the run raises: the bound is a theorem
+    for correctly computed payoffs.  Bandit mode runs importance-weighted
+    updates from own realized payoffs only; its regret is reported, not
+    asserted.  A fresh copy-count draw is made every round.
+    """
+    players = len(true_values)
+    if isinstance(grids, ScalingGrid):
+        grids = [grids] * players
+    menu = [g.strategies for g in grids]
+    game = _auction(true_values, menu, model.goods, rule, lam)
+    sizes = [len(m) for m in menu]
+    # Per-player state is a players x (largest menu) array; mask marks the
+    # entries each player's menu really has.
+    size_col = np.array(sizes)[:, None]
+    mask = np.arange(max(sizes)) < size_col
+    rows = np.arange(players)
+    size_groups = [(k, np.flatnonzero(size_col[:, 0] == k)) for k in sorted(set(sizes))]
+    T = config.rounds
+    chi = config.payoff_bound
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    etas = np.array(
+        [math.sqrt(8.0 * math.log(k) / T) if k > 1 else 0.0 for k in sizes]
+    )[:, None]
+    explore = np.array([
+        min(1.0, math.sqrt(k * math.log(k) / ((math.e - 1.0) * T))) if k > 1 else 0.0
+        for k in sizes
+    ])[:, None]
+    scores = np.zeros(mask.shape)  # cumulative normalized payoffs
+    cum_counter = np.zeros(mask.shape)  # per-strategy counterfactual sums
+    cum_mixture = np.zeros(players)
+    counts = np.zeros(mask.shape, dtype=int)
+    welfare_sum = 0.0
+
+    def hedge_mixture() -> np.ndarray:
+        top = np.where(mask, scores, -np.inf).max(axis=1, keepdims=True)
+        wts = np.where(mask, np.exp(etas * (scores - top)), 0.0)
+        return wts / wts.sum(axis=1, keepdims=True)
+
+    true_oracle = WelfareOracle(true_values)
+    if support_size(model) <= 10_000:
+        expected_opt = math.fsum(p * true_oracle.welfare(c) for c, p in iter_support(model))
+    else:
+        sample_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+        expected_opt = float(
+            np.mean(
+                [true_oracle.welfare(sample(model, sample_rng)) for _ in range(2000)]
+            )
+        )
+
+    for _ in range(T):
+        n_t = sample(model, rng)
+        mixtures = hedge_mixture()
+        if config.feedback == "bandit":
+            mixtures = np.where(mask, (1.0 - explore) * mixtures + explore / size_col, 0.0)
+        u = rng.random(players)
+        # Inverse-CDF draw: the count of cumulative weights at or below u.
+        drawn = (np.cumsum(mixtures, axis=1) <= u[:, None]).sum(axis=1)
+        actions = np.minimum(drawn, size_col[:, 0] - 1)
+
+        uts, welfare = game.play(actions, n_t)
+        over = np.abs(uts) > chi + 1e-9
+        if over.any():
+            raise ValueError(
+                f"payoff bound {chi} does not cover player "
+                f"{np.flatnonzero(over.any(axis=1))[0]}'s payoffs"
+            )
+        norm = np.where(mask, (uts + chi) / (2.0 * chi), 0.0)
+        if config.feedback == "full":
+            scores += norm
+        else:
+            scores[rows, actions] += norm[rows, actions] / mixtures[rows, actions]
+        cum_counter += uts
+        # One dot per player over its own menu, batched over the players
+        # whose menus have one size: each is the same dot as a lone one.
+        for k, group in size_groups:
+            cum_mixture[group] += (mixtures[group, None, :k] @ uts[group, :k, None])[:, 0, 0]
+        counts[rows, actions] += 1
+        welfare_sum += welfare
+
+    regrets = tuple(
+        float(cum_counter[i, :k].max() - cum_mixture[i]) for i, k in enumerate(sizes)
+    )
+    budgets = tuple(
+        config.regret_scale * math.sqrt(T * math.log(max(k, 2))) * chi for k in sizes
+    )
+    if config.feedback == "full":
+        for i, (r, b) in enumerate(zip(regrets, budgets)):
+            if r > b + 1e-9:
+                raise InternalCheckError(
+                    f"player {i} measured regret {r} exceeds budget {b}"
+                )
+    final_mix = hedge_mixture()
+    return LearningResult(
+        average_welfare=welfare_sum / T,
+        expected_opt=expected_opt,
+        regrets=regrets,
+        regret_budgets=budgets,
+        mixtures=tuple(tuple(final_mix[i, :k].tolist()) for i, k in enumerate(sizes)),
+        play_counts=tuple(tuple(counts[i, :k].tolist()) for i, k in enumerate(sizes)),
+        rounds=T,
+    )
 
 
 def _reference_item_weights(rng, vb: dict, goods: int) -> tuple[float, ...]:

@@ -753,6 +753,28 @@ def test_fisher_floor_check_fails_below_the_floor(tmp_path, monkeypatch, capsys,
             assert len(f.readlines()) == 1 + len(floors)
 
 
+def test_fisher_regret_display_fails_below_the_floor(tmp_path, monkeypatch, capsys):
+    menu_utils = fisher._ReportGame.menu_utils
+    # Payoffs a hundredth of the real ones: the average welfare falls below
+    # the regret-adjusted floor, and no payoff exceeds its cap.
+    monkeypatch.setattr(
+        fisher._ReportGame, "menu_utils",
+        lambda game, profile, i: [u / 100.0 for u in menu_utils(game, profile, i)],
+    )
+    out = tmp_path / "out"
+    assert main(["run", "fisher_regret", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert not summary["passed"]
+    (sc,) = summary["scenarios"]
+    assert "regret-internal" not in [c["name"] for c in sc["checks"]]
+    (display,) = [c for c in sc["checks"] if c["name"] == "fisher-regret-display"]
+    assert not display["passed"]
+    with open(sc["csv"], encoding="utf-8") as f:
+        header, *rows = [line.rstrip("\n").split(",") for line in f]
+    assert len(rows) == 1 and rows[0][header.index("holds")] == "0"
+
+
 def test_fisher_outputs_match_the_benchmark_reference(tmp_path):
     """The bundled Fisher scenarios and the iterative-solver config give the
     CSV bytes and check verdicts recorded in block 0 of the benchmark's

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,11 @@ from marketlab.strategic import (
     EquilibriumReport,
     GameContext,
     LearningConfig,
+    LearningResult,
     ScalingGrid,
     _Engine,
     _SingleGood,
+    _hedge,
     best_response_dynamics,
     check_price_bracket,
     check_price_floor,
@@ -29,7 +32,12 @@ from marketlab.supply import BinomialCounts, FixedCounts, sample
 from marketlab.valuations import KDemand, UnitDemand, scale_bid, value
 from marketlab.walrasian import run_mechanism
 
-from oracles import random_market, reference_best_response_dynamics, reference_engine_stats
+from oracles import (
+    random_market,
+    reference_best_response_dynamics,
+    reference_engine_stats,
+    reference_run_learning,
+)
 
 
 def unit(vals):
@@ -297,6 +305,28 @@ def test_stacked_kernel_rows_equal_one_profile_calls(game, data):
         assert table[p].tobytes() == one[0].tobytes()
 
 
+@given(
+    tied_single_good_games(),
+    st.sampled_from((("english", None), ("dutch", None), ("mix", 0.5), ("mix", 0.0))),
+    st.data(),
+)
+def test_play_reads_the_stacked_kernel_row(game, rule, data):
+    """A learning round is the one-profile ``utilities`` row at the round's
+    supply, to the byte, and its welfare is the true value of the
+    mechanism's winners."""
+    vals, menu, actions, _ = game
+    kernel = _SingleGood(vals, menu, *rule)
+    n = (data.draw(st.integers(0, len(vals) + 2)),)
+    uts, welfare = kernel.play(np.array(actions), n)
+    bids = kernel.bids(np.array(actions)[None])
+    want = kernel.utilities(bids, kernel.owner[None], np.array(n))[0, ..., 0]
+    assert uts.shape == want.shape and uts.tobytes() == want.tobytes()
+    out = run_mechanism(
+        tuple(scale_bid(v, *m[a]) for v, m, a in zip(vals, menu, actions)), n, *rule
+    )
+    assert welfare == sum(v.weights[0] for v, x in zip(vals, out.allocation) if x[0])
+
+
 def scalar_best_response(ctx, profile, i):
     """The tie rule one menu entry at a time, in Python floats."""
     utils = ctx._menu_utils(profile, [i])[0, : len(ctx.menu[i])].tolist()
@@ -393,6 +423,20 @@ PAIRED_GRIDS = (
     ScalingGrid((1.0, 1.5)),
 )
 PAIRED_RULES = (("english", None), ("dutch", None), ("mix", 0.5))
+# Dyadic values again, menus of 10 and 5 entries.
+MIXED_VALUES = tuple(UnitDemand((w,)) for w in (0.75, 0.5, 1.0, 0.625))
+MIXED_GRIDS = (
+    ScalingGrid((0.0, 0.25, 0.5, 0.75, 1.0), offsets=(0.0, 0.5)),
+    ScalingGrid((0.0, 0.25, 0.5, 0.75, 1.0)),
+) * 2
+MIXED_SEEDS = {
+    ("english", "full"): 2,
+    ("english", "bandit"): 0,
+    ("dutch", "full"): 1,
+    ("dutch", "bandit"): 5,
+    ("mix", "full"): 4,
+    ("mix", "bandit"): 3,
+}
 
 
 def paired_values(weights=PAIRED_WEIGHTS):
@@ -481,6 +525,49 @@ def test_learning_paths_match_player_loop_reference(rule, lam, feedback):
     assert fast == engine
     want = loop_learning(fast_vals, PAIRED_GRIDS, model, cfg, rule, lam, seed=3)
     assert (fast.average_welfare, fast.regrets, fast.play_counts, fast.mixtures) == want
+    # Menus of 10 and 5 entries: each mixture is normalized over its own
+    # menu, as the loop does.  numpy sums rows of 8 or more entries
+    # pairwise, so normalizing a zero-padded row is off by an ulp; the seed
+    # is one of 0-5 where it was.
+    cfg = LearningConfig(rounds=200, feedback=feedback, payoff_bound=1.5)
+    seed = MIXED_SEEDS[rule, feedback]
+    got = run_learning(MIXED_VALUES, MIXED_GRIDS, model, cfg, rule, lam, seed=seed)
+    want = loop_learning(MIXED_VALUES, MIXED_GRIDS, model, cfg, rule, lam, seed)
+    assert (got.average_welfare, got.regrets, got.play_counts, got.mixtures) == want
+
+
+# The bundled regret game's shape: 8 players, 5 menu entries, N = 24.
+BUNDLED_GRID = ScalingGrid((0.0, 0.25, 0.5, 0.75, 1.0))
+
+
+@pytest.mark.parametrize("feedback", ("full", "bandit"))
+@pytest.mark.parametrize("rule, lam", PAIRED_RULES)
+def test_learning_matches_the_reference_loop_on_the_bundled_shape(rule, lam, feedback):
+    vals = unit(np.random.default_rng(5).uniform(0.5, 1.0, 8))
+    cfg = LearningConfig(rounds=300, feedback=feedback, payoff_bound=1.0)
+    model = BinomialCounts(1, 24, 0.5)
+    got = run_learning(vals, BUNDLED_GRID, model, cfg, rule, lam, seed=7)
+    want = reference_run_learning(vals, BUNDLED_GRID, model, cfg, rule, lam, seed=7)
+    for field in dataclasses.fields(LearningResult):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+def test_hedge_mixtures_equal_per_buyer_normalization():
+    rng = np.random.default_rng(0)
+    # Menus of several sizes, and of one size (no padding).
+    for sizes in (np.array([13, 9, 1, 13, 8, 7, 2]), np.array([9, 9, 9])):
+        groups = [(np.flatnonzero(sizes == k), int(k)) for k in np.unique(sizes)]
+        etas = rng.uniform(0.0, 1.0, (len(sizes), 1))
+        own = np.arange(sizes.max()) < sizes[:, None]
+        for _ in range(100):
+            # Padded entries hold scores too; the hedge must not read them.
+            scores = np.where(own, rng.uniform(0.0, 40.0, own.shape), rng.uniform(50.0, 90.0))
+            got = _hedge(scores, etas, groups)
+            for i, k in enumerate(sizes):
+                w = np.exp(float(etas[i, 0]) * (scores[i, :k] - scores[i, :k].max()))
+                # Bit-equal, rows of 8 or more entries included.
+                assert np.array_equal(got[i, :k], w / w.sum())
+                assert not got[i, k:].any()
 
 
 @pytest.mark.parametrize("rule, lam", PAIRED_RULES)
