@@ -11,9 +11,10 @@ proportional response for linear buyers (Birnbaum, Devanur & Xiao, EC 2011)
 and damped price adjustment for CES and CES/Cobb-Douglas mixes.  Each takes
 a stack of report profiles of one market and iterates them together,
 dropping a profile once it converges; ``solve_market`` is the one-profile
-call.  The reporting game fills a buyer's whole menu of deviations with one
-such stack (``_ReportGame.menu_utils``), and every profile still gets the
-iterates, iteration count and error a lone solve would give it, bit for bit.
+call.  The reporting game reads every menu utility through one stacked
+``_ReportGame.table``, which solves all its uncached deviations as one such
+stack, and every profile still gets the iterates, iteration count and error
+a lone solve would give it, bit for bit.
 
 The solved stack is finished as one: ``_finish`` clips and rescales the
 ``(K, n, m)`` allocations, checks every profile's equilibrium conditions in
@@ -28,17 +29,17 @@ without reserve prices: the market's reserves pick the floor, and the
 outcome's ``holds`` is the one verdict on it.  Its best-reply walks run in
 lockstep on ``strategic.lockstep_walks``, the driver the auction game's
 walks use; each (sweep, buyer) step is one ``_ReportGame.best_responses``
-call, which solves the uncached menu entries of every walk still moving as
-one stack.  As every profile keeps the bits of a lone solve, each walk takes
-the path it would take alone, and the search finds the same equilibria, in
-the same order, as walks run one after another.
+call, one table of the menu entries of every walk still moving.  As every
+profile keeps the bits of a lone solve, each walk takes the path it would
+take alone, and the search finds the same equilibria, in the same order, as
+walks run one after another.
 
-``run_market_learning`` plays each round on buyers x (largest menu)
-arrays.  Its draw is the inverse-CDF count that ``rng.choice(k, p=sigma)``
-makes (cumulative weights divided by their total, counted at or below one
-uniform per buyer), so it consumes the random stream of a per-buyer loop
-and draws the same actions.  Its mixtures come from ``strategic._hedge``,
-the normaliser the auction game's learning loop uses.
+``run_market_learning`` drives ``strategic._Hedge``, the learner of the
+auction game's loop, and reads each round's payoffs of every buyer's whole
+menu from one table call.  Its draw is the inverse-CDF count that
+``rng.choice(k, p=sigma)`` makes (cumulative weights divided by their total,
+counted at or below one uniform per buyer), so it consumes the random stream
+of a per-buyer loop and draws the same actions.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalCheckError, SolverError
-from .strategic import _hedge, lockstep_walks
+from .strategic import GAIN_TOL, _Hedge, lockstep_walks
 from .valuations import CES, CobbDouglas, FisherUtility, Linear
 
 __all__ = [
@@ -77,7 +78,6 @@ PRICE_FLOOR = 1e-12
 CLEAR_TOL = 1e-6
 GAP_TOL = 1e-8
 GAP_ACCEPT = 1e-6  # residual gap tolerable when the round budget runs out
-GAIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -635,11 +635,6 @@ class _ReportGame:
             self._cache[key] = hit
         return hit
 
-    def _menu(self, profile, i) -> list[tuple[int, ...]]:
-        """The profiles of buyer i's menu, the others held at ``profile``."""
-        head, tail = tuple(profile[:i]), tuple(profile[i + 1:])
-        return [head + (s,) + tail for s in range(len(self.menus[i]))]
-
     def _solve(self, keys) -> None:
         """Solve every uncached profile among ``keys``, each once, as one
         batch in the order listed."""
@@ -649,23 +644,36 @@ class _ReportGame:
             for key, (_, utils) in zip(todo, solved):
                 self._cache[key] = utils
 
+    def table(self, profiles, who) -> np.ndarray:
+        """util[p, w, s]: true utility of buyer who[p, w] switching to entry s
+        of its menu against the rest of profiles[p]; 0 past the end of its
+        menu.  The uncached entries are solved as one batch, in row-then-buyer
+        order."""
+        who = np.asarray(who).tolist()
+        # One (buyer, menu profiles) entry per cell (p, w), in row-major order.
+        cells = []
+        for profile, buyers in zip(map(tuple, np.asarray(profiles).tolist()), who):
+            for i in buyers:
+                head, tail = profile[:i], profile[i + 1 :]
+                cells.append((i, [head + (s,) + tail for s in range(len(self.menus[i]))]))
+        self._solve([key for _, keys in cells for key in keys])
+        util = np.zeros((len(who), len(who[0]), max(map(len, self.menus))))
+        for row, (i, keys) in zip(util.reshape(len(cells), -1), cells):
+            row[: len(keys)] = [self._cache[key][i] for key in keys]
+        return util
+
     def menu_utils(self, profile, i) -> list[float]:
         """Buyer i's true utility at each entry of its menu, the others held
-        at ``profile``.  Uncached entries are solved as one batch."""
-        keys = self._menu(profile, i)
-        self._solve(keys)
-        return [self._cache[key][i] for key in keys]
+        at ``profile``."""
+        return self.table([profile], [[i]])[0, 0, : len(self.menus[i])].tolist()
 
     def best_responses(self, profiles, i) -> np.ndarray:
-        """Buyer i's best entry against every row of a profile stack.  The
-        uncached menu entries of all rows are solved as one batch; each row's
-        menu is then scanned in order, and an entry takes over only when it
-        beats the best so far by more than GAIN_TOL."""
-        menus = [self._menu(profile, i) for profile in profiles.tolist()]
-        self._solve([key for keys in menus for key in keys])
-        utils = np.array([[self._cache[key][i] for key in keys] for keys in menus])
+        """Buyer i's best entry against every row of a profile stack, from one
+        table call.  Each row's menu is scanned in order, and an entry takes
+        over only when it beats the best so far by more than GAIN_TOL."""
+        utils = self.table(profiles, np.full((len(profiles), 1), i))[:, 0, : len(self.menus[i])]
         best_s = profiles[:, i].copy()
-        best_u = np.full(len(menus), -math.inf)
+        best_u = np.full(len(utils), -math.inf)
         for s in range(utils.shape[1]):
             take = utils[:, s] > best_u + GAIN_TOL
             best_s[take] = s
@@ -940,53 +948,39 @@ def run_market_learning(
     game = _ReportGame(market, [perturbed_reports(v, deltas) for v in market.utilities])
     sizes = np.array([len(m) for m in game.menus])
     n = market.buyers
-    truthful_profile = game.truthful_profile()
-    truthful_utils = game.utils(truthful_profile)
+    truthful_utils = game.utils(game.truthful_profile())
     if any(u <= 0 for u in truthful_utils):
         raise SolverError("degenerate truthful utilities")
     chi = [lam * u for u in truthful_utils]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     T = rounds
-    # Per-buyer state is a buyers x (largest menu) array whose padding stays
-    # zero.
-    shape = (n, int(sizes.max()))
+    learner = _Hedge(sizes, T)
     rows = np.arange(n)
-    groups = [(np.flatnonzero(sizes == k), int(k)) for k in np.unique(sizes)]
-    etas = np.array([math.sqrt(8.0 * math.log(k) / T) if k > 1 else 0.0 for k in sizes])[:, None]
     chi_col = np.array(chi)[:, None]
     cap = chi_col + 1e-6 * np.maximum(1.0, chi_col)
-    scores = np.zeros(shape)
-    cum_counter = np.zeros(shape)
-    cum_realized = np.zeros(n)
-    utils = np.zeros(shape)
     welfare_sum = 0.0
 
     for _ in range(T):
-        sigma = _hedge(scores, etas, groups)
+        sigma = learner.mixtures()
         # Inverse-CDF draw, as ``rng.choice(k, p=sigma)`` makes it: the count
         # of cumulative weights, divided by their total, at or below u.
         cdf = np.cumsum(sigma, axis=1)
         cdf /= cdf[rows, sizes - 1][:, None]
         actions = (cdf <= rng.random(n)[:, None]).sum(axis=1)
-        profile = tuple(actions.tolist())
-        for i, k in enumerate(sizes):
-            utils[i, :k] = game.menu_utils(profile, i)
+        utils = game.table([actions], [rows])[0]
         over = np.flatnonzero((utils > cap).any(axis=1))
         if over.size:
             i = int(over[0])
             raise InternalCheckError(
                 f"buyer {i} payoff exceeds the reserve cap {chi[i]}: {utils[i, :sizes[i]].max()}"
             )
-        scores += utils / chi_col
-        cum_counter += utils
+        learner.scores += utils / chi_col
         realized = utils[rows, actions]
-        cum_realized += realized
+        learner.record(utils, realized)
         welfare_sum += float(realized.sum())
 
-    regrets = tuple(
-        float(cum_counter[i, :k].max() - cum_realized[i]) for i, k in enumerate(sizes)
-    )
+    regrets = learner.regrets()
     phi = tuple(reg / c for reg, c in zip(regrets, chi))
     truthful_total = float(sum(truthful_utils))
     bound_factor = math.exp(-2.0 * market.m / market.largeness) - max(phi) / T * lam

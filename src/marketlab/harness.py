@@ -668,7 +668,9 @@ def _task_wal_regret(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: 
     vmax = [value(v, full_box) for v in values]
     gamma = max(grid.scales)
     delta = max(grid.offsets)
-    chi = max(max(vm, gamma * vm + delta) for vm in vmax)
+    # A k-demand bid adds its offset once per item, so a payment can reach
+    # the scaled bid's value for the full box.
+    chi = max(max(vm, value(scale_bid(v, gamma, delta), full_box)) for v, vm in zip(values, vmax))
     config = LearningConfig(
         rounds=spec["rounds"], feedback=spec["feedback"], payoff_bound=chi
     )

@@ -21,10 +21,10 @@ rule is written once, in ``_SingleGood._settle``: ``utilities`` applies it to
 a stack of profiles, and ``play`` to one learning round, whose one sorted bid
 row gives every player's price slot.
 
-``run_learning`` plays each round on players x (largest menu) arrays; entries
-past a player's menu are never read.  Mixtures come from ``_hedge``, shared
-with the Fisher learning loop, which normalizes each row over its own menu,
-so every player's mixture is that of a per-player loop.
+``_Hedge`` is the no-regret learner of both learning loops, this one and the
+Fisher one: menu-size groups, learning rates, scores and regret sums.  It
+normalizes each mixture over its own menu, as a per-player loop does.  Each
+loop keeps its draw, payoff normalization and payoff-bound check.
 
 Best-reply walks run in lockstep (``lockstep_walks``, which the Fisher
 reporting game shares).  Every start profile is drawn first, in the order
@@ -382,23 +382,15 @@ class GameContext:
         sizes = np.array([len(m) for m in self.menu])
         self._mask = np.arange(sizes.max()) < sizes[:, None]
         self._stats_cache: dict[tuple[int, ...], _Stats] = {}
-        self._truthful = tuple(
-            self.menu[i].index((1.0, 0.0)) for i in range(self.players)
-        )
         # Position of every menu entry in (scale, offset) order.
         self._menu_place = tuple(
             np.argsort(sorted(range(len(m)), key=m.__getitem__)) for m in self.menu
         )
 
-    # -- profile plumbing ---------------------------------------------------
-
-    def truthful_profile(self) -> tuple[int, ...]:
-        return self._truthful
+    # -- expected statistics ------------------------------------------------
 
     def expected_opt(self) -> float:
         return float(self._opt @ self._atom_probs)
-
-    # -- expected statistics ------------------------------------------------
 
     def stats(self, profile) -> _Stats:
         key = tuple(profile)
@@ -759,25 +751,59 @@ class LearningResult:
     rounds: int
 
 
-def _hedge(scores, etas, groups) -> np.ndarray:
-    """Multiplicative-weights mixtures of a players x (largest menu) score
-    array with learning rates ``etas`` (a column).
+class _Hedge:
+    """Multiplicative weights over menus of ``sizes`` entries for ``rounds``
+    rounds.  State is players x (largest menu) arrays whose entries past a
+    player's menu are never read: ``scores``, to which the caller adds
+    normalized payoffs, and the regret sums that ``record`` keeps."""
 
-    ``groups`` lists ``(players, k)`` per menu size k.  Each row is
-    normalized over its own k entries and is zero beyond them, equal to the
-    per-player ``w / w.sum()`` to the bit: numpy sums 8 or more entries
-    pairwise, so a zero-padded row would add in another order.
-    """
-    def mix(own, eta):
-        w = np.exp(eta * (own - own.max(axis=1, keepdims=True)))
-        return w / w.sum(axis=1, keepdims=True)
+    def __init__(self, sizes, rounds: int):
+        self.sizes = np.asarray(sizes)
+        self.groups = [(np.flatnonzero(self.sizes == k), int(k)) for k in np.unique(self.sizes)]
+        self.etas = np.array(
+            [math.sqrt(8.0 * math.log(k) / rounds) if k > 1 else 0.0 for k in self.sizes]
+        )[:, None]
+        shape = (self.sizes.size, int(self.sizes.max()))
+        self.scores = np.zeros(shape)
+        self.counter = np.zeros(shape)  # cumulative payoff of every entry
+        self.earned = np.zeros(self.sizes.size)  # cumulative payoff earned
 
-    if len(groups) == 1:  # one menu size: no row is padded
-        return mix(scores, etas)
-    sigma = np.zeros(scores.shape)
-    for rows, k in groups:
-        sigma[rows, :k] = mix(scores[rows, :k], etas[rows])
-    return sigma
+    def mixtures(self) -> np.ndarray:
+        """Each row normalized over its own k entries and zero beyond them,
+        equal to the per-player ``w / w.sum()`` to the bit: numpy sums 8 or
+        more entries pairwise, so a zero-padded row would add in another
+        order."""
+        def mix(own, eta):
+            w = np.exp(eta * (own - own.max(axis=1, keepdims=True)))
+            return w / w.sum(axis=1, keepdims=True)
+
+        if len(self.groups) == 1:  # one menu size: no row is padded
+            return mix(self.scores, self.etas)
+        sigma = np.zeros(self.scores.shape)
+        for rows, k in self.groups:
+            sigma[rows, :k] = mix(self.scores[rows, :k], self.etas[rows])
+        return sigma
+
+    def expected(self, mixtures: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+        """Each player's payoff under its mixture: one dot per player over its
+        own menu, batched per menu size, the same dot as a lone one."""
+        out = np.empty(self.sizes.size)
+        for rows, k in self.groups:
+            out[rows] = (mixtures[rows, None, :k] @ payoffs[rows, :k, None])[:, 0, 0]
+        return out
+
+    def record(self, payoffs: np.ndarray, earned: np.ndarray) -> None:
+        self.counter += payoffs
+        self.earned += earned
+
+    def regrets(self) -> tuple[float, ...]:
+        return tuple(
+            float(self.counter[i, :k].max() - self.earned[i]) for i, k in enumerate(self.sizes)
+        )
+
+    def rows(self, table: np.ndarray) -> tuple[tuple, ...]:
+        """Each player's row of a players x (largest menu) table."""
+        return tuple(tuple(table[i, :k].tolist()) for i, k in enumerate(self.sizes))
 
 
 def run_learning(
@@ -805,27 +831,16 @@ def run_learning(
     menu = [g.strategies for g in grids]
     game = _auction(true_values, menu, model.goods, rule, lam)
     sizes = np.array([len(m) for m in menu])
-    # Per-player state is a players x (largest menu) array; entries past a
-    # player's menu are never read.
-    size_col = sizes[:, None]
     rows = np.arange(players)
-    groups = [(np.flatnonzero(sizes == k), int(k)) for k in np.unique(sizes)]
     T = config.rounds
     chi = config.payoff_bound
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    etas = np.array(
-        [math.sqrt(8.0 * math.log(k) / T) if k > 1 else 0.0 for k in sizes]
-    )[:, None]
+    learner = _Hedge(sizes, T)
     explore = np.array([
         min(1.0, math.sqrt(k * math.log(k) / ((math.e - 1.0) * T))) if k > 1 else 0.0
         for k in sizes
     ])[:, None]
-    shape = (players, int(sizes.max()))
-    scores = np.zeros(shape)  # cumulative normalized payoffs
-    cum_counter = np.zeros(shape)  # per-strategy counterfactual sums
-    cum_mixture = np.zeros(players)
-    counts = np.zeros(shape, dtype=int)
+    counts = np.zeros(learner.scores.shape, dtype=int)
     welfare_sum = 0.0
 
     true_oracle = WelfareOracle(true_values)
@@ -833,17 +848,14 @@ def run_learning(
         expected_opt = math.fsum(p * true_oracle.welfare(c) for c, p in iter_support(model))
     else:
         sample_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        expected_opt = float(
-            np.mean(
-                [true_oracle.welfare(sample(model, sample_rng)) for _ in range(2000)]
-            )
-        )
+        draws = [true_oracle.welfare(sample(model, sample_rng)) for _ in range(2000)]
+        expected_opt = float(np.mean(draws))
 
     for _ in range(T):
         n_t = sample(model, rng)
-        mixtures = _hedge(scores, etas, groups)
+        mixtures = learner.mixtures()
         if config.feedback == "bandit":
-            mixtures = (1.0 - explore) * mixtures + explore / size_col
+            mixtures = (1.0 - explore) * mixtures + explore / sizes[:, None]
         u = rng.random(players)
         # Inverse-CDF draw: the count of cumulative weights at or below u.
         drawn = (np.cumsum(mixtures, axis=1) <= u[:, None]).sum(axis=1)
@@ -857,20 +869,14 @@ def run_learning(
             )
         norm = (uts + chi) / (2.0 * chi)
         if config.feedback == "full":
-            scores += norm
+            learner.scores += norm
         else:
-            scores[rows, actions] += norm[rows, actions] / mixtures[rows, actions]
-        cum_counter += uts
-        # One dot per player over its own menu, batched over the players
-        # whose menus have one size: each is the same dot as a lone one.
-        for group, k in groups:
-            cum_mixture[group] += (mixtures[group, None, :k] @ uts[group, :k, None])[:, 0, 0]
+            learner.scores[rows, actions] += norm[rows, actions] / mixtures[rows, actions]
+        learner.record(uts, learner.expected(mixtures, uts))
         counts[rows, actions] += 1
         welfare_sum += welfare
 
-    regrets = tuple(
-        float(cum_counter[i, :k].max() - cum_mixture[i]) for i, k in enumerate(sizes)
-    )
+    regrets = learner.regrets()
     budgets = tuple(
         config.regret_scale * math.sqrt(T * math.log(max(k, 2))) * chi for k in sizes
     )
@@ -880,13 +886,12 @@ def run_learning(
                 raise InternalCheckError(
                     f"player {i} measured regret {r} exceeds budget {b}"
                 )
-    final_mix = _hedge(scores, etas, groups)
     return LearningResult(
         average_welfare=welfare_sum / T,
         expected_opt=expected_opt,
         regrets=regrets,
         regret_budgets=budgets,
-        mixtures=tuple(tuple(final_mix[i, :k].tolist()) for i, k in enumerate(sizes)),
-        play_counts=tuple(tuple(counts[i, :k].tolist()) for i, k in enumerate(sizes)),
+        mixtures=learner.rows(learner.mixtures()),
+        play_counts=learner.rows(counts),
         rounds=T,
     )

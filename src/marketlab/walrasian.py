@@ -175,7 +175,7 @@ class WelfareOracle:
         return got
 
     def _suffix_value(self, start, supply):
-        """Welfare of bidders start..N-1 given ``supply``."""
+        """Welfare of bidders start..N-1 given ``supply``, off the slots path."""
         if start == 0:
             return self.welfare(supply)
         if start == self.n_bidders:
@@ -185,19 +185,14 @@ class WelfareOracle:
         key = (start, supply)
         got = self._suffix_cache.get(key)
         if got is None:
-            if self._mode == "slots":
-                mask = self._slot_owners >= start
-                w = self._slot_weights[mask]
-                got = float(w[: supply[0]].sum())
+            goods = np.repeat(np.arange(self.m), supply)
+            rows = self._slot_owner_rows >= start
+            gain = self._slot_weight_matrix[rows][:, goods]
+            if gain.size == 0:
+                got = 0.0
             else:
-                goods = np.repeat(np.arange(self.m), supply)
-                rows = self._slot_owner_rows >= start
-                gain = self._slot_weight_matrix[rows][:, goods]
-                if gain.size == 0:
-                    got = 0.0
-                else:
-                    r, c = linear_sum_assignment(gain, maximize=True)
-                    got = float(gain[r, c].sum())
+                r, c = linear_sum_assignment(gain, maximize=True)
+                got = float(gain[r, c].sum())
             self._suffix_cache[key] = got
         return got
 

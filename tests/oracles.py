@@ -45,6 +45,7 @@ from marketlab import fisher
 from marketlab.errors import InternalCheckError, ScenarioError, SolverError
 from marketlab.harness import SCHEMA_VERSION, Scenario
 from marketlab.strategic import (
+    GAIN_TOL,
     EquilibriumReport,
     GameContext,
     LearningConfig,
@@ -403,7 +404,7 @@ def reference_best_response_dynamics(
 def reference_best_response(self, profile, i) -> int:
     best_s, best_u = profile[i], -math.inf
     for s, got in enumerate(self.menu_utils(profile, i)):
-        if got > best_u + fisher.GAIN_TOL:
+        if got > best_u + GAIN_TOL:
             best_s, best_u = s, got
     return best_s
 
@@ -418,7 +419,7 @@ def reference_is_nash(self, profile) -> tuple[bool, float]:
                 continue
             trial[i] = s
             worst = max(worst, self.utils(trial)[i] - base[i])
-            if worst > fisher.GAIN_TOL:
+            if worst > GAIN_TOL:
                 return False, worst
         trial[i] = profile[i]
     return True, worst

@@ -559,13 +559,14 @@ def test_market_learning_equals_the_per_buyer_loop(family, m, seed, sizes):
 
 def test_market_learning_names_the_first_buyer_over_the_cap(monkeypatch):
     market = learning_market("cd", 3, 0)
-    menu_utils = _ReportGame.menu_utils
+    table = _ReportGame.table
 
-    def inflated(game, profile, i):
+    def inflated(game, profiles, who):
         # Buyers 1 and 2 both exceed their cap from the first round on.
-        return [u * (1e3 if i in (1, 2) else 1.0) for u in menu_utils(game, profile, i)]
+        scale = np.where(np.isin(who, (1, 2)), 1e3, 1.0)
+        return table(game, profiles, who) * scale[..., None]
 
-    monkeypatch.setattr(_ReportGame, "menu_utils", inflated)
+    monkeypatch.setattr(_ReportGame, "table", inflated)
     got = learned_or_error(lambda: run_market_learning(market, 10, (0.1, 0.2), 0))
     want = learned_or_error(lambda: loop_market_learning(market, 10, (0.1, 0.2), 0))
     assert got.startswith("buyer 1 payoff exceeds the reserve cap")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketlab import fisher, harness
+from marketlab import fisher, harness, strategic
 from marketlab.cli import main
 from marketlab.errors import CheckFailure, ScenarioError
 from marketlab.harness import (
@@ -754,12 +754,12 @@ def test_fisher_floor_check_fails_below_the_floor(tmp_path, monkeypatch, capsys,
 
 
 def test_fisher_regret_display_fails_below_the_floor(tmp_path, monkeypatch, capsys):
-    menu_utils = fisher._ReportGame.menu_utils
+    table = fisher._ReportGame.table
     # Payoffs a hundredth of the real ones: the average welfare falls below
     # the regret-adjusted floor, and no payoff exceeds its cap.
     monkeypatch.setattr(
-        fisher._ReportGame, "menu_utils",
-        lambda game, profile, i: [u / 100.0 for u in menu_utils(game, profile, i)],
+        fisher._ReportGame, "table",
+        lambda game, profiles, who: table(game, profiles, who) / 100.0,
     )
     out = tmp_path / "out"
     assert main(["run", "fisher_regret", "--out", str(out)]) == 1
@@ -773,6 +773,90 @@ def test_fisher_regret_display_fails_below_the_floor(tmp_path, monkeypatch, caps
     with open(sc["csv"], encoding="utf-8") as f:
         header, *rows = [line.rstrip("\n").split(",") for line in f]
     assert len(rows) == 1 and rows[0][header.index("holds")] == "0"
+
+
+def test_kdemand_regret_payoff_bound_covers_the_offsets(tmp_path, capsys):
+    # A k-demand bid adds its offset once per item, so with cap 2 a payment
+    # reaches twice the largest offset, above any value or scaled weight.
+    doc = {"schema_version": 1, "scenarios": [{
+        "id": "kdemand_regret", "setting": "walrasian", "mode": "regret",
+        "sweep": [4], "seeds": [0], "players": 3, "rounds": 50,
+        "generator": {
+            "family": "kdemand", "cap": 2, "goods": 1,
+            "values": {"kind": "uniform", "low": 0.1, "high": 0.2},
+            "supply": {"kind": "binomial", "prob": 0.5},
+        },
+        "grid": {"scales": [0.5, 1.0], "offsets": [0.0, 5.0]},
+        "assumptions": {"zeta": 1.0, "rho_prime": 0.5},
+    }]}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] and summary["scenarios"][0]["rows"] == 1
+
+
+def _welfare_off_by_one(max_welfare):
+    def mutant(bids, supply):
+        welfare, allocation = max_welfare(bids, supply)
+        return welfare + 1.0, allocation
+    return mutant
+
+
+def _shifted_prices(compress_prices):
+    def mutant(*args):
+        prices, t = compress_prices(*args)
+        return tuple(p + 1.0 for p in prices), t
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "config, check, owner, name, mutant",
+    (
+        ("walrasian_oracle", "oracle-equivalence", harness, "max_welfare", _welfare_off_by_one),
+        ("fisher_reserve", "compressed-prices", harness, "compress_prices", _shifted_prices),
+        (
+            "walrasian_binomial_sweep", "certified-equilibrium", harness, "worst_equilibrium",
+            lambda _: lambda *args, **kw: (None, [], True, 0),
+        ),
+        (
+            "walrasian_bullying", "bullying-nash", strategic.GameContext, "certify",
+            lambda _: lambda *args: strategic.Certification("not-equilibrium", 1.0, (0, 0)),
+        ),
+    ),
+    ids=("oracle-equivalence", "compressed-prices", "certified-equilibrium", "bullying-nash"),
+)
+def test_check_fails_on_a_broken_program(tmp_path, monkeypatch, capsys, config, check, owner, name, mutant):
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, tiny_config(config)), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert not summary["passed"]
+    (sc,) = summary["scenarios"]
+    failed = [c for c in sc["checks"] if c["name"] == check]
+    assert failed and not any(c["passed"] for c in failed)
+    # One CSV row per task, each task failing the check.
+    with open(sc["csv"], encoding="utf-8") as f:
+        assert len(f.readlines()) == 1 + len(failed) == 1 + sc["rows"]
+
+
+def test_auction_outputs_match_the_benchmark_reference(tmp_path):
+    """The bundled Walrasian scenarios give the CSV bytes and check verdicts
+    recorded in block 0 of the benchmark's auction references."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    ref = {}
+    for workload in ("wal_corpus", "wal_strategic"):
+        path = perfbench / "reference" / f"{workload}.json"
+        ref.update(json.loads(path.read_text())["blocks"]["0"])
+    assert set(ref) == {name for name in bundled_scenarios() if name.startswith("walrasian_")}
+    for name, want in ref.items():
+        report = run_config(name, out_dir=str(tmp_path / name))
+        got = [[sc.id, c.name, c.passed] for sc in report.scenarios for c in sc.checks]
+        assert got == want["checks"], name
+        for csv_name, entry in want["csv"].items():
+            data = (tmp_path / name / csv_name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"], csv_name
 
 
 def test_fisher_outputs_match_the_benchmark_reference(tmp_path):

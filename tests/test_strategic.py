@@ -16,8 +16,8 @@ from marketlab.strategic import (
     LearningResult,
     ScalingGrid,
     _Engine,
+    _Hedge,
     _SingleGood,
-    _hedge,
     best_response_dynamics,
     check_price_bracket,
     check_price_floor,
@@ -28,9 +28,9 @@ from marketlab.strategic import (
     run_learning,
     worst_equilibrium,
 )
-from marketlab.supply import BinomialCounts, FixedCounts, sample
+from marketlab.supply import BinomialCounts, FixedCounts, iter_support, sample, support_size
 from marketlab.valuations import KDemand, UnitDemand, scale_bid, value
-from marketlab.walrasian import run_mechanism
+from marketlab.walrasian import WelfareOracle, run_mechanism
 
 from oracles import (
     random_market,
@@ -552,19 +552,38 @@ def test_learning_matches_the_reference_loop_on_the_bundled_shape(rule, lam, fee
         assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
+def test_learning_samples_the_optimum_past_the_exact_limit():
+    # Two goods of 0..100 copies: 10,201 atoms, past the 10,000 that
+    # ``run_learning`` sums exactly, so it averages 2,000 sampled atoms.
+    model = BinomialCounts(2, 100, 0.02)
+    assert support_size(model) > 10_000
+    rng = np.random.default_rng(4)
+    vals = tuple(UnitDemand(tuple(rng.uniform(0.5, 1.0, 2))) for _ in range(5))
+    cfg = LearningConfig(rounds=3)
+    got = run_learning(vals, ScalingGrid((0.5, 1.0)), model, cfg, seed=2)
+    assert got == run_learning(vals, ScalingGrid((0.5, 1.0)), model, cfg, seed=2)
+    oracle = WelfareOracle(vals)
+    atoms = [(p, oracle.welfare(c)) for c, p in iter_support(model)]
+    mean = math.fsum(p * w for p, w in atoms)
+    var = math.fsum(p * (w - mean) ** 2 for p, w in atoms)
+    assert got.expected_opt != mean
+    assert abs(got.expected_opt - mean) <= 4.0 * math.sqrt(var / 2000)
+
+
 def test_hedge_mixtures_equal_per_buyer_normalization():
     rng = np.random.default_rng(0)
     # Menus of several sizes, and of one size (no padding).
     for sizes in (np.array([13, 9, 1, 13, 8, 7, 2]), np.array([9, 9, 9])):
-        groups = [(np.flatnonzero(sizes == k), int(k)) for k in np.unique(sizes)]
-        etas = rng.uniform(0.0, 1.0, (len(sizes), 1))
+        learner = _Hedge(sizes, 100)
+        learner.etas = rng.uniform(0.0, 1.0, (len(sizes), 1))
         own = np.arange(sizes.max()) < sizes[:, None]
         for _ in range(100):
             # Padded entries hold scores too; the hedge must not read them.
-            scores = np.where(own, rng.uniform(0.0, 40.0, own.shape), rng.uniform(50.0, 90.0))
-            got = _hedge(scores, etas, groups)
+            learner.scores = np.where(own, rng.uniform(0.0, 40.0, own.shape), rng.uniform(50.0, 90.0))
+            got = learner.mixtures()
             for i, k in enumerate(sizes):
-                w = np.exp(float(etas[i, 0]) * (scores[i, :k] - scores[i, :k].max()))
+                scores = learner.scores[i, :k]
+                w = np.exp(float(learner.etas[i, 0]) * (scores - scores.max()))
                 # Bit-equal, rows of 8 or more entries included.
                 assert np.array_equal(got[i, :k], w / w.sum())
                 assert not got[i, k:].any()

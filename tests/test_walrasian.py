@@ -234,11 +234,14 @@ def test_oracle_input_validation():
 
 def test_suffix_values_agree_across_paths():
     # The greedy allocation leans on suffix welfare; spot-check it equals a
-    # fresh oracle on the tail profile.
+    # fresh oracle on the tail profile.  The slots path allocates without
+    # it, so one-good markets are skipped.
     rng = np.random.default_rng(9)
     for _ in range(40):
         bids, supply = random_market(rng, max_goods=3)
         oracle = WelfareOracle(bids)
+        if oracle._mode == "slots":
+            continue
         for start in range(1, len(bids)):
             tail = WelfareOracle(bids[start:])
             got = oracle._suffix_value(start, supply)
