@@ -555,6 +555,9 @@ class Check:
     name: str
     passed: bool
     detail: str
+    # The check compares against a floor of at most 0, which any
+    # nonnegative welfare ratio clears: its pass shows nothing.
+    vacuous: bool = False
 
 
 @dataclass
@@ -620,11 +623,13 @@ def _task_poa_sweep(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: i
             sc.id, "poa-bound", False,
             f"N={n} seed={seed} profile={r.profile}: ratio {r.ratio:.6f} < bound {floor:.6f}"
             f" ({len(below)} of {len(exact)} below), {search}",
+            vacuous=floor <= 0.0,
         ))
     else:
         out.checks.append(Check(
             sc.id, "poa-bound", True,
             f"N={n} seed={seed}: {len(exact)} exact equilibria above max(0, bounds), {search}",
+            vacuous=floor <= 0.0,
         ))
     if worst is None:
         out.checks.append(Check(sc.id, "certified-equilibrium", False, f"N={n} seed={seed}: search certified no equilibrium"))
@@ -701,6 +706,7 @@ def _task_wal_regret(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: 
             sc.id, "regret-display", holds,
             f"N={n} seed={seed}: avg welfare {res.average_welfare:.4f} vs "
             f"factor {display:.4g} * opt {res.expected_opt:.4f} (measured phi {phi:.3f})",
+            vacuous=display <= 0.0,
         ))
     out.rows.append((
         sc.id, n, seed, _rule_label(spec), ratio, sqrt_b, log_b,
@@ -836,7 +842,9 @@ def _enumerated_welfare(bids, supply) -> float:
     menus = []
     for b in bids:
         cap = getattr(b, "cap", 1)
-        menus.append([w for w in bundles_upto(m, cap) if all(x <= s for x, s in zip(w, supply))])
+        menus.append([
+            (w, value(b, w)) for w in bundles_upto(m, cap) if all(x <= s for x, s in zip(w, supply))
+        ])
     best = 0.0
 
     def rec(i: int, remaining: tuple[int, ...], acc: float):
@@ -844,13 +852,9 @@ def _enumerated_welfare(bids, supply) -> float:
         if i == len(bids):
             best = max(best, acc)
             return
-        for bundle in menus[i]:
+        for bundle, worth in menus[i]:
             if all(x <= r for x, r in zip(bundle, remaining)):
-                rec(
-                    i + 1,
-                    tuple(r - x for r, x in zip(remaining, bundle)),
-                    acc + value(bids[i], bundle),
-                )
+                rec(i + 1, tuple(r - x for r, x in zip(remaining, bundle)), acc + worth)
 
     rec(0, tuple(supply), 0.0)
     return best
@@ -1283,8 +1287,10 @@ def run_config(
                 "rows": rep.rows,
                 "passed": rep.passed,
                 "task_seconds": round(rep.seconds, 3),
+                "vacuous_checks": sum(c.vacuous for c in rep.checks),
                 "checks": [
                     {"name": c.name, "passed": c.passed, "detail": c.detail}
+                    | ({"vacuous": True} if c.vacuous else {})
                     for c in rep.checks
                 ],
                 "audits": [asdict(a) for a in rep.audits],

@@ -49,6 +49,7 @@ from .sensitivity import Z99, deficit_ball_bound, instability_mass, is_unstable_
 from .supply import MultiplicityModel, iter_support, sample, support_size
 from .valuations import (
     UnitDemand,
+    _value,
     minimal_equivalent_bundle,
     max_item_value,
     scale_bid,
@@ -276,6 +277,20 @@ class _SingleGood:
         return np.where(wins, self.tv[me] - price, 0.0)
 
 
+class _Axis(tuple):
+    """A supply axis of count vectors that hashes once.  ``_Engine`` keys its
+    cache on (profile, axis), so a lookup hashes the profile and reads this
+    hash, whatever the axis length."""
+
+    def __new__(cls, vectors):
+        axis = super().__new__(cls, vectors)
+        axis._hash = tuple.__hash__(axis)
+        return axis
+
+    def __hash__(self):
+        return self._hash
+
+
 class _Engine:
     """The tables of ``_SingleGood`` for any game, over count vectors: one
     ``run_mechanism`` outcome per (profile, count vector), one
@@ -292,30 +307,30 @@ class _Engine:
         # (profile, count vectors) -> rows of utilities and true welfare
         self._cache: dict[tuple, np.ndarray] = {}
 
-    def supplies(self, atoms) -> tuple[tuple, np.ndarray]:
+    def supplies(self, atoms) -> tuple[_Axis, np.ndarray]:
         """The distinct count vectors among the atoms, in order of first
-        appearance, and the place of every atom among them."""
+        appearance, as an ``_Axis``, and the place of every atom among them."""
         place: dict = {}
         ns = np.array([place.setdefault(c, len(place)) for c in atoms], dtype=int)
-        return tuple(place), ns
+        return _Axis(place), ns
 
-    def outcomes(self, profile, supplies) -> tuple[np.ndarray, np.ndarray]:
+    def outcomes(self, profile, supplies: _Axis) -> tuple[np.ndarray, np.ndarray]:
         """util[i, a] and true welfare sw[a], as ``_SingleGood.outcomes``."""
-        key = (tuple(profile), tuple(supplies))
+        key = (tuple(profile), supplies)
         table = self._cache.get(key)
         if table is None:
             bids = tuple(b[s] for b, s in zip(self._bids, key[0]))
             oracle, rows = WelfareOracle(bids), []
-            for n in key[1]:
+            for n in supplies:
                 o = run_mechanism(bids, n, self.rule, self.lam, oracle=oracle)
-                worth = [value(v, x) for v, x in zip(self.true_values, o.allocation)]
+                worth = [_value(v, x) for v, x in zip(self.true_values, o.allocation)]
                 rows.append([w - c for w, c in zip(worth, o.payments)] + [sum(worth)])
             table = np.array(rows).T
             if len(self._cache) * len(rows) < self.CACHE_LIMIT:
                 self._cache[key] = table
         return table[:-1], table[-1]
 
-    def table(self, profiles, who, supplies) -> np.ndarray:
+    def table(self, profiles, who, supplies: _Axis) -> np.ndarray:
         """util[p, w, s, a], as ``_SingleGood.table``; 0 past a menu's end."""
         who = np.asarray(who)
         util = np.zeros((*who.shape, max(map(len, self.menu)), len(supplies)))
@@ -329,8 +344,9 @@ class _Engine:
     def play(self, actions: np.ndarray, n) -> tuple[np.ndarray, float]:
         """One learning round, as ``_SingleGood.play``; the realized welfare
         is summed in player order."""
-        uts = self.table(actions[None], [range(len(actions))], [n])[0, ..., 0]
-        return uts, float(self.outcomes(actions.tolist(), [n])[1][0])
+        axis = _Axis((n,))
+        uts = self.table(actions[None], [range(len(actions))], axis)[0, ..., 0]
+        return uts, float(self.outcomes(actions.tolist(), axis)[1][0])
 
 
 class GameContext:

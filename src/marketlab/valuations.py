@@ -13,6 +13,7 @@ caches can key on bid profiles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -113,6 +114,12 @@ def value(v: AuctionValuation, bundle) -> float:
         raise ValueError(f"bundle has {len(bundle)} goods, valuation has {v.m}")
     if any(c < 0 for c in bundle):
         raise ValueError("bundle counts must be nonnegative")
+    return _value(v, bundle)
+
+
+def _value(v: AuctionValuation, bundle) -> float:
+    """``value`` of a bundle already known to be a tuple of ``v.m``
+    nonnegative ints, without checking it again."""
     if isinstance(v, UnitDemand):
         picked = [w for w, c in zip(v.weights, bundle) if c > 0]
         return max(picked, default=0.0)
@@ -136,11 +143,10 @@ def _sub_bundles(bundle: Bundle, cap: int):
             yield sub
 
 
-def bundles_upto(m: int, cap: int):
+@functools.cache
+def bundles_upto(m: int, cap: int) -> tuple[Bundle, ...]:
     """All bundles over m goods with at most ``cap`` items, lexicographic."""
-    for b in itertools.product(range(cap + 1), repeat=m):
-        if sum(b) <= cap:
-            yield b
+    return tuple(b for b in itertools.product(range(cap + 1), repeat=m) if sum(b) <= cap)
 
 
 def item_values(v: AuctionValuation) -> tuple[float, ...]:
@@ -178,7 +184,7 @@ def demand_set(v: AuctionValuation, prices, tol: float = 0.0) -> tuple[Bundle, .
     best = -math.inf
     utilities = []
     for b in bundles_upto(v.m, v.cap):
-        u = value(v, b) - bundle_cost(b, prices)
+        u = _value(v, b) - bundle_cost(b, prices)
         utilities.append((b, u))
         best = max(best, u)
     return tuple(b for b, u in utilities if u >= best - tol)
@@ -187,7 +193,7 @@ def demand_set(v: AuctionValuation, prices, tol: float = 0.0) -> tuple[Bundle, .
 def best_utility(v: AuctionValuation, prices) -> float:
     """Maximum quasi-linear utility achievable at ``prices``."""
     return max(
-        value(v, b) - bundle_cost(b, prices) for b in bundles_upto(v.m, v.cap)
+        _value(v, b) - bundle_cost(b, prices) for b in bundles_upto(v.m, v.cap)
     )
 
 

@@ -1,6 +1,9 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import marketlab
 from marketlab import fisher, harness, strategic
 from marketlab.cli import main
 from marketlab.errors import CheckFailure, ScenarioError
@@ -882,3 +886,51 @@ def test_fisher_outputs_match_the_benchmark_reference(tmp_path):
         for csv_name, entry in ref[name]["csv"].items():
             data = (tmp_path / name / csv_name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == entry["sha256"], csv_name
+
+
+def test_start_up_loads_no_scipy():
+    # Every run pays for what the CLI imports; scipy is a test-only dependency.
+    src = str(Path(marketlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, marketlab.cli, marketlab.harness; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_vacuous_floors_are_marked_in_the_summary(tmp_path, monkeypatch, capsys):
+    # Both bundled bounds are negative at every sweep point, so each
+    # poa-bound check compares the ratio with the floor max(0, bounds) = 0.
+    out = tmp_path / "bundled"
+    assert main(["run", "walrasian_binomial_sweep", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    (sc,) = summary["scenarios"]
+    bounds = [c for c in sc["checks"] if c["name"] == "poa-bound"]
+    assert bounds and all(c["passed"] and c.get("vacuous") is True for c in bounds)
+    assert sc["vacuous_checks"] == len(bounds)
+    assert not any("vacuous" in c for c in sc["checks"] if c["name"] != "poa-bound")
+    # A positive floor is a real test, and the mark goes.
+    monkeypatch.setattr(harness, "ratio_bound_sqrt", lambda *args: 0.5)
+    floored = tmp_path / "floored"
+    assert main(["run", "walrasian_binomial_sweep", "--out", str(floored)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((floored / "summary.json").read_text())
+    (sc,) = summary["scenarios"]
+    bounds = [c for c in sc["checks"] if c["name"] == "poa-bound"]
+    assert bounds and all(c["passed"] and "vacuous" not in c for c in bounds)
+    assert sc["vacuous_checks"] == 0
+
+
+def test_regret_display_below_zero_is_marked_vacuous(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, tiny_config("walrasian_regret")), "--out", str(out)]) == 0
+    (sc,) = json.loads((out / "summary.json").read_text())["scenarios"]
+    (display,) = [c for c in sc["checks"] if c["name"] == "regret-display"]
+    factor = float(display["detail"].split("factor ")[1].split(" ")[0])
+    assert factor <= 0.0 and display["vacuous"] is True
+    assert sc["vacuous_checks"] == 1

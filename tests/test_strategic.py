@@ -15,6 +15,7 @@ from marketlab.strategic import (
     LearningConfig,
     LearningResult,
     ScalingGrid,
+    _Axis,
     _Engine,
     _Hedge,
     _SingleGood,
@@ -213,6 +214,32 @@ def test_fast_stats_match_engine_stats():
                 assert got.sw_true == pytest.approx(want.sw_true, abs=1e-12)
                 for a, b in zip(got.utils, want.utils, strict=True):
                     assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_engine_tables_on_two_goods_equal_direct_mechanism_runs():
+    # A Monte Carlo supply axis of distinct count vectors: the cached tables,
+    # cold and warm, hold each run_mechanism utility to the bit.
+    rng = np.random.default_rng(5)
+    values = tuple(KDemand(tuple(rng.uniform(0.5, 1.0, 2)), 2) for _ in range(3))
+    grid = ScalingGrid((0.3, 0.7, 1.0))
+    ctx = GameContext(values, grid, BinomialCounts(2, 3, 0.5), exact_limit=0, mc_draws=40, seed=3)
+    game, axis = ctx._game, ctx._supplies
+    assert isinstance(game, _Engine) and isinstance(axis, _Axis) and len(axis) > 4
+    assert hash(axis) == hash(tuple(axis))
+    profiles = rng.integers(0, 3, (4, 3))
+    who = np.tile(np.arange(3), (4, 1))
+    cold = game.table(profiles, who, axis)
+    warm = game.table(profiles, who, axis)
+    assert cold.tolist() == warm.tolist()
+    for p, profile in enumerate(profiles.tolist()):
+        for i in range(3):
+            for s in range(3):
+                trial = profile[:i] + [s] + profile[i + 1 :]
+                bids = tuple(scale_bid(values[h], *grid.strategies[a]) for h, a in enumerate(trial))
+                for a, n in enumerate(axis):
+                    out = run_mechanism(bids, n)
+                    want = value(values[i], out.allocation[i]) - out.payments[i]
+                    assert cold[p, i, s, a] == want
 
 
 def engine_utility(vals, menu, profile, i, n, rule, lam):

@@ -2,18 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from marketlab.errors import InternalCheckError, SizeLimitError
 from marketlab.valuations import Explicit, KDemand, UnitDemand, value
 from marketlab.walrasian import (
     Outcome,
     WelfareOracle,
+    _assigned_sum,
+    _max_assignment,
     max_welfare,
     run_mechanism,
     truncated_distance,
     validate_outcome,
 )
-from oracles import assert_valid_outcome, oracle_best_allocation, random_market
+from oracles import (
+    ScipyWelfareOracle,
+    assert_valid_outcome,
+    oracle_best_allocation,
+    random_market,
+)
 
 THREE_UNIT_BIDDERS = (UnitDemand((5.0,)), UnitDemand((3.0,)), UnitDemand((2.0,)))
 
@@ -230,6 +240,9 @@ def test_oracle_input_validation():
         max_welfare(THREE_UNIT_BIDDERS, (1, 1))
     with pytest.raises(ValueError):
         max_welfare(THREE_UNIT_BIDDERS, (-1,))
+    # The assignment solver needs finite gains; the oracle checks them once.
+    with pytest.raises(ValueError, match="finite"):
+        WelfareOracle((UnitDemand((math.inf, 1.0)), UnitDemand((1.0, 2.0))))
 
 
 def test_suffix_values_agree_across_paths():
@@ -246,3 +259,74 @@ def test_suffix_values_agree_across_paths():
             tail = WelfareOracle(bids[start:])
             got = oracle._suffix_value(start, supply)
             assert got == pytest.approx(tail.welfare(supply), abs=1e-9)
+
+
+# Shapes of gain matrices, as (rows, columns) strategies.
+SHAPES = {
+    "tall": st.integers(1, 6).flatmap(lambda c: st.tuples(st.integers(c + 1, 7), st.just(c))),
+    "wide": st.integers(1, 6).flatmap(lambda r: st.tuples(st.just(r), st.integers(r + 1, 7))),
+    "square": st.integers(1, 7).map(lambda n: (n, n)),
+    "one-row": st.integers(1, 7).map(lambda k: (1, k)),
+    "one-column": st.integers(1, 7).map(lambda k: (k, 1)),
+}
+# Entries of gain matrices: a five-value grid full of ties, spread floats, zeros.
+ENTRIES = {
+    "tie-grid": st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0)),
+    "floats": st.floats(0.0, 10.0, allow_nan=False),
+    "zeros": st.just(0.0),
+}
+
+
+@pytest.mark.parametrize("entries", sorted(ENTRIES))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_max_assignment_equals_scipy(shape, entries, data):
+    rows, cols = data.draw(SHAPES[shape])
+    cells = data.draw(st.lists(ENTRIES[entries], min_size=rows * cols, max_size=rows * cols))
+    gain = np.array(cells).reshape(rows, cols)
+    want_rows, want_cols = linear_sum_assignment(gain, maximize=True)
+    got_rows, got_cols = _max_assignment(gain)
+    assert got_rows.tolist() == want_rows.tolist()
+    assert got_cols.tolist() == want_cols.tolist()
+    assert _assigned_sum(gain) == float(gain[want_rows, want_cols].sum())
+
+
+def test_max_assignment_of_an_empty_matrix_is_empty():
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        rows, cols = _max_assignment(np.zeros(shape))
+        assert rows.size == cols.size == 0
+        assert _assigned_sum(np.zeros(shape)) == 0.0
+
+
+def tied_market(rng):
+    """random_market with every weight on the grid {0, 1, 2}, so welfare
+    ties between assignments are the rule."""
+    bids, supply = random_market(rng)
+
+    def tie(b):
+        weights = tuple(float(w) for w in rng.integers(0, 3, b.m))
+        return UnitDemand(weights) if isinstance(b, UnitDemand) else KDemand(weights, b.cap)
+
+    return tuple(map(tie, bids)), supply
+
+
+@pytest.mark.parametrize("draw", (random_market, tied_market))
+def test_oracle_queries_equal_the_scipy_reference(draw):
+    rng = np.random.default_rng(12)
+    for _ in range(150):
+        bids, supply = draw(rng)
+        got, want = WelfareOracle(bids), ScipyWelfareOracle(bids)
+        near = [supply] + [
+            tuple(c + d if h == j else c for h, c in enumerate(supply))
+            for j in range(len(supply))
+            for d in (-1, 1)
+            if supply[j] + d >= 0
+        ]
+        for s in near:
+            assert got.welfare(s) == want.welfare(s)
+            assert got.english(s).tolist() == want.english(s).tolist()
+            assert got.dutch(s).tolist() == want.dutch(s).tolist()
+            for rule, lam in (("english", None), ("dutch", None), ("mix", 0.3)):
+                assert got.prices(s, rule, lam).tolist() == want.prices(s, rule, lam).tolist()
+            assert got.allocation(s) == want.allocation(s)
