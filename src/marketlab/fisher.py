@@ -617,8 +617,6 @@ class _ReportGame:
             if _reweighted(v, v.a) not in menu:
                 raise ValueError("every menu must contain the truthful report")
         self._cache: dict[tuple[int, ...], tuple[float, ...]] = {}
-        # (buyer, the others' entries) -> the buyer's menu row, zero-padded
-        self._rows: dict[tuple[int, ...], tuple[float, ...]] = {}
 
     def truthful_profile(self) -> tuple[int, ...]:
         return tuple(
@@ -649,27 +647,20 @@ class _ReportGame:
     def table(self, profiles, who) -> np.ndarray:
         """util[p, w, s]: true utility of buyer who[p, w] switching to entry s
         of its menu against the rest of profiles[p]; 0 past the end of its
-        menu.  Each buyer's whole menu row is cached under (buyer, the
-        others' entries); the profiles of the rows not cached yet are solved
-        as one batch, in row-then-buyer order."""
+        menu.  The uncached entries are solved as one batch, in row-then-buyer
+        order."""
         who = np.asarray(who).tolist()
-        width = max(map(len, self.menus))
-        rows, todo = [], []
-        for profile, buyers in zip(np.asarray(profiles).tolist(), who):
+        # One (buyer, menu profiles) entry per cell (p, w), in row-major order.
+        cells = []
+        for profile, buyers in zip(map(tuple, np.asarray(profiles).tolist()), who):
             for i in buyers:
                 head, tail = profile[:i], profile[i + 1 :]
-                key = (i, *head, *tail)
-                row = self._rows.get(key)
-                if row is None:
-                    menu = [(*head, s, *tail) for s in range(len(self.menus[i]))]
-                    todo.append((len(rows), key, i, menu))
-                rows.append(row)
-        if todo:
-            self._solve([profile for *_, menu in todo for profile in menu])
-            for c, key, i, menu in todo:
-                row = [self._cache[profile][i] for profile in menu]
-                rows[c] = self._rows[key] = tuple(row + [0.0] * (width - len(row)))
-        return np.array(rows).reshape(len(who), len(who[0]), width)
+                cells.append((i, [head + (s,) + tail for s in range(len(self.menus[i]))]))
+        self._solve([key for _, keys in cells for key in keys])
+        util = np.zeros((len(who), len(who[0]), max(map(len, self.menus))))
+        for row, (i, keys) in zip(util.reshape(len(cells), -1), cells):
+            row[: len(keys)] = [self._cache[key][i] for key in keys]
+        return util
 
     def menu_utils(self, profile, i) -> list[float]:
         """Buyer i's true utility at each entry of its menu, the others held

@@ -277,20 +277,6 @@ class _SingleGood:
         return np.where(wins, self.tv[me] - price, 0.0)
 
 
-class _Axis(tuple):
-    """A supply axis of count vectors that hashes once.  ``_Engine`` keys its
-    cache on (profile, axis), so a lookup hashes the profile and reads this
-    hash, whatever the axis length."""
-
-    def __new__(cls, vectors):
-        axis = super().__new__(cls, vectors)
-        axis._hash = tuple.__hash__(axis)
-        return axis
-
-    def __hash__(self):
-        return self._hash
-
-
 class _Engine:
     """The tables of ``_SingleGood`` for any game, over count vectors: one
     ``run_mechanism`` outcome per (profile, count vector), one
@@ -307,21 +293,21 @@ class _Engine:
         # (profile, count vectors) -> rows of utilities and true welfare
         self._cache: dict[tuple, np.ndarray] = {}
 
-    def supplies(self, atoms) -> tuple[_Axis, np.ndarray]:
+    def supplies(self, atoms) -> tuple[tuple, np.ndarray]:
         """The distinct count vectors among the atoms, in order of first
-        appearance, as an ``_Axis``, and the place of every atom among them."""
+        appearance, and the place of every atom among them."""
         place: dict = {}
         ns = np.array([place.setdefault(c, len(place)) for c in atoms], dtype=int)
-        return _Axis(place), ns
+        return tuple(place), ns
 
-    def outcomes(self, profile, supplies: _Axis) -> tuple[np.ndarray, np.ndarray]:
+    def outcomes(self, profile, supplies) -> tuple[np.ndarray, np.ndarray]:
         """util[i, a] and true welfare sw[a], as ``_SingleGood.outcomes``."""
-        key = (tuple(profile), supplies)
+        key = (tuple(profile), tuple(supplies))
         table = self._cache.get(key)
         if table is None:
             bids = tuple(b[s] for b, s in zip(self._bids, key[0]))
             oracle, rows = WelfareOracle(bids), []
-            for n in supplies:
+            for n in key[1]:
                 o = run_mechanism(bids, n, self.rule, self.lam, oracle=oracle)
                 worth = [_value(v, x) for v, x in zip(self.true_values, o.allocation)]
                 rows.append([w - c for w, c in zip(worth, o.payments)] + [sum(worth)])
@@ -330,7 +316,7 @@ class _Engine:
                 self._cache[key] = table
         return table[:-1], table[-1]
 
-    def table(self, profiles, who, supplies: _Axis) -> np.ndarray:
+    def table(self, profiles, who, supplies) -> np.ndarray:
         """util[p, w, s, a], as ``_SingleGood.table``; 0 past a menu's end."""
         who = np.asarray(who)
         util = np.zeros((*who.shape, max(map(len, self.menu)), len(supplies)))
@@ -344,9 +330,8 @@ class _Engine:
     def play(self, actions: np.ndarray, n) -> tuple[np.ndarray, float]:
         """One learning round, as ``_SingleGood.play``; the realized welfare
         is summed in player order."""
-        axis = _Axis((n,))
-        uts = self.table(actions[None], [range(len(actions))], axis)[0, ..., 0]
-        return uts, float(self.outcomes(actions.tolist(), axis)[1][0])
+        uts = self.table(actions[None], [range(len(actions))], [n])[0, ..., 0]
+        return uts, float(self.outcomes(actions.tolist(), [n])[1][0])
 
 
 class GameContext:

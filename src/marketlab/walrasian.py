@@ -18,7 +18,10 @@ The assignment path solves each maximum-weight assignment with
 solver of Crouse (*On implementing 2D rectangular assignment algorithms*,
 IEEE TAES 2016) as scipy's ``linear_sum_assignment`` runs it: the same
 scan order, tie breaks and dual updates, so it returns the same rows and
-columns, and welfare sums the same floats in the same order.
+columns, and welfare sums the same floats in the same order.  The port
+runs in Python, so a solve costs about rows² × columns interpreted steps;
+matrices beyond ``_ASSIGNMENT_CELL_LIMIT`` cells raise ``SizeLimitError``,
+as the exhaustive path does past its state budget.
 
 Public queries validate their supply once; everything inside an oracle runs
 on private helpers over tuples it built itself.
@@ -49,6 +52,10 @@ RULES = ("english", "dutch", "mix")
 TIE_TOL = 1e-9
 
 _DP_STATE_LIMIT = 200_000
+# The assignment solver runs in Python: from about 64 rows up it is some 20
+# times slower than scipy's C loop, and a two-good mechanism run at 100
+# unit-demand bidders takes seconds.
+_ASSIGNMENT_CELL_LIMIT = 4_096
 
 
 def _as_supply(supply, m):
@@ -148,6 +155,12 @@ def _assigned_sum(gain) -> float:
     gains summed by numpy in ascending row order."""
     if gain.size == 0:
         return 0.0
+    if gain.size > _ASSIGNMENT_CELL_LIMIT:
+        rows, cols = gain.shape
+        raise SizeLimitError(
+            f"assignment path would solve a {rows} x {cols} matrix "
+            f"(limit {_ASSIGNMENT_CELL_LIMIT} cells); shrink the bidders, caps or supply"
+        )
     row, col = _max_assignment(gain)
     return float(gain[row, col].sum())
 

@@ -25,9 +25,6 @@ expectations in another order.  ``reference_find_equilibria`` (with
 reporting game's walk-by-walk search, one menu batch per step, as it was
 before its walks ran in lockstep; the equilibria, their order, the dropped
 count and the generator state must be matched exactly.
-``reference_run_market_learning`` (with ``reference_report_table``) is the
-Fisher learning loop as it was before menu rows were cached; every result
-field must be matched exactly.
 ``reference_run_learning`` is the package's no-regret loop as it was before
 a learning round was settled from one sorted bid row: masked mixtures over
 zero-padded rows and a masked payoff-bound check; on games whose menus have
@@ -60,7 +57,6 @@ from marketlab.strategic import (
     LearningResult,
     ScalingGrid,
     _auction,
-    _Hedge,
     _Stats,
 )
 from marketlab.supply import MultiplicityModel, iter_support, sample, support_size
@@ -515,67 +511,6 @@ def reference_engine_stats(self: GameContext, profile) -> _Stats:
             utils[i] += p * u
             sw += p * value(self.true_values[i], out.allocation[i])
     return _Stats(tuple(float(u) for u in utils), float(sw))
-
-
-def reference_report_table(game, profiles, who) -> np.ndarray:
-    """``fisher._ReportGame.table`` as it was before it cached whole menu
-    rows: every (buyer, entry) profile key built, looked up and copied on
-    every call."""
-    who = np.asarray(who).tolist()
-    cells = []
-    for profile, buyers in zip(map(tuple, np.asarray(profiles).tolist()), who):
-        for i in buyers:
-            head, tail = profile[:i], profile[i + 1 :]
-            cells.append((i, [head + (s,) + tail for s in range(len(game.menus[i]))]))
-    game._solve([key for _, keys in cells for key in keys])
-    util = np.zeros((len(who), len(who[0]), max(map(len, game.menus))))
-    for row, (i, keys) in zip(util.reshape(len(cells), -1), cells):
-        row[: len(keys)] = [game._cache[key][i] for key in keys]
-    return util
-
-
-def reference_run_market_learning(market, rounds, deltas, seed) -> fisher.FisherLearningResult:
-    """``fisher.run_market_learning`` as it was before menu rows were cached:
-    one ``reference_report_table`` call per round."""
-    lam = float(np.max(fisher._truthful_prices(market) / np.asarray(market.reserves)))
-    game = fisher._ReportGame(market, [fisher.perturbed_reports(v, deltas) for v in market.utilities])
-    sizes = np.array([len(m) for m in game.menus])
-    n = market.buyers
-    truthful_utils = game.utils(game.truthful_profile())
-    chi = [lam * u for u in truthful_utils]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    T = rounds
-    learner = _Hedge(sizes, T)
-    rows = np.arange(n)
-    chi_col = np.array(chi)[:, None]
-    cap = chi_col + 1e-6 * np.maximum(1.0, chi_col)
-    welfare_sum = 0.0
-    for _ in range(T):
-        sigma = learner.mixtures()
-        cdf = np.cumsum(sigma, axis=1)
-        cdf /= cdf[rows, sizes - 1][:, None]
-        actions = (cdf <= rng.random(n)[:, None]).sum(axis=1)
-        utils = reference_report_table(game, [actions], [rows])[0]
-        over = np.flatnonzero((utils > cap).any(axis=1))
-        if over.size:
-            i = int(over[0])
-            raise InternalCheckError(
-                f"buyer {i} payoff exceeds the reserve cap {chi[i]}: {utils[i, :sizes[i]].max()}"
-            )
-        learner.scores += utils / chi_col
-        realized = utils[rows, actions]
-        learner.record(utils, realized)
-        welfare_sum += float(realized.sum())
-    regrets = learner.regrets()
-    phi = tuple(reg / c for reg, c in zip(regrets, chi))
-    truthful_total = float(sum(truthful_utils))
-    bound_factor = math.exp(-2.0 * market.m / market.largeness) - max(phi) / T * lam
-    rhs = bound_factor * truthful_total
-    avg = welfare_sum / T
-    holds = avg >= rhs - 1e-9 * max(1.0, abs(rhs))
-    return fisher.FisherLearningResult(
-        T, avg, truthful_total, bound_factor, rhs, lam, regrets, phi, holds
-    )
 
 
 def reference_run_learning(

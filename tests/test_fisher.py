@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketlab import fisher, harness
+from marketlab import fisher
 from marketlab.errors import InternalCheckError, SolverError
 from marketlab.fisher import (
     FisherLearningResult,
@@ -26,7 +26,6 @@ from marketlab.fisher import (
     verify_price_shift,
     verify_utility_floor,
 )
-from marketlab.harness import load_config, parse_config
 from marketlab.valuations import CES, CobbDouglas, Linear, fisher_demand, utility
 
 from oracles import (
@@ -35,7 +34,6 @@ from oracles import (
     reference_best_response,
     reference_find_equilibria,
     reference_outcome,
-    reference_run_market_learning,
     reference_solve_linear,
 )
 
@@ -895,12 +893,3 @@ def test_the_stopping_round_is_decided_on_the_exact_gap(monkeypatch, seed, reser
             assert both(cap=r)[3] == r
             patch.setattr(fisher, "GAP_ACCEPT", math.nextafter(g, -math.inf))
             assert both(cap=r).startswith(f"proportional response failed to converge in {r} rounds")
-
-
-def test_bundled_market_learning_equals_the_uncached_loop():
-    (sc,) = parse_config(load_config("fisher_regret"))
-    _, _, _, market = harness._reserve_market(sc, 0, sc.sweep[0], sc.seeds[0])
-    lseed = int(harness._task_seq(sc, 0, sc.seeds[0], tag=1).generate_state(1)[0])
-    got = run_market_learning(market, rounds=sc.spec["rounds"], deltas=sc.spec["deltas"], seed=lseed)
-    want = reference_run_market_learning(market, sc.spec["rounds"], sc.spec["deltas"], lseed)
-    assert got == want

@@ -15,7 +15,6 @@ from marketlab.strategic import (
     LearningConfig,
     LearningResult,
     ScalingGrid,
-    _Axis,
     _Engine,
     _Hedge,
     _SingleGood,
@@ -224,8 +223,7 @@ def test_engine_tables_on_two_goods_equal_direct_mechanism_runs():
     grid = ScalingGrid((0.3, 0.7, 1.0))
     ctx = GameContext(values, grid, BinomialCounts(2, 3, 0.5), exact_limit=0, mc_draws=40, seed=3)
     game, axis = ctx._game, ctx._supplies
-    assert isinstance(game, _Engine) and isinstance(axis, _Axis) and len(axis) > 4
-    assert hash(axis) == hash(tuple(axis))
+    assert isinstance(game, _Engine) and len(axis) > 4
     profiles = rng.integers(0, 3, (4, 3))
     who = np.tile(np.arange(3), (4, 1))
     cold = game.table(profiles, who, axis)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from marketlab import walrasian
 from marketlab.errors import InternalCheckError, SizeLimitError
 from marketlab.valuations import Explicit, KDemand, UnitDemand, value
 from marketlab.walrasian import (
@@ -290,6 +291,38 @@ def test_max_assignment_equals_scipy(shape, entries, data):
     assert got_rows.tolist() == want_rows.tolist()
     assert got_cols.tolist() == want_cols.tolist()
     assert _assigned_sum(gain) == float(gain[want_rows, want_cols].sum())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_max_assignment_equals_scipy_on_oracle_shaped_matrices(seed):
+    # As the assignment path builds them, up to its size limit: one row per
+    # copy a bidder can use, one column per copy of a good, so rows and
+    # columns repeat and equal path costs are the rule.
+    rng = np.random.default_rng(seed)
+    for k in range(12):
+        bidders, goods = int(rng.integers(8, 40)), int(rng.integers(2, 4))
+        if k % 2:
+            weights = rng.integers(0, 3, (bidders, goods)).astype(float)
+        else:
+            weights = rng.uniform(0.5, 1.0, (bidders, goods))
+        slots = np.repeat(weights, rng.integers(1, 3, bidders), axis=0)
+        supply = rng.integers(0, 30, goods)
+        gain = slots[:, np.repeat(np.arange(goods), supply)]
+        if not 0 < gain.size <= walrasian._ASSIGNMENT_CELL_LIMIT:
+            continue
+        want_rows, want_cols = linear_sum_assignment(gain, maximize=True)
+        got_rows, got_cols = _max_assignment(gain)
+        assert got_rows.tolist() == want_rows.tolist()
+        assert got_cols.tolist() == want_cols.tolist()
+
+
+def test_assignment_path_size_guard():
+    rng = np.random.default_rng(4)
+    bids = tuple(UnitDemand(tuple(rng.uniform(0.5, 1.0, 2))) for _ in range(64))
+    # 64 slots by 64 copies is the largest matrix the path solves.
+    assert WelfareOracle(bids).welfare((32, 32)) == ScipyWelfareOracle(bids).welfare((32, 32))
+    with pytest.raises(SizeLimitError, match="64 x 65"):
+        WelfareOracle(bids).welfare((32, 33))
 
 
 def test_max_assignment_of_an_empty_matrix_is_empty():
