@@ -39,7 +39,11 @@ auction game's loop, and reads each round's payoffs of every buyer's whole
 menu from one table call.  Its draw is the inverse-CDF count that
 ``rng.choice(k, p=sigma)`` makes (cumulative weights divided by their total,
 counted at or below one uniform per buyer), so it consumes the random stream
-of a per-buyer loop and draws the same actions.
+of a per-buyer loop and draws the same actions.  A round runs the draw, the
+table call, the reserve-cap check and the score update; the learner keeps
+its payoffs and reports and folds the regret sums (each buyer earning the
+payoff of the report it drew) once per block of rounds, to the bits of a
+round-by-round update.
 """
 
 from __future__ import annotations
@@ -955,8 +959,9 @@ def run_market_learning(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     T = rounds
-    learner = _Hedge(sizes, T)
+    learner = _Hedge(sizes, T, expected=False)
     rows = np.arange(n)
+    last = sizes - 1
     chi_col = np.array(chi)[:, None]
     cap = chi_col + 1e-6 * np.maximum(1.0, chi_col)
     welfare_sum = 0.0
@@ -965,20 +970,20 @@ def run_market_learning(
         sigma = learner.mixtures()
         # Inverse-CDF draw, as ``rng.choice(k, p=sigma)`` makes it: the count
         # of cumulative weights, divided by their total, at or below u.
-        cdf = np.cumsum(sigma, axis=1)
-        cdf /= cdf[rows, sizes - 1][:, None]
-        actions = (cdf <= rng.random(n)[:, None]).sum(axis=1)
+        cdf = np.add.accumulate(sigma, axis=1)
+        cdf /= cdf[rows, last][:, None]
+        actions = np.add.reduce(cdf <= rng.random(n)[:, None], axis=1)
         utils = game.table([actions], [rows])[0]
-        over = np.flatnonzero((utils > cap).any(axis=1))
-        if over.size:
-            i = int(over[0])
+        over = utils > cap
+        if over.any():
+            i = int(np.flatnonzero(over.any(axis=1))[0])
             raise InternalCheckError(
                 f"buyer {i} payoff exceeds the reserve cap {chi[i]}: {utils[i, :sizes[i]].max()}"
             )
         learner.scores += utils / chi_col
-        realized = utils[rows, actions]
-        learner.record(utils, realized)
-        welfare_sum += float(realized.sum())
+        learner.note(utils, actions)
+        welfare_sum += float(utils[rows, actions].sum())
+    learner.fold()
 
     regrets = learner.regrets()
     phi = tuple(reg / c for reg, c in zip(regrets, chi))

@@ -22,9 +22,10 @@ a stack of profiles, and ``play`` to one learning round, whose one sorted bid
 row gives every player's price slot.
 
 ``_Hedge`` is the no-regret learner of both learning loops, this one and the
-Fisher one: menu-size groups, learning rates, scores and regret sums.  It
-normalizes each mixture over its own menu, as a per-player loop does.  Each
-loop keeps its draw, payoff normalization and payoff-bound check.
+Fisher one.  It normalizes each mixture over its own menu, as a per-player
+loop does, and folds the regret sums and play counts once per block of
+rounds, so a round runs only scores -> mixture -> draw -> payoffs -> scores.
+Each loop keeps its draw, payoff normalization and payoff-bound check.
 
 Best-reply walks run in lockstep (``lockstep_walks``, which the Fisher
 reporting game shares).  Every start profile is drawn first, in the order
@@ -163,8 +164,10 @@ class _SingleGood:
         self.cand = np.zeros((len(weights), max(len(m) for m in menu)))
         for i, (w, m) in enumerate(zip(weights, menu)):
             self.cand[i, : len(m)] = [g * w + d for g, d in m]
-        self.rule = rule
-        self.lam = lam
+        # The dutch price's weight in the price; 1 is the dutch price, also
+        # at supply 0, where the english one is +inf.
+        self.blend = {"english": 0.0, "dutch": 1.0}.get(rule, lam)
+        self._row = np.zeros((2, 0))  # the slot row of ``play``, reused
 
     def supplies(self, atoms) -> tuple[np.ndarray, np.ndarray]:
         """The supply axis of this game's tables, copy counts 0..max, and
@@ -210,25 +213,28 @@ class _SingleGood:
         """One learning round at count vector n: uts[i, s] = util of player
         i playing s against the others' actions, and the realized welfare
         of the actions, summed in slot order.  The same floats as the
-        ``utilities`` row, read off the round's one sorted bid row."""
+        ``utilities`` row, read off the round's one sorted bid row, written
+        after a +inf bid into a zero-padded row that grows with the supply."""
         bids = self.bids(actions)
         order = self.order(bids[None])[0]
         rank = np.empty_like(order)
         rank[order] = self.owner
         n = n[0]
-        # slots[:, 1 + k]: the bid, owner and true value in slot k, after a
-        # leading +inf bid and zero-padded past the end, as in ``utilities``.
-        slots = np.zeros((3, bids.size + n + 2))
-        slots[0, 0] = np.inf
-        slots[:, 1 : bids.size + 1] = bids[order], order, self.tv[order]
+        players = bids.size
+        if self._row.shape[1] < players + n + 2:
+            self._row = np.zeros((2, players + n + 2))
+            self._row[0, 0] = np.inf
+        row = self._row
+        row[0, 1 : players + 1] = bids[order]
+        row[1, 1 : players + 1] = order
         own = rank[:, None]
 
         def others(j):
-            return slots[:2, 1 + j + (j >= own)]
+            return row[:, 1 + j + (j >= own)]
 
         uts = self._settle(self.cand, self.owner[:, None], n, others)
-        take = min(n, int(np.count_nonzero(bids > 0.0)))
-        return uts, float(slots[2, 1 : take + 1].sum())
+        take = min(n, np.count_nonzero(bids))  # bids are nonnegative
+        return uts, float(np.add.reduce(self.tv[order[:take]]))
 
     def utilities(self, bids: np.ndarray, who, supplies: np.ndarray) -> np.ndarray:
         """util[p, w, s, a]: true utility of player who[p, w] switching to
@@ -259,20 +265,23 @@ class _SingleGood:
         others(j) gives the bid and owner of the j-th best slot (from 0;
         +inf at -1) held by anyone but the player.
 
-        The candidate wins at supply n when it ranks above the n-th best
-        other bid under the composite key; that bid, others(n - 1), is then
-        the english price, the (n+1)-th largest.  The dutch price, the n-th
-        largest, is the lower of the candidate and others(n - 2).  Losers'
-        prices are never used."""
-        english, holder = others(np.maximum(supplies - 1, 0))
-        wins = (x > english) | ((x == english) & (me > holder))
-        wins &= (x > 0.0) & (supplies > 0)
-        if self.rule == "english" or (self.rule == "mix" and self.lam == 0.0):
+        The candidate wins at supply n when it is positive and ranks above
+        the n-th best other bid under the composite key; that bid,
+        others(n - 1), is then the english price, the (n+1)-th largest (at
+        supply 0 the +inf slot).  The dutch price, the n-th largest, is the
+        lower of the candidate and others(n - 2).  Losers' prices are never
+        used."""
+        english, holder = others(supplies - 1)
+        # The bar to clear: one ulp lower when the player outranks the
+        # price's holder, so a tie wins, and never below 0.
+        bar = np.where(me > holder, np.nextafter(english, -np.inf), english)
+        wins = x > np.maximum(bar, 0.0)
+        if self.blend == 0.0:
             price = english
         else:
             dutch = np.minimum(x, others(np.maximum(supplies - 2, -1))[0])
-            price = dutch if self.rule == "dutch" else (
-                (1.0 - self.lam) * english + self.lam * dutch
+            price = dutch if self.blend == 1.0 else (
+                (1.0 - self.blend) * english + self.blend * dutch
             )
         return np.where(wins, self.tv[me] - price, 0.0)
 
@@ -756,9 +765,20 @@ class _Hedge:
     """Multiplicative weights over menus of ``sizes`` entries for ``rounds``
     rounds.  State is players x (largest menu) arrays whose entries past a
     player's menu are never read: ``scores``, to which the caller adds
-    normalized payoffs, and the regret sums that ``record`` keeps."""
+    normalized payoffs, and the sums of payoffs, earned payoffs (the
+    mixture's expected payoff, or the played entry's when not ``expected``)
+    and play counts.
 
-    def __init__(self, sizes, rounds: int):
+    ``note`` keeps a round's payoffs, actions and mixture in block buffers
+    of at most ``BLOCK_ELEMENTS`` elements; ``fold`` adds them into the sums
+    when the block is full, and the caller folds after the last round.  A
+    sum is a ``cumsum`` over rounds whose first row adds the running sum, so
+    it equals a round-by-round update to the bit."""
+
+    BLOCK_ROUNDS = 512
+    BLOCK_ELEMENTS = 1 << 13  # 64 KiB buffers come from the freed heap
+
+    def __init__(self, sizes, rounds: int, expected: bool = True):
         self.sizes = np.asarray(sizes)
         self.groups = [(np.flatnonzero(self.sizes == k), int(k)) for k in np.unique(self.sizes)]
         self.etas = np.array(
@@ -768,6 +788,12 @@ class _Hedge:
         self.scores = np.zeros(shape)
         self.counter = np.zeros(shape)  # cumulative payoff of every entry
         self.earned = np.zeros(self.sizes.size)  # cumulative payoff earned
+        self.counts = np.zeros(shape, dtype=int)
+        self.block = max(1, min(self.BLOCK_ROUNDS, rounds, self.BLOCK_ELEMENTS // math.prod(shape)))
+        self._payoffs = np.empty((self.block, *shape))
+        self._mixtures = np.empty((self.block, *shape)) if expected else None
+        self._actions = np.empty((self.block, shape[0]), dtype=int)
+        self._noted = 0
 
     def mixtures(self) -> np.ndarray:
         """Each row normalized over its own k entries and zero beyond them,
@@ -775,8 +801,10 @@ class _Hedge:
         more entries pairwise, so a zero-padded row would add in another
         order."""
         def mix(own, eta):
-            w = np.exp(eta * (own - own.max(axis=1, keepdims=True)))
-            return w / w.sum(axis=1, keepdims=True)
+            w = own - np.maximum.reduce(own, axis=1, keepdims=True)
+            w *= eta
+            np.exp(w, out=w)
+            return w / np.add.reduce(w, axis=1, keepdims=True)
 
         if len(self.groups) == 1:  # one menu size: no row is padded
             return mix(self.scores, self.etas)
@@ -785,17 +813,36 @@ class _Hedge:
             sigma[rows, :k] = mix(self.scores[rows, :k], self.etas[rows])
         return sigma
 
-    def expected(self, mixtures: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        """Each player's payoff under its mixture: one dot per player over its
-        own menu, batched per menu size, the same dot as a lone one."""
-        out = np.empty(self.sizes.size)
-        for rows, k in self.groups:
-            out[rows] = (mixtures[rows, None, :k] @ payoffs[rows, :k, None])[:, 0, 0]
-        return out
+    def note(self, payoffs: np.ndarray, actions: np.ndarray, mixtures=None) -> None:
+        t = self._noted
+        self._payoffs[t] = payoffs
+        self._actions[t] = actions
+        if self._mixtures is not None:
+            self._mixtures[t] = mixtures
+        self._noted = t + 1
+        if self._noted == self.block:
+            self.fold()
 
-    def record(self, payoffs: np.ndarray, earned: np.ndarray) -> None:
-        self.counter += payoffs
-        self.earned += earned
+    def fold(self) -> None:
+        t, self._noted = self._noted, 0
+        if not t:
+            return
+        payoffs, actions = self._payoffs[:t], self._actions[:t]
+        players = np.arange(self.sizes.size)
+        if self._mixtures is None:
+            gained = payoffs[np.arange(t)[:, None], players, actions]
+        else:
+            # Batched per menu size, each dot is the same as a lone one.
+            gained = np.empty((t, self.sizes.size))
+            for rows, k in self.groups:
+                gained[:, rows] = (
+                    self._mixtures[:t, rows, None, :k] @ payoffs[:, rows, :k, None]
+                )[..., 0, 0]
+        gained[0] += self.earned
+        self.earned = gained.cumsum(axis=0)[-1]
+        payoffs[0] += self.counter
+        self.counter = payoffs.cumsum(axis=0)[-1]
+        np.add.at(self.counts, (players, actions), 1)
 
     def regrets(self) -> tuple[float, ...]:
         return tuple(
@@ -833,15 +880,18 @@ def run_learning(
     game = _auction(true_values, menu, model.goods, rule, lam)
     sizes = np.array([len(m) for m in menu])
     rows = np.arange(players)
+    last = sizes - 1
     T = config.rounds
     chi = config.payoff_bound
+    limit = chi + 1e-9
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     learner = _Hedge(sizes, T)
+    bandit = config.feedback == "bandit"
     explore = np.array([
         min(1.0, math.sqrt(k * math.log(k) / ((math.e - 1.0) * T))) if k > 1 else 0.0
         for k in sizes
     ])[:, None]
-    counts = np.zeros(learner.scores.shape, dtype=int)
+    keep, floor = 1.0 - explore, explore / sizes[:, None]
     welfare_sum = 0.0
 
     true_oracle = WelfareOracle(true_values)
@@ -855,27 +905,27 @@ def run_learning(
     for _ in range(T):
         n_t = sample(model, rng)
         mixtures = learner.mixtures()
-        if config.feedback == "bandit":
-            mixtures = (1.0 - explore) * mixtures + explore / sizes[:, None]
+        if bandit:
+            mixtures = keep * mixtures + floor
         u = rng.random(players)
         # Inverse-CDF draw: the count of cumulative weights at or below u.
-        drawn = (np.cumsum(mixtures, axis=1) <= u[:, None]).sum(axis=1)
-        actions = np.minimum(drawn, sizes - 1)
+        drawn = np.add.reduce(np.add.accumulate(mixtures, axis=1) <= u[:, None], axis=1)
+        actions = np.minimum(drawn, last)
 
         uts, welfare = game.play(actions, n_t)
-        if np.abs(uts).max() > chi + 1e-9:
-            over = (np.abs(uts) > chi + 1e-9).any(axis=1)
+        if np.maximum.reduce(np.abs(uts), axis=None) > limit:
+            over = (np.abs(uts) > limit).any(axis=1)
             raise ValueError(
                 f"payoff bound {chi} does not cover player {np.flatnonzero(over)[0]}'s payoffs"
             )
-        norm = (uts + chi) / (2.0 * chi)
-        if config.feedback == "full":
-            learner.scores += norm
+        if bandit:
+            played = uts[rows, actions]
+            learner.scores[rows, actions] += (played + chi) / (2.0 * chi) / mixtures[rows, actions]
         else:
-            learner.scores[rows, actions] += norm[rows, actions] / mixtures[rows, actions]
-        learner.record(uts, learner.expected(mixtures, uts))
-        counts[rows, actions] += 1
+            learner.scores += (uts + chi) / (2.0 * chi)
+        learner.note(uts, actions, mixtures)
         welfare_sum += welfare
+    learner.fold()
 
     regrets = learner.regrets()
     budgets = tuple(
@@ -893,6 +943,6 @@ def run_learning(
         regrets=regrets,
         regret_budgets=budgets,
         mixtures=learner.rows(learner.mixtures()),
-        play_counts=learner.rows(counts),
+        play_counts=learner.rows(learner.counts),
         rounds=T,
     )

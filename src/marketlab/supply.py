@@ -184,7 +184,7 @@ def std_counts(model: MultiplicityModel) -> np.ndarray:
 def sample(model: MultiplicityModel, rng: np.random.Generator) -> tuple[int, ...]:
     """One draw of the copy-count vector from an explicit generator."""
     if isinstance(model, BinomialCounts):
-        return tuple(int(c) for c in rng.binomial(model.trials, model.prob, size=model.goods))
+        return tuple(rng.binomial(model.trials, model.prob, size=model.goods).tolist())
     if isinstance(model, FixedCounts):
         return model.counts
     return tuple(

@@ -464,9 +464,11 @@ def validate_outcome(bids, outcome, tol=1e-9):
     if np.any(prices < -tol):
         problems.append("negative price")
     sold = np.zeros(m, dtype=int)
+    malformed = set()
     for i, x in enumerate(outcome.allocation):
         if len(x) != m or any(c < 0 for c in x):
             problems.append(f"bidder {i} bundle malformed")
+            malformed.add(i)
             continue
         sold += np.asarray(x, dtype=int)
     for j in range(m):
@@ -477,6 +479,8 @@ def validate_outcome(bids, outcome, tol=1e-9):
                 f"good {j} priced at {prices[j]} but {sold[j]}/{outcome.supply[j]} sold"
             )
     for i, (bid, x) in enumerate(zip(bids, outcome.allocation)):
+        if i in malformed:
+            continue
         u = value(bid, x) - bundle_cost(x, prices)
         cap = best_utility(bid, prices)
         if u < cap - tol:

@@ -26,6 +26,7 @@ from marketlab.fisher import (
     verify_price_shift,
     verify_utility_floor,
 )
+from marketlab.strategic import _Hedge
 from marketlab.valuations import CES, CobbDouglas, Linear, fisher_demand, utility
 
 from oracles import (
@@ -560,17 +561,39 @@ def test_market_learning_equals_the_per_buyer_loop(family, m, seed, sizes):
 def test_market_learning_names_the_first_buyer_over_the_cap(monkeypatch):
     market = learning_market("cd", 3, 0)
     table = _ReportGame.table
+    played, trigger = [], None
 
     def inflated(game, profiles, who):
-        # Buyers 1 and 2 both exceed their cap from the first round on.
+        # Buyers 1 and 2 both exceed their cap in a round that plays the
+        # trigger profile, or in every round without one.
+        played.append(tuple(np.asarray(profiles)[0].tolist()))
         scale = np.where(np.isin(who, (1, 2)), 1e3, 1.0)
+        if trigger not in (None, played[-1]):
+            scale[:] = 1.0
         return table(game, profiles, who) * scale[..., None]
 
     monkeypatch.setattr(_ReportGame, "table", inflated)
-    got = learned_or_error(lambda: run_market_learning(market, 10, (0.1, 0.2), 0))
-    want = learned_or_error(lambda: loop_market_learning(market, 10, (0.1, 0.2), 0))
-    assert got.startswith("buyer 1 payoff exceeds the reserve cap")
-    assert got == want
+    # From the first round on, and from the first round that plays
+    # (2, 1, 0, 0), past the first block.
+    for rounds, trigger, first in ((10, None, 1), (1100, (2, 1, 0, 0), 768)):
+        played.clear()
+        got = learned_or_error(lambda: run_market_learning(market, rounds, (0.1, 0.2), 0))
+        assert len(played) == first  # one table call per round
+        if first > 1:
+            assert first > _Hedge([13, 9, 1, 1], rounds).block
+        want = learned_or_error(lambda: loop_market_learning(market, rounds, (0.1, 0.2), 0))
+        assert got.startswith("buyer 1 payoff exceeds the reserve cap")
+        assert got == want
+
+
+def test_market_learning_equals_the_per_buyer_loop_at_the_block_edges():
+    # Menus of 13, 9, 1 and 1 entries.
+    market = learning_market("cd", 3, 0)
+    block = _Hedge([13, 9, 1, 1], 10**6).block
+    assert block == _Hedge.BLOCK_ELEMENTS // (4 * 13)
+    for rounds in (1, block - 1, block, block + 1, 2 * block + 3):
+        got = run_market_learning(market, rounds, (0.1, 0.2), seed=rounds)
+        assert got == loop_market_learning(market, rounds, (0.1, 0.2), rounds), rounds
 
 
 # -- batched menu evaluation -------------------------------------------------------

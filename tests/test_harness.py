@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -777,6 +778,40 @@ def test_fisher_regret_display_fails_below_the_floor(tmp_path, monkeypatch, caps
     with open(sc["csv"], encoding="utf-8") as f:
         header, *rows = [line.rstrip("\n").split(",") for line in f]
     assert len(rows) == 1 and rows[0][header.index("holds")] == "0"
+
+
+def test_regret_display_fails_below_a_positive_floor(tmp_path, monkeypatch, capsys):
+    # A floor of 0.99 leaves a positive factor after the regret deficit of
+    # 1,000 rounds, so the check is a real test: the learned welfare clears
+    # it, and a hundredth of it falls below it.
+    doc = tiny_config("walrasian_regret")
+    doc["scenarios"][0]["rounds"] = 1000
+    monkeypatch.setattr(harness, "ratio_bound_log", lambda *args: 0.99)
+    config = write_config(tmp_path, doc)
+    assert main(["run", config, "--out", str(tmp_path / "learned")]) == 0
+    learn = harness.run_learning
+
+    def thinned(*args, **kwargs):
+        learned = learn(*args, **kwargs)
+        return dataclasses.replace(learned, average_welfare=learned.average_welfare / 100.0)
+
+    monkeypatch.setattr(harness, "run_learning", thinned)
+    out = tmp_path / "out"
+    assert main(["run", config, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert not summary["passed"]
+    (sc,) = summary["scenarios"]
+    (display,) = [c for c in sc["checks"] if c["name"] == "regret-display"]
+    assert not display["passed"] and "vacuous" not in display
+    factor = float(display["detail"].split("factor ")[1].split(" ")[0])
+    assert 0.0 < factor < 0.99
+    assert sc["vacuous_checks"] == 0
+    (budget,) = [c for c in sc["checks"] if c["name"] == "regret-budget"]
+    assert budget["passed"]
+    with open(sc["csv"], encoding="utf-8") as f:
+        header, *rows = [line.rstrip("\n").split(",") for line in f]
+    assert len(rows) == 1 and float(rows[0][header.index("bound_log")]) == 0.99
 
 
 def test_kdemand_regret_payoff_bound_covers_the_offsets(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marketlab import strategic
 from marketlab.errors import InternalCheckError
 from marketlab.strategic import (
     GAIN_TOL,
@@ -286,7 +287,11 @@ def tied_single_good_games(draw):
         offsets = draw(st.sets(st.sampled_from((1.0, 2.0)), max_size=2))
         grids.append(ScalingGrid(tuple(sorted(scales | {1.0})), tuple(sorted(offsets | {0.0}))))
     actions = tuple(draw(st.integers(0, len(g.strategies) - 1)) for g in grids)
-    rule = draw(st.sampled_from((("english", None), ("dutch", None), ("mix", 0.3), ("mix", 0.0))))
+    rule = draw(
+        st.sampled_from(
+            (("english", None), ("dutch", None), ("mix", 0.3), ("mix", 0.0), ("mix", 1.0))
+        )
+    )
     return unit(float(v) for v in values), [g.strategies for g in grids], actions, rule
 
 
@@ -332,7 +337,7 @@ def test_stacked_kernel_rows_equal_one_profile_calls(game, data):
 
 @given(
     tied_single_good_games(),
-    st.sampled_from((("english", None), ("dutch", None), ("mix", 0.5), ("mix", 0.0))),
+    st.sampled_from((("english", None), ("dutch", None), ("mix", 0.5), ("mix", 0.0), ("mix", 1.0))),
     st.data(),
 )
 def test_play_reads_the_stacked_kernel_row(game, rule, data):
@@ -577,6 +582,72 @@ def test_learning_matches_the_reference_loop_on_the_bundled_shape(rule, lam, fee
         assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
+def block_edges(block):
+    """Round counts at the edges of a block of ``block`` rounds: inside one
+    block, exactly one, one round past it, and two folds then a partial
+    block."""
+    return (1, block - 1, block, block + 1, 2 * block + 3)
+
+
+@pytest.mark.parametrize("feedback", ("full", "bandit"))
+@pytest.mark.parametrize("rule, lam", PAIRED_RULES)
+def test_learning_folds_equal_the_reference_at_the_block_edges(rule, lam, feedback):
+    # The paired game's menus of 3, 1, 6 and 2 entries with values that are
+    # not dyadic, so a sum taken in another order would show.
+    weights = np.random.default_rng(11).uniform(0.5, 1.0, len(PAIRED_GRIDS))
+    vals = unit(weights)
+    chi = max(max(w, g * w + d) for w, grid in zip(weights, PAIRED_GRIDS) for g, d in grid.strategies)
+    model = BinomialCounts(1, 4, 0.5)
+    block = _Hedge([len(g.strategies) for g in PAIRED_GRIDS], 10**6).block
+    assert block == _Hedge.BLOCK_ELEMENTS // (4 * 6)
+    for rounds in block_edges(block):
+        cfg = LearningConfig(rounds=rounds, feedback=feedback, payoff_bound=chi)
+        got = run_learning(vals, PAIRED_GRIDS, model, cfg, rule, lam, seed=rounds)
+        want = reference_run_learning(vals, PAIRED_GRIDS, model, cfg, rule, lam, seed=rounds)
+        for field in dataclasses.fields(LearningResult):
+            assert getattr(got, field.name) == getattr(want, field.name), (rounds, field.name)
+
+
+@pytest.mark.parametrize("feedback", ("full", "bandit"))
+@pytest.mark.parametrize("rule, lam", PAIRED_RULES)
+def test_mixed_menu_learning_equals_the_player_loop_at_the_block_edges(monkeypatch, rule, lam, feedback):
+    # The player loop runs the mechanism once per menu entry and player, so
+    # the block is cut to 8 rounds here; a fold does not depend on its length.
+    monkeypatch.setattr(_Hedge, "BLOCK_ROUNDS", 8)
+    model = BinomialCounts(1, 4, 0.5)
+    block = _Hedge([len(g.strategies) for g in MIXED_GRIDS], 10**6).block
+    assert block == 8
+    for rounds in block_edges(block):
+        cfg = LearningConfig(rounds=rounds, feedback=feedback, payoff_bound=1.5)
+        got = run_learning(MIXED_VALUES, MIXED_GRIDS, model, cfg, rule, lam, seed=rounds)
+        want = loop_learning(MIXED_VALUES, MIXED_GRIDS, model, cfg, rule, lam, rounds)
+        assert (got.average_welfare, got.regrets, got.play_counts, got.mixtures) == want, rounds
+
+
+def test_learning_buffers_stay_within_the_element_budget(monkeypatch):
+    # 1,000 players x 5 entries: a block of 512 rounds would hold 2.56 M
+    # elements per buffer; the budget cuts it to one round, so every round
+    # is folded on its own.
+    learners = []
+
+    class Recorded(_Hedge):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            learners.append(self)
+
+    monkeypatch.setattr(strategic, "_Hedge", Recorded)
+    vals = unit(np.random.default_rng(3).uniform(0.5, 1.0, 1000))
+    cfg = LearningConfig(rounds=20, payoff_bound=1.0)
+    model = BinomialCounts(1, 400, 0.5)
+    got = run_learning(vals, BUNDLED_GRID, model, cfg, seed=1)
+    (learner,) = learners
+    assert learner.block == 1
+    for buffer in (learner._payoffs, learner._mixtures, learner._actions):
+        assert buffer.shape[0] == learner.block
+        assert buffer.size <= _Hedge.BLOCK_ELEMENTS
+    assert got == reference_run_learning(vals, BUNDLED_GRID, model, cfg, seed=1)
+
+
 def test_learning_samples_the_optimum_past_the_exact_limit():
     # Two goods of 0..100 copies: 10,201 atoms, past the 10,000 that
     # ``run_learning`` sums exactly, so it averages 2,000 sampled atoms.
@@ -798,11 +869,34 @@ def test_learning_regret_stays_within_budget():
 
 
 def test_learning_payoff_bound_is_enforced():
-    vals = unit((10.0, 1.0))
     grid = ScalingGrid((0.0, 1.0))
-    cfg = LearningConfig(rounds=50, payoff_bound=0.5)
-    with pytest.raises(ValueError):
-        run_learning(vals, grid, FixedCounts((1,)), cfg, seed=0)
+    cases = (
+        # Both players are over the bound in the first round.
+        ((10.0, 1.0), FixedCounts((1,)), 50, 0, 1),
+        # Only player 1 can be, and only in a round with a copy for sale:
+        # the first of those comes after the first block.
+        ((0.25, 10.0), BinomialCounts(1, 1, 0.001), 1000, 2, 790),
+    )
+    for vals, model, rounds, seed, first in cases:
+        cfg = LearningConfig(rounds=rounds, payoff_bound=0.5)
+        # The supply draws do not depend on play: replay them to the first
+        # round that sells a copy.
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        for sold in range(1, rounds + 1):
+            copies = sample(model, rng)[0]
+            rng.random(2)  # the round's draw of actions
+            if copies:
+                break
+        assert sold == first
+        if first > 1:
+            assert first > _Hedge([2, 2], rounds).block
+        with pytest.raises(ValueError) as got:
+            run_learning(unit(vals), grid, model, cfg, seed=seed)
+        with pytest.raises(ValueError) as want:
+            reference_run_learning(unit(vals), grid, model, cfg, seed=seed)
+        assert str(got.value) == str(want.value)
+        player = 0 if first == 1 else 1
+        assert str(got.value).startswith(f"payoff bound 0.5 does not cover player {player}'s")
 
 
 def test_learning_single_bidder_learns_to_take_the_copy():

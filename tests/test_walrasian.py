@@ -196,6 +196,27 @@ def test_validate_flags_envy():
     assert not ok and any("demands utility" in p for p in problems)
 
 
+def test_validate_reports_a_malformed_bundle_instead_of_raising():
+    # A one-good bundle and a negative count in a two-good market: both are
+    # reported, and the well-formed bundle is still checked for envy.
+    bids = (UnitDemand((5.0, 3.0)), UnitDemand((2.0, 6.0)), UnitDemand((4.0, 1.0)))
+    bad = Outcome(
+        rule="english",
+        lam=None,
+        supply=(1, 1),
+        prices=(1.0, 1.0),
+        allocation=((1,), (0, -1), (0, 0)),
+        payments=(1.0, 0.0, 0.0),
+        sw_bids=5.0,
+    )
+    ok, problems = validate_outcome(bids, bad)
+    assert not ok
+    assert problems[:2] == ["bidder 0 bundle malformed", "bidder 1 bundle malformed"]
+    assert [p for p in problems if p.startswith("bidder 2")] == [
+        "bidder 2 got utility 0 but demands utility 3"
+    ]
+
+
 def test_dutch_infinite_price_good_stays_unallocated():
     bids = (UnitDemand((5.0, 3.0)), UnitDemand((2.0, 6.0)))
     out = run_mechanism(bids, (0, 2), "dutch")
