@@ -11,8 +11,12 @@ proportional response for linear buyers (Birnbaum, Devanur & Xiao, EC 2011)
 and damped price adjustment for CES and CES/Cobb-Douglas mixes.  Each takes
 a stack of report profiles of one market and iterates them together,
 dropping a profile once it converges; ``solve_market`` is the one-profile
-call.  The reporting game reads every menu utility through one stacked
-``_ReportGame.table``, which solves all its uncached deviations as one such
+call.  ``_encode`` turns a batch into arrays once: weights, scales and a
+family code per report (0 Cobb-Douglas, 1 linear, rho for CES); the code
+rows pick each profile's solver, and the solvers, ``_Demand``, ``_finish``
+and ``_utilities`` read only those arrays.  The reporting game fills its
+profile cache only through ``_ReportGame._solve`` and reads it only through
+``_ReportGame.table``, which solves all its uncached deviations as one
 stack, and every profile still gets the iterates, iteration count and error
 a lone solve would give it, bit for bit.
 
@@ -137,12 +141,19 @@ class MarketEquilibrium:
     iterations: int
 
 
-def _family_name(u: FisherUtility) -> str:
-    if isinstance(u, CobbDouglas):
-        return "cobb-douglas"
-    if isinstance(u, Linear):
-        return "linear"
-    return "ces"
+def _encode(profiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of a stack of K profiles of n reports over m goods: weights
+    ``(K, n, m)``, scales ``(K, n)`` and one family code per report
+    ``(K, n)``, 0 for Cobb-Douglas, 1 for linear and rho for CES, which lies
+    strictly between."""
+    a = np.array([[u.a for u in reports] for reports in profiles], dtype=float)
+    scale = np.array([[u.scale for u in reports] for reports in profiles], dtype=float)
+    code = np.array([
+        [0.0 if isinstance(u, CobbDouglas) else 1.0 if isinstance(u, Linear) else u.rho
+         for u in reports]
+        for reports in profiles
+    ])
+    return a, scale, code
 
 
 def _check_equilibria(budgets, reserves, p, x, floored) -> None:
@@ -179,12 +190,12 @@ def _check_equilibria(budgets, reserves, p, x, floored) -> None:
         raise InternalCheckError(next(msg(k) for mask, msg in failures if mask[k]))
 
 
-def _finish(market: FisherMarket, profiles, solved) -> tuple[list[MarketEquilibrium], np.ndarray]:
+def _finish(market: FisherMarket, reports, solved) -> tuple[list[MarketEquilibrium], np.ndarray]:
     """Clip, rescale, check and value a stack of solved profiles.
 
-    ``solved`` holds one solver entry per profile, in the form described
-    above the solvers.  Returns the equilibria and their ``(K, n, m)``
-    allocations.
+    ``reports`` is the profiles' ``_encode`` arrays, and ``solved`` holds one
+    solver entry per profile, in the form described above the solvers.
+    Returns the equilibria and their ``(K, n, m)`` allocations.
     """
     p = np.maximum(np.array([res[0] for res in solved], dtype=float), PRICE_FLOOR)
     x = np.maximum(np.array([res[1] for res in solved], dtype=float), 0.0)
@@ -210,7 +221,7 @@ def _finish(market: FisherMarket, profiles, solved) -> tuple[list[MarketEquilibr
             x.tolist(),
             np.where(left > 0.0, left, 0.0).tolist(),
             (sold - 1.0).tolist(),
-            _utilities(profiles, x).tolist(),
+            _utilities(reports, x).tolist(),
             floored.tolist(),
             solved,
         )
@@ -218,13 +229,14 @@ def _finish(market: FisherMarket, profiles, solved) -> tuple[list[MarketEquilibr
     return eqs, x
 
 
-# A solver takes budgets, a stack of K report profiles and the reserves, and
-# returns one entry per profile: ``(prices, allocation, floored, iterations)``
-# with a boolean mask of the goods priced at the degeneracy floor, or the
-# SolverError that profile ended with.  Profile k's iterates are the
-# ones a stack holding only profile k would produce, bit for bit: every
-# reduction runs over the same axis of the same contiguous rows, and finished
-# profiles leave the stack rather than changing its arithmetic.
+# A solver takes budgets, the ``_encode`` arrays of a stack of K report
+# profiles and the reserves, and returns one entry per profile:
+# ``(prices, allocation, floored, iterations)`` with a boolean mask of the
+# goods priced at the degeneracy floor, or the SolverError that profile ended
+# with.  Profile k's iterates are the ones a stack holding only profile k
+# would produce, bit for bit: every reduction runs over the same axis of the
+# same contiguous rows, and finished profiles leave the stack rather than
+# changing its arithmetic.
 #
 # Proportional response runs in chunks of rounds.  The update alone runs for
 # R rounds and keeps every round's prices and allocation; then the duality
@@ -243,23 +255,19 @@ _CHUNK_MAX = 256
 _CHUNK_ELEMENTS = 1 << 18  # 2 MiB of float64 per (R, K, n, m) array
 
 
-def _stack(stack, attr) -> np.ndarray:
-    return np.asarray([[getattr(u, attr) for u in reports] for reports in stack])
-
-
-def _solve_cobb_douglas(budgets, stack, reserves) -> list:
+def _solve_cobb_douglas(budgets, reports, reserves) -> list:
     e = np.asarray(budgets)
-    a = _stack(stack, "a")
+    a = reports[0]
     r = np.zeros(a.shape[2]) if reserves is None else np.asarray(reserves)
     # A stacked matmul runs one product per profile, as a lone ``e @ a`` does.
     p = np.maximum(e @ a, r)
     floored = p <= PRICE_FLOOR
     p = np.maximum(p, PRICE_FLOOR)
     x = (e[:, None] * a) / p[:, None, :]
-    return list(zip(p, x, floored, [0] * len(stack)))
+    return list(zip(p, x, floored, [0] * len(a)))
 
 
-def _solve_linear(budgets, stack, reserves, cap=10_000) -> list:
+def _solve_linear(budgets, reports, reserves, cap=10_000) -> list:
     """Proportional response on a stack of linear profiles, each run until
     its duality gap is at most ``GAP_TOL``, or ``GAP_ACCEPT`` at round
     ``cap``.
@@ -272,9 +280,8 @@ def _solve_linear(budgets, stack, reserves, cap=10_000) -> list:
     """
     e = np.asarray(budgets)
     e_col = e[:, None]
-    weights = _stack(stack, "a")  # profiles x buyers x goods
-    scales = _stack(stack, "scale")
-    live = np.arange(len(stack))  # profile of each stack row
+    weights, scales, _ = reports  # profiles x buyers (x goods)
+    live = np.arange(len(weights))  # profile of each stack row
     m = weights.shape[2]
     r = np.zeros(m) if reserves is None else np.asarray(reserves)
     low = np.maximum(r, PRICE_FLOOR)
@@ -282,7 +289,7 @@ def _solve_linear(budgets, stack, reserves, cap=10_000) -> list:
     wanted = weights > 0
     e_scaled = e * scales
     spend = e_col * weights / weights.sum(axis=2, keepdims=True)
-    out = [None] * len(stack)
+    out = [None] * len(live)
     it, rounds = 0, _CHUNK_FIRST
     while True:
         size = max(1, min(rounds, cap - it, _CHUNK_ELEMENTS // weights.size))
@@ -360,14 +367,11 @@ class _Demand:
     of exponents can round differently.
     """
 
-    def __init__(self, budgets, stack):
-        self.a = _stack(stack, "a")
+    def __init__(self, budgets, reports):
+        self.a, _, code = reports
         self.e = np.broadcast_to(np.asarray(budgets)[None, :], self.a.shape[:2])
-        self.sigma = np.asarray([
-            [math.nan if isinstance(u, CobbDouglas) else 1.0 / (1.0 - u.rho) for u in reports]
-            for reports in stack
-        ])
-        self.cd = np.isnan(self.sigma)
+        self.cd = code == 0.0
+        self.sigma = np.where(self.cd, math.nan, 1.0 / (1.0 - code))
         self.groups = sorted(set(self.sigma[~self.cd]))
         self.a_pow = np.zeros_like(self.a)
         for s in self.groups:
@@ -392,9 +396,10 @@ class _Demand:
         return x
 
 
-def _utilities(stack, x) -> np.ndarray:
-    """``utility(stack[k][i], x[k, i])`` for a stack of K profiles of n
-    reports and their nonnegative ``(K, n, m)`` bundles, as ``(K, n)``.
+def _utilities(reports, x) -> np.ndarray:
+    """``utility(u, x[k, i])`` of report i of profile k, for the ``_encode``
+    arrays of a stack of K profiles of n reports and their nonnegative
+    ``(K, n, m)`` bundles, as ``(K, n)``.
 
     Equal to the per-buyer ``utility`` to the bit.  Cobb-Douglas rows are
     one array expression, and CES rows one per distinct rho, passed to
@@ -402,27 +407,23 @@ def _utilities(stack, x) -> np.ndarray:
     1-D dot each: a stacked matmul, einsum or row sum adds the products in
     another order.
     """
-    a = _stack(stack, "a")
-    scale = _stack(stack, "scale")
-    rho = np.asarray([
-        [u.rho if isinstance(u, CES) else math.nan for u in reports] for reports in stack
-    ])
-    cd = np.asarray([[isinstance(u, CobbDouglas) for u in reports] for reports in stack])
+    a, scale, code = reports
+    cd, linear = code == 0.0, code == 1.0
     out = np.empty(scale.shape)
     out[cd] = scale[cd] * np.prod(np.power(x[cd], a[cd]), axis=1)
-    for r in set(rho[~np.isnan(rho)].tolist()):
-        rows = rho == r
+    for r in set(code[~cd & ~linear].tolist()):
+        rows = code == r
         inner = np.sum(a[rows] * np.power(x[rows], r), axis=1)
         out[rows] = scale[rows] * np.power(inner, 1.0 / r)
-    for k, i in zip(*np.nonzero(~cd & np.isnan(rho))):
+    for k, i in zip(*np.nonzero(linear)):
         out[k, i] = (scale[k, i] * a[k, i]) @ x[k, i]
     return out
 
 
-def _solve_tatonnement(budgets, stack, reserves, cap=200_000) -> list:
+def _solve_tatonnement(budgets, reports, reserves, cap=200_000) -> list:
     e = np.asarray(budgets)
-    demand = _Demand(budgets, stack)
-    live = np.arange(len(stack))
+    demand = _Demand(budgets, reports)
+    live = np.arange(len(demand.a))
     m = demand.a.shape[2]
     r = np.zeros(m) if reserves is None else np.asarray(reserves)
     low = np.maximum(r, PRICE_FLOOR)
@@ -430,7 +431,7 @@ def _solve_tatonnement(budgets, stack, reserves, cap=200_000) -> list:
     p = np.maximum(np.full((live.size, m), e.sum() / m), low)
     step = np.full(live.size, 0.1)
     last = np.full(live.size, math.inf)
-    out = [None] * len(stack)
+    out = [None] * len(live)
     for it in range(cap):
         x = demand(p)
         z = x.sum(axis=1) - 1.0
@@ -471,37 +472,38 @@ def _solve_profiles(market: FisherMarket, profiles) -> tuple[list[MarketEquilibr
     """Equilibria of one or more report profiles of one market, in profile
     order, and their ``(K, n, m)`` allocations.
 
-    Profiles that share a solver are solved together as one stack, and all
-    are finished and checked as one.  Reports no solver takes raise before
-    any solve; when solves or checks fail, the error raised is the one of
-    the first failing profile, as a profile-by-profile loop would raise it.
+    The batch is encoded once, after every profile passed the input checks
+    in order.  Profiles whose family codes pick the same solver are solved
+    together as one stack, and all are finished and checked as one; when
+    solves or checks fail, the error raised is the one of the first failing
+    profile, as a profile-by-profile loop would raise it.
     """
-    profiles = [tuple(reports) for reports in profiles]
-    # Menus share their report objects, so each distinct one is looked at
-    # once: its family, or None when its good count is wrong.
-    distinct = {id(u): u for reports in profiles for u in reports}
-    family = {key: _family_name(u) if u.m == market.m else None for key, u in distinct.items()}
-    groups: dict = {}
-    for k, reports in enumerate(profiles):
+    m = market.m
+    for reports in profiles:
         if len(reports) != market.buyers:
             raise ValueError("one report per buyer")
-        kinds = set(map(family.__getitem__, map(id, reports)))
-        if None in kinds:
+        if any(u.m != m for u in reports):
             raise ValueError("report good-count mismatch")
-        if len(kinds) > 1 and "linear" in kinds:
+        linear = [isinstance(u, Linear) for u in reports]
+        if any(linear) and not all(linear):
             raise SolverError("linear reports cannot be mixed with other families")
-        groups.setdefault(kinds.pop() if len(kinds) == 1 else "ces", []).append(k)
-    raw = [None] * len(profiles)
-    for kind, ks in groups.items():
-        solved = _SOLVERS[kind](market.budgets, [profiles[k] for k in ks], market.reserves)
-        for k, res in zip(ks, solved):
+    reports = _encode(profiles)
+    code = reports[2]
+    kinds = np.select(
+        [(code == 1.0).all(axis=1), (code == 0.0).all(axis=1)], ["linear", "cobb-douglas"], "ces"
+    )
+    raw = [None] * len(kinds)
+    for kind in dict.fromkeys(kinds.tolist()):
+        ks = np.flatnonzero(kinds == kind)
+        solved = _SOLVERS[kind](market.budgets, tuple(v[ks] for v in reports), market.reserves)
+        for k, res in zip(ks.tolist(), solved):
             raw[k] = res
     failed = next((k for k, res in enumerate(raw) if isinstance(res, SolverError)), None)
     if failed is None:
-        return _finish(market, profiles, raw)
+        return _finish(market, reports, raw)
     if failed:
         # A failed check on an earlier profile comes first.
-        _finish(market, profiles[:failed], raw[:failed])
+        _finish(market, tuple(v[:failed] for v in reports), raw[:failed])
     raise raw[failed]
 
 
@@ -526,7 +528,8 @@ def strategic_outcomes(
     if not profiles:
         return []
     eqs, x = _solve_profiles(market, profiles)
-    truthful = _utilities([market.utilities] * len(eqs), x).tolist()
+    truth = tuple(np.repeat(v, len(eqs), axis=0) for v in _encode([market.utilities]))
+    truthful = _utilities(truth, x).tolist()
     return [(eq, tuple(utils)) for eq, utils in zip(eqs, truthful)]
 
 
@@ -628,23 +631,18 @@ class _ReportGame:
             for v, menu in zip(self.market.utilities, self.menus)
         )
 
-    def _reports(self, key) -> tuple[FisherUtility, ...]:
-        return tuple(self.menus[i][s] for i, s in enumerate(key))
-
     def utils(self, profile) -> tuple[float, ...]:
         key = tuple(profile)
-        hit = self._cache.get(key)
-        if hit is None:
-            _, hit = strategic_outcome(self.market, self._reports(key))
-            self._cache[key] = hit
-        return hit
+        self._solve([key])
+        return self._cache[key]
 
     def _solve(self, keys) -> None:
         """Solve every uncached profile among ``keys``, each once, as one
         batch in the order listed."""
         todo = list(dict.fromkeys(key for key in keys if key not in self._cache))
         if todo:
-            solved = strategic_outcomes(self.market, [self._reports(key) for key in todo])
+            reports = [[self.menus[i][s] for i, s in enumerate(key)] for key in todo]
+            solved = strategic_outcomes(self.market, reports)
             for key, (_, utils) in zip(todo, solved):
                 self._cache[key] = utils
 
@@ -666,11 +664,6 @@ class _ReportGame:
             row[: len(keys)] = [self._cache[key][i] for key in keys]
         return util
 
-    def menu_utils(self, profile, i) -> list[float]:
-        """Buyer i's true utility at each entry of its menu, the others held
-        at ``profile``."""
-        return self.table([profile], [[i]])[0, 0, : len(self.menus[i])].tolist()
-
     def best_responses(self, profiles, i) -> np.ndarray:
         """Buyer i's best entry against every row of a profile stack, from one
         table call.  Each row's menu is scanned in order, and an entry takes
@@ -685,16 +678,17 @@ class _ReportGame:
         return best_s
 
     def is_nash(self, profile) -> tuple[bool, float]:
-        base = self.utils(profile)
-        worst = 0.0
-        for i in range(self.market.buyers):
-            for s, got in enumerate(self.menu_utils(profile, i)):
-                if s == profile[i]:
-                    continue
-                worst = max(worst, got - base[i])
-                if worst > GAIN_TOL:
-                    return False, worst
-        return True, worst
+        """Whether no buyer gains over GAIN_TOL by switching alone, from one
+        table call over all buyers, and the gain: the first over GAIN_TOL in
+        (buyer, entry) order, else the largest, at least staying put's 0."""
+        buyers = np.arange(self.market.buyers)
+        sizes = np.array([len(menu) for menu in self.menus])
+        util = self.table([profile], [buyers])[0]
+        gains = (util - util[buyers, profile][:, None])[np.arange(util.shape[1]) < sizes[:, None]]
+        above = np.flatnonzero(gains > GAIN_TOL)
+        if above.size:
+            return False, float(gains[above[0]])
+        return True, float(gains.max())
 
     def find_equilibria(self, rng: np.random.Generator, restarts=8, max_sweeps=100):
         """Best-response walks from the truthful profile and ``restarts``
@@ -706,12 +700,8 @@ class _ReportGame:
             tuple(int(rng.integers(0, len(m))) for m in self.menus)
             for _ in range(restarts)
         ]
-        profiles, live = lockstep_walks(starts, self.best_responses, max_sweeps)
-        found = {}
-        for key in map(tuple, np.delete(profiles, live, axis=0).tolist()):
-            if key not in found and self.is_nash(key)[0]:
-                found[key] = self.utils(key)
-        return found, int(live.size)
+        ends, dropped = lockstep_walks(starts, self.best_responses, max_sweeps)
+        return {key: self.utils(key) for key in ends if self.is_nash(key)[0]}, dropped
 
 
 @dataclass(frozen=True)

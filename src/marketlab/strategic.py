@@ -31,9 +31,10 @@ Best-reply walks run in lockstep (``lockstep_walks``, which the Fisher
 reporting game shares).  Every start profile is drawn first, in the order
 the walks would draw them one after another; each (sweep, player) step is
 then one stacked best-reply call over the walks still moving, and a walk
-leaves after a sweep that changed nothing.  The fixed points are certified
-and reported in walk order, so the reports, the dropped count and the
-generator state are those of running the walks one at a time.
+leaves after a sweep that changed nothing.  ``lockstep_walks`` returns the
+distinct fixed points in walk order, which are certified and reported in
+that order, so the reports, the dropped count and the generator state are
+those of running the walks one at a time.
 """
 
 from __future__ import annotations
@@ -104,6 +105,15 @@ class ScalingGrid:
     @property
     def strategies(self) -> tuple[tuple[float, float], ...]:
         return tuple((g, d) for g in self.scales for d in self.offsets)
+
+
+def _menus(grids, players: int) -> tuple[tuple[tuple[float, float], ...], ...]:
+    """Each player's strategies, from one grid per player or one lone
+    ``ScalingGrid`` for all."""
+    grids = [grids] * players if isinstance(grids, ScalingGrid) else list(grids)
+    if len(grids) != players:
+        raise ValueError("need one grid per player")
+    return tuple(g.strategies for g in grids)
 
 
 @dataclass(frozen=True)
@@ -364,12 +374,7 @@ class GameContext:
     ):
         self.true_values = tuple(true_values)
         self.players = len(self.true_values)
-        if isinstance(grids, ScalingGrid):
-            grids = [grids] * self.players
-        self.grids = tuple(grids)
-        if len(self.grids) != self.players:
-            raise ValueError("need one grid per player")
-        self.menu = tuple(g.strategies for g in self.grids)
+        self.menu = _menus(grids, self.players)
         self.model = model
         self._game = _auction(self.true_values, self.menu, model.goods, rule, lam)
         self.rule = rule
@@ -498,14 +503,15 @@ class GameContext:
         )
 
 
-def lockstep_walks(starts, best_responses, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+def lockstep_walks(starts, best_responses, max_sweeps: int) -> tuple[list[tuple[int, ...]], int]:
     """Round-robin best-reply walks from the rows of ``starts``, all in step.
 
     ``best_responses(profiles, i)`` gives player i's reply to every row of a
     profile stack.  Each (sweep, player) step is one such call over the
     walks still moving, and a walk leaves after a sweep that changed
-    nothing.  Returns the final profiles and the indices of the walks still
-    moving after ``max_sweeps`` sweeps.
+    nothing.  Returns the distinct final profiles of the walks that stopped,
+    in walk order, and the number of walks still moving after
+    ``max_sweeps`` sweeps.
     """
     profiles = np.array(starts, dtype=int)
     live = np.arange(len(profiles))
@@ -518,7 +524,8 @@ def lockstep_walks(starts, best_responses, max_sweeps: int) -> tuple[np.ndarray,
             changed |= s != profiles[live, i]
             profiles[live, i] = s
         live = live[changed]
-    return profiles, live
+    ends = map(tuple, np.delete(profiles, live, axis=0).tolist())
+    return list(dict.fromkeys(ends)), int(live.size)
 
 
 def best_response_dynamics(
@@ -535,15 +542,13 @@ def best_response_dynamics(
         [[int(rng.integers(0, len(m))) for m in ctx.menu] for _ in range(restarts)],
         dtype=int,
     ).reshape(restarts, ctx.players)
-    profiles, live = lockstep_walks(starts, ctx.best_responses, max_sweeps)
-    found: dict[tuple[int, ...], EquilibriumReport] = {}
-    # The walks that stopped, in walk order.
-    for key in map(tuple, np.delete(profiles, live, axis=0).tolist()):
-        if key not in found:
-            cert = ctx.certify(key)
-            if cert.kind != "not-equilibrium":
-                found[key] = ctx.report(key, cert)
-    return list(found.values()), int(live.size)
+    ends, dropped = lockstep_walks(starts, ctx.best_responses, max_sweeps)
+    reports = []
+    for key in ends:
+        cert = ctx.certify(key)
+        if cert.kind != "not-equilibrium":
+            reports.append(ctx.report(key, cert))
+    return reports, dropped
 
 
 def exhaustive_equilibria(ctx: GameContext, limit: int = 100_000) -> list[EquilibriumReport]:
@@ -874,9 +879,7 @@ def run_learning(
     asserted.  A fresh copy-count draw is made every round.
     """
     players = len(true_values)
-    if isinstance(grids, ScalingGrid):
-        grids = [grids] * players
-    menu = [g.strategies for g in grids]
+    menu = _menus(grids, players)
     game = _auction(true_values, menu, model.goods, rule, lam)
     sizes = np.array([len(m) for m in menu])
     rows = np.arange(players)

@@ -274,7 +274,7 @@ def reference_outcome(market, reports):
     reports = tuple(reports)
     kinds = {type(u) for u in reports}
     kind = "linear" if Linear in kinds else "cobb-douglas" if kinds == {CobbDouglas} else "ces"
-    res = fisher._SOLVERS[kind](market.budgets, [reports], market.reserves)[0]
+    res = fisher._SOLVERS[kind](market.budgets, fisher._encode([reports]), market.reserves)[0]
     if isinstance(res, SolverError):
         raise res
     prices, alloc, mask, iters = res
@@ -307,8 +307,9 @@ def reference_solve_linear(budgets, stack, reserves, cap=10_000, gaps=None):
     and error texts included.  When ``gaps`` is a list, each round's gaps of
     the live profiles are appended to it as ``(live, gap)``."""
     e = np.asarray(budgets)
-    weights = fisher._stack(stack, "a")  # profiles x buyers x goods
-    scales = fisher._stack(stack, "scale")
+    # profiles x buyers x goods
+    weights = np.asarray([[u.a for u in reports] for reports in stack])
+    scales = np.asarray([[u.scale for u in reports] for reports in stack])
     live = np.arange(len(stack))  # profile of each stack row
     m = weights.shape[2]
     r = np.zeros(m) if reserves is None else np.asarray(reserves)
@@ -442,7 +443,7 @@ def reference_best_response_dynamics(
 
 def reference_best_response(self, profile, i) -> int:
     best_s, best_u = profile[i], -math.inf
-    for s, got in enumerate(self.menu_utils(profile, i)):
+    for s, got in enumerate(self.table([profile], [[i]])[0, 0, : len(self.menus[i])].tolist()):
         if got > best_u + GAIN_TOL:
             best_s, best_u = s, got
     return best_s

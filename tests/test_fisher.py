@@ -34,6 +34,7 @@ from oracles import (
     eg_objective,
     reference_best_response,
     reference_find_equilibria,
+    reference_is_nash,
     reference_outcome,
     reference_solve_linear,
 )
@@ -491,7 +492,7 @@ def loop_market_learning(market, rounds, deltas, seed):
         actions = tuple(actions)
         round_utils = np.zeros(n)
         for i in range(n):
-            row = np.asarray(game.menu_utils(actions, i))
+            row = game.table([actions], [[i]])[0, 0, : sizes[i]]
             if np.any(row > chi[i] + 1e-6 * max(1.0, chi[i])):
                 raise InternalCheckError(
                     f"buyer {i} payoff exceeds the reserve cap {chi[i]}: {row.max()}"
@@ -696,7 +697,7 @@ def test_stacked_demand_equals_per_buyer_demand(seed, n, m, family, k):
         tuple(menu[int(rng.integers(0, len(menu)))] for menu in menus) for _ in range(k)
     ]
     prices = rng.uniform(0.01, 3.0, (k, m))
-    got = fisher._Demand(market.budgets, profiles)(prices)
+    got = fisher._Demand(market.budgets, fisher._encode(profiles))(prices)
     for x, reports, p in zip(got, profiles, prices):
         want = np.stack([fisher_demand(u, p, b) for u, b in zip(reports, market.budgets)])
         assert np.array_equal(x, want)
@@ -764,6 +765,34 @@ def test_lockstep_walks_find_the_walk_by_walk_equilibria(
     # Keys, utilities and walk order, and the dropped count, all exact.
     assert got == want
     assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 3),
+    family=st.sampled_from(("linear", "ces-0.5", "cd", "mix")),
+    reserves=st.booleans(),
+    k=st.integers(1, 4),
+)
+def test_is_nash_equals_the_entry_by_entry_reference(seed, n, m, family, reserves, k):
+    market = random_market(seed, n, m, family, reserves)
+    menus = [perturbed_reports(u, (0.1, 0.2)) for u in market.utilities]
+    if m == 1:
+        assert all(len(menu) == 1 for menu in menus)  # every menu collapses to the truth
+    game, reference = _ReportGame(market, menus), _ReportGame(market, menus)
+    rng = np.random.default_rng(seed)
+    for _ in range(k):
+        profile = tuple(int(rng.integers(0, len(menu))) for menu in menus)
+        try:
+            got = game.is_nash(profile)
+        except SolverError:
+            # It solves every deviation; the reference may stop before the
+            # one that fails.
+            continue
+        # The verdict and the gain, exact.
+        assert got == reference_is_nash(reference, profile)
 
 
 @pytest.mark.parametrize(
@@ -871,7 +900,7 @@ def test_chunked_linear_solver_equals_the_per_round_solver(
     # A small element budget caps the chunk at a few rounds.
     elements = n * m * k * 3 if small_chunks else fisher._CHUNK_ELEMENTS
     with mock.patch.object(fisher, "_CHUNK_ELEMENTS", elements):
-        got = exact_entries(fisher._solve_linear(budgets, stack, floor, cap=cap))
+        got = exact_entries(fisher._solve_linear(budgets, fisher._encode(stack), floor, cap=cap))
     assert got == want
 
 
@@ -898,7 +927,7 @@ def test_the_stopping_round_is_decided_on_the_exact_gap(monkeypatch, seed, reser
 
     def both(cap=10_000):
         want = exact_entries(reference_solve_linear(budgets, stack, floor, cap=cap))
-        got = exact_entries(fisher._solve_linear(budgets, stack, floor, cap=cap))
+        got = exact_entries(fisher._solve_linear(budgets, fisher._encode(stack), floor, cap=cap))
         assert got == want
         return got[0]
 

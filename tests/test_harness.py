@@ -849,24 +849,41 @@ def _shifted_prices(compress_prices):
     return mutant
 
 
+def _doubled_opt(expected_opt):
+    return lambda ctx: 2.0 * expected_opt(ctx)
+
+
+# A poa-bound floor the unbroken program clears at every tiny sweep point.
+_POSITIVE_FLOOR = (harness, "ratio_bound_sqrt", lambda _: lambda *args: 0.99)
+
+
 @pytest.mark.parametrize(
-    "config, check, owner, name, mutant",
+    "config, check, patches",
     (
-        ("walrasian_oracle", "oracle-equivalence", harness, "max_welfare", _welfare_off_by_one),
-        ("fisher_reserve", "compressed-prices", harness, "compress_prices", _shifted_prices),
+        ("walrasian_oracle", "oracle-equivalence", [(harness, "max_welfare", _welfare_off_by_one)]),
+        ("fisher_reserve", "compressed-prices", [(harness, "compress_prices", _shifted_prices)]),
         (
-            "walrasian_binomial_sweep", "certified-equilibrium", harness, "worst_equilibrium",
-            lambda _: lambda *args, **kw: (None, [], True, 0),
+            "walrasian_binomial_sweep", "certified-equilibrium",
+            [(harness, "worst_equilibrium", lambda _: lambda *args, **kw: (None, [], True, 0))],
         ),
         (
-            "walrasian_bullying", "bullying-nash", strategic.GameContext, "certify",
-            lambda _: lambda *args: strategic.Certification("not-equilibrium", 1.0, (0, 0)),
+            "walrasian_bullying", "bullying-nash",
+            [(
+                strategic.GameContext, "certify",
+                lambda _: lambda *args: strategic.Certification("not-equilibrium", 1.0, (0, 0)),
+            )],
+        ),
+        # Every ratio halves: each one drops below the floor.
+        (
+            "walrasian_binomial_sweep", "poa-bound",
+            [_POSITIVE_FLOOR, (strategic.GameContext, "expected_opt", _doubled_opt)],
         ),
     ),
-    ids=("oracle-equivalence", "compressed-prices", "certified-equilibrium", "bullying-nash"),
+    ids=("oracle-equivalence", "compressed-prices", "certified-equilibrium", "bullying-nash", "poa-bound"),
 )
-def test_check_fails_on_a_broken_program(tmp_path, monkeypatch, capsys, config, check, owner, name, mutant):
-    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+def test_check_fails_on_a_broken_program(tmp_path, monkeypatch, capsys, config, check, patches):
+    for owner, name, mutant in patches:
+        monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, tiny_config(config)), "--out", str(out)]) == 1
     assert "Traceback" not in capsys.readouterr().err
@@ -878,6 +895,43 @@ def test_check_fails_on_a_broken_program(tmp_path, monkeypatch, capsys, config, 
     # One CSV row per task, each task failing the check.
     with open(sc["csv"], encoding="utf-8") as f:
         assert len(f.readlines()) == 1 + len(failed) == 1 + sc["rows"]
+
+
+def test_the_positive_poa_floor_passes_the_unbroken_program(tmp_path, monkeypatch):
+    owner, name, mutant = _POSITIVE_FLOOR
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+    out = tmp_path / "out"
+    doc = tiny_config("walrasian_binomial_sweep")
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    (sc,) = json.loads((out / "summary.json").read_text())["scenarios"]
+    bounds = [c for c in sc["checks"] if c["name"] == "poa-bound"]
+    assert len(bounds) == sc["rows"] and all(c["passed"] and "vacuous" not in c for c in bounds)
+
+
+def test_ratio_trend_fails_when_the_worst_ratio_stays_low(tmp_path, monkeypatch, capsys):
+    # The worst ratio is 0.5 at every N: no rise, and not near 1.
+    def mutant(*args, **kw):
+        worst, reports, complete, dropped = real(*args, **kw)
+        return dataclasses.replace(worst, ratio=0.5), reports, complete, dropped
+
+    real = harness.worst_equilibrium
+    monkeypatch.setattr(harness, "worst_equilibrium", mutant)
+    out = tmp_path / "out"
+    doc = tiny_config("walrasian_binomial_sweep")
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert not summary["passed"]
+    (sc,) = summary["scenarios"]
+    verdicts = {}
+    for c in sc["checks"]:
+        verdicts.setdefault(c["name"], []).append(c["passed"])
+    assert verdicts["ratio-trend"] == [False]
+    assert verdicts["poa-bound"] == [True] * sc["rows"]
+    assert "certified-equilibrium" not in verdicts  # listed only when it fails
+    with open(sc["csv"], encoding="utf-8") as f:
+        rows = f.readlines()[1:]
+    assert len(rows) == sc["rows"] == 2
 
 
 def test_auction_outputs_match_the_benchmark_reference(tmp_path):
@@ -898,29 +952,45 @@ def test_auction_outputs_match_the_benchmark_reference(tmp_path):
             assert hashlib.sha256(data).hexdigest() == entry["sha256"], csv_name
 
 
+def seed_block(doc, block):
+    """``doc`` with every scenario's seed list moved to seed block ``block``,
+    as the benchmark shifts it: seeds ``[0, L)`` become ``[block * L, (block + 1) * L)``."""
+    doc = copy.deepcopy(doc)
+    for sc in doc["scenarios"]:
+        sc["seeds"] = [s + block * len(sc["seeds"]) for s in sc["seeds"]]
+    return doc
+
+
 def test_fisher_outputs_match_the_benchmark_reference(tmp_path):
     """The bundled Fisher scenarios and the iterative-solver config give the
     CSV bytes and check verdicts recorded in block 0 of the benchmark's
-    Fisher reference."""
+    Fisher reference, and the bundled scenarios those of block 1 too."""
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    ref = json.loads((perfbench / "reference" / "fisher.json").read_text())["blocks"]["0"]
+    blocks = json.loads((perfbench / "reference" / "fisher.json").read_text())["blocks"]
     configs = {
         "fisher_poa": "fisher_poa",
         "fisher_reserve": "fisher_reserve",
         "fisher_regret": "fisher_regret",
         "fisher_iterative": str(perfbench / "fisher_iterative.json"),
     }
-    assert set(ref) == set(configs)
-    for name, config in configs.items():
+    assert set(blocks["0"]) == set(configs)
+    runs = [("0", name, config) for name, config in configs.items()]
+    for name in ("fisher_poa", "fisher_reserve", "fisher_regret"):
+        path = tmp_path / f"{name}_block1.json"
+        path.write_text(json.dumps(seed_block(load_config(name), 1)))
+        runs.append(("1", name, str(path)))
+    for block, name, config in runs:
+        out = tmp_path / block / name
         try:
-            report = run_config(config, out_dir=str(tmp_path / name))
+            report = run_config(config, out_dir=str(out))
         except CheckFailure as err:
             report = err.report
+        ref = blocks[block][name]
         got = [[sc.id, c.name, c.passed] for sc in report.scenarios for c in sc.checks]
-        assert got == ref[name]["checks"], name
-        for csv_name, entry in ref[name]["csv"].items():
-            data = (tmp_path / name / csv_name).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == entry["sha256"], csv_name
+        assert got == ref["checks"], (block, name)
+        for csv_name, entry in ref["csv"].items():
+            data = (out / csv_name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"], (block, csv_name)
 
 
 def test_start_up_loads_no_scipy():

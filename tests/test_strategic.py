@@ -935,3 +935,20 @@ def test_learning_config_validation():
         LearningConfig(rounds=10, feedback="oracle")
     with pytest.raises(ValueError):
         LearningConfig(rounds=10, payoff_bound=0.0)
+
+
+@pytest.mark.parametrize("count", (2, 4))
+@pytest.mark.parametrize(
+    "values, supply",
+    (
+        ((UnitDemand((1.0,)), UnitDemand((0.8,)), UnitDemand((0.5,))), FixedCounts((2,))),
+        ((KDemand((1.0, 0.8), 2), KDemand((0.9, 0.3), 1), UnitDemand((0.4, 0.7))), FixedCounts((1, 1))),
+    ),
+    ids=("single-good", "engine"),
+)
+def test_a_wrong_grid_count_is_refused_alike(values, supply, count):
+    grids = [ScalingGrid((0.5, 1.0))] * count
+    with pytest.raises(ValueError, match="^need one grid per player$"):
+        GameContext(values, grids, supply)
+    with pytest.raises(ValueError, match="^need one grid per player$"):
+        run_learning(values, grids, supply, LearningConfig(rounds=5))
