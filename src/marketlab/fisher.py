@@ -15,10 +15,11 @@ call.  ``_encode`` turns a batch into arrays once: weights, scales and a
 family code per report (0 Cobb-Douglas, 1 linear, rho for CES); the code
 rows pick each profile's solver, and the solvers, ``_Demand``, ``_finish``
 and ``_utilities`` read only those arrays.  The reporting game fills its
-profile cache only through ``_ReportGame._solve`` and reads it only through
-``_ReportGame.table``, which solves all its uncached deviations as one
-stack, and every profile still gets the iterates, iteration count and error
-a lone solve would give it, bit for bit.
+profile cache through ``_ReportGame._solve``, or through
+``strategic_outcome`` for the lone profile ``utils`` asks for, and reads
+stacks of deviations only through ``_ReportGame.table``, which solves all
+its uncached ones as one stack; every profile still gets the iterates,
+iteration count and error a lone solve would give it, bit for bit.
 
 The solved stack is finished as one: ``_finish`` clips and rescales the
 ``(K, n, m)`` allocations, checks every profile's equilibrium conditions in
@@ -495,7 +496,7 @@ def _solve_profiles(market: FisherMarket, profiles) -> tuple[list[MarketEquilibr
     raw = [None] * len(kinds)
     for kind in dict.fromkeys(kinds.tolist()):
         ks = np.flatnonzero(kinds == kind)
-        solved = _SOLVERS[kind](market.budgets, tuple(v[ks] for v in reports), market.reserves)
+        solved = _SOLVERS[kind](market.budgets, [v[ks] for v in reports], market.reserves)
         for k, res in zip(ks.tolist(), solved):
             raw[k] = res
     failed = next((k for k, res in enumerate(raw) if isinstance(res, SolverError)), None)
@@ -503,7 +504,7 @@ def _solve_profiles(market: FisherMarket, profiles) -> tuple[list[MarketEquilibr
         return _finish(market, reports, raw)
     if failed:
         # A failed check on an earlier profile comes first.
-        _finish(market, tuple(v[:failed] for v in reports), raw[:failed])
+        _finish(market, [v[:failed] for v in reports], raw[:failed])
     raise raw[failed]
 
 
@@ -528,7 +529,7 @@ def strategic_outcomes(
     if not profiles:
         return []
     eqs, x = _solve_profiles(market, profiles)
-    truth = tuple(np.repeat(v, len(eqs), axis=0) for v in _encode([market.utilities]))
+    truth = [np.repeat(v, len(eqs), axis=0) for v in _encode([market.utilities])]
     truthful = _utilities(truth, x).tolist()
     return [(eq, tuple(utils)) for eq, utils in zip(eqs, truthful)]
 
@@ -633,8 +634,11 @@ class _ReportGame:
 
     def utils(self, profile) -> tuple[float, ...]:
         key = tuple(profile)
-        self._solve([key])
-        return self._cache[key]
+        hit = self._cache.get(key)
+        if hit is None:
+            _, hit = strategic_outcome(self.market, [self.menus[i][s] for i, s in enumerate(key)])
+            self._cache[key] = hit
+        return hit
 
     def _solve(self, keys) -> None:
         """Solve every uncached profile among ``keys``, each once, as one

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -952,20 +953,14 @@ def test_auction_outputs_match_the_benchmark_reference(tmp_path):
             assert hashlib.sha256(data).hexdigest() == entry["sha256"], csv_name
 
 
-def seed_block(doc, block):
-    """``doc`` with every scenario's seed list moved to seed block ``block``,
-    as the benchmark shifts it: seeds ``[0, L)`` become ``[block * L, (block + 1) * L)``."""
-    doc = copy.deepcopy(doc)
-    for sc in doc["scenarios"]:
-        sc["seeds"] = [s + block * len(sc["seeds"]) for s in sc["seeds"]]
-    return doc
-
-
 def test_fisher_outputs_match_the_benchmark_reference(tmp_path):
     """The bundled Fisher scenarios and the iterative-solver config give the
     CSV bytes and check verdicts recorded in block 0 of the benchmark's
     Fisher reference, and the bundled scenarios those of block 1 too."""
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("workloads", perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
     blocks = json.loads((perfbench / "reference" / "fisher.json").read_text())["blocks"]
     configs = {
         "fisher_poa": "fisher_poa",
@@ -977,7 +972,7 @@ def test_fisher_outputs_match_the_benchmark_reference(tmp_path):
     runs = [("0", name, config) for name, config in configs.items()]
     for name in ("fisher_poa", "fisher_reserve", "fisher_regret"):
         path = tmp_path / f"{name}_block1.json"
-        path.write_text(json.dumps(seed_block(load_config(name), 1)))
+        path.write_text(json.dumps(workloads.shifted(load_config(name), 1)))
         runs.append(("1", name, str(path)))
     for block, name, config in runs:
         out = tmp_path / block / name
