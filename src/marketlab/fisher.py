@@ -11,23 +11,25 @@ proportional response for linear buyers (Birnbaum, Devanur & Xiao, EC 2011)
 and damped price adjustment for CES and CES/Cobb-Douglas mixes.  Each takes
 a stack of report profiles of one market and iterates them together,
 dropping a profile once it converges; ``solve_market`` is the one-profile
-call.  ``_encode`` turns a batch into arrays once: weights, scales and a
-family code per report (0 Cobb-Douglas, 1 linear, rho for CES); the code
-rows pick each profile's solver, and the solvers, ``_Demand``, ``_finish``
-and ``_utilities`` read only those arrays.  The reporting game fills its
-profile cache through ``_ReportGame._solve``, or through
-``strategic_outcome`` for the lone profile ``utils`` asks for, and reads
-stacks of deviations only through ``_ReportGame.table``, which solves all
-its uncached ones as one stack; every profile still gets the iterates,
-iteration count and error a lone solve would give it, bit for bit.
+call.  ``_encode`` turns a batch of report objects into arrays: weights,
+scales and a family code per report (0 Cobb-Douglas, 1 linear, rho for
+CES); the code rows pick each profile's solver, and the solvers,
+``_Demand`` and ``_utilities`` read only those arrays.  A
+solved stack is finished as one, by array operations equal to the
+per-profile clipping, checks and ``valuations.utility`` to the bit, and
+the error raised is the first failing profile's, whether a ``SolverError``
+or a failed check.
 
-The solved stack is finished as one: ``_finish`` clips and rescales the
-``(K, n, m)`` allocations, checks every profile's equilibrium conditions in
-array operations and values the bundles with ``_utilities``, a stacked
-``valuations.utility`` that is equal to it to the bit; ``strategic_outcomes``
-values them truthfully with the same function.  When profiles fail, the
-error raised is the first failing profile's, whether a ``SolverError`` or a
-failed check.
+The reporting game works on profile rows of menu indices and builds no
+equilibrium objects.  Each menu is encoded once, padded to the widest
+menu, so a stack of rows becomes the ``_encode`` arrays of its reports, to
+the bit, by one gather.  One cache maps a row, packed as int64 bytes, to a
+row of a growing array of truthful utilities.  ``_ReportGame.table`` builds
+the deviation rows of a stack with array operations, solves the uncached
+ones as one batch, each once in row-then-buyer order, and reads every cell
+with one fancy index; ``utils`` solves a lone miss with
+``strategic_outcome``.  Every profile gets the bits, iteration count and
+error of a lone solve.
 
 ``poa_search`` is the one search for a worst reporting equilibrium, with or
 without reserve prices: the market's reserves pick the floor, and the
@@ -191,43 +193,20 @@ def _check_equilibria(budgets, reserves, p, x, floored) -> None:
         raise InternalCheckError(next(msg(k) for mask, msg in failures if mask[k]))
 
 
-def _finish(market: FisherMarket, reports, solved) -> tuple[list[MarketEquilibrium], np.ndarray]:
-    """Clip, rescale, check and value a stack of solved profiles.
-
-    ``reports`` is the profiles' ``_encode`` arrays, and ``solved`` holds one
-    solver entry per profile, in the form described above the solvers.
-    Returns the equilibria and their ``(K, n, m)`` allocations.
+def _finish(market: FisherMarket, solved) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip, rescale and check a stack of solved profiles, given as one
+    solver entry per profile in the form described above the solvers.
+    Returns prices ``(K, m)``, allocations ``(K, n, m)`` and floored goods
+    ``(K, m)``.
     """
     p = np.maximum(np.array([res[0] for res in solved], dtype=float), PRICE_FLOOR)
     x = np.maximum(np.array([res[1] for res in solved], dtype=float), 0.0)
     # Clip per-good rounding overshoot so allocations stay feasible.
     over = x.sum(axis=1)
     x = x * np.where(over > 1.0, 1.0 / np.maximum(over, 1e-300), 1.0)[:, None, :]
-    sold = x.sum(axis=1)
     floored = np.array([res[2] for res in solved], dtype=bool)
     _check_equilibria(market.budgets, market.reserves, p, x, floored)
-    left = 1.0 - sold
-    eqs = [
-        MarketEquilibrium(
-            prices=tuple(prices),
-            allocation=tuple(map(tuple, alloc)),
-            unsold=tuple(unsold),
-            excess=tuple(excess),
-            utilities=tuple(utils),
-            floored=tuple(j for j, f in enumerate(flags) if f),
-            iterations=res[3],
-        )
-        for prices, alloc, unsold, excess, utils, flags, res in zip(
-            p.tolist(),
-            x.tolist(),
-            np.where(left > 0.0, left, 0.0).tolist(),
-            (sold - 1.0).tolist(),
-            _utilities(reports, x).tolist(),
-            floored.tolist(),
-            solved,
-        )
-    ]
-    return eqs, x
+    return p, x, floored
 
 
 # A solver takes budgets, the ``_encode`` arrays of a stack of K report
@@ -253,7 +232,7 @@ def _finish(market: FisherMarket, reports, solved) -> tuple[list[MarketEquilibri
 
 _CHUNK_FIRST = 16
 _CHUNK_MAX = 256
-_CHUNK_ELEMENTS = 1 << 18  # 2 MiB of float64 per (R, K, n, m) array
+_CHUNK_ELEMENTS = 1 << 16  # 512 KiB of float64 per (R, K, n, m) array
 
 
 def _solve_cobb_douglas(budgets, reports, reserves) -> list:
@@ -307,7 +286,12 @@ def _solve_linear(budgets, reports, reserves, cap=10_000) -> list:
         logs = np.log(np.maximum(mass * scales, 1e-300))
         # The dual: sup over allocations of the budget-weighted log objective
         # at prices p.
-        best = np.where(wanted, weights / p_col, 0.0).max(axis=3)
+        # A running maximum over the goods, exact in any order: ``max(axis=3)``
+        # loops once per (round, profile, buyer) over a short inner axis.
+        ratio = np.where(wanted, weights / p_col, 0.0)
+        best = ratio[..., 0]
+        for j in range(1, m):
+            best = np.maximum(best, ratio[..., j])
         dual = p.sum(axis=2) + (e * (np.log(e_scaled * best) - 1.0)).sum(axis=2)
         primal = logs @ e
         # The stacked gap is off the exact one by a few ulps of this.
@@ -469,15 +453,34 @@ _SOLVERS = {
 }
 
 
+def _solve_stack(market: FisherMarket, reports) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """The solver entries and ``_finish`` arrays of the ``_encode`` arrays of
+    a stack; profiles whose family codes pick the same solver are solved as
+    one stack, and the first failing profile's error is raised."""
+    code = reports[2]
+    other = np.where((code == 0.0).all(axis=1), "cobb-douglas", "ces")
+    kinds = np.where((code == 1.0).all(axis=1), "linear", other)
+    raw = [None] * len(kinds)
+    for kind in dict.fromkeys(kinds.tolist()):
+        ks = np.flatnonzero(kinds == kind)
+        solved = _SOLVERS[kind](market.budgets, [v[ks] for v in reports], market.reserves)
+        for k, res in zip(ks.tolist(), solved):
+            raw[k] = res
+    failed = next((k for k, res in enumerate(raw) if isinstance(res, SolverError)), None)
+    if failed is None:
+        return (raw, *_finish(market, raw))
+    if failed:
+        # A failed check on an earlier profile comes first.
+        _finish(market, raw[:failed])
+    raise raw[failed]
+
+
 def _solve_profiles(market: FisherMarket, profiles) -> tuple[list[MarketEquilibrium], np.ndarray]:
     """Equilibria of one or more report profiles of one market, in profile
     order, and their ``(K, n, m)`` allocations.
 
     The batch is encoded once, after every profile passed the input checks
-    in order.  Profiles whose family codes pick the same solver are solved
-    together as one stack, and all are finished and checked as one; when
-    solves or checks fail, the error raised is the one of the first failing
-    profile, as a profile-by-profile loop would raise it.
+    in order, and solved by ``_solve_stack``.
     """
     m = market.m
     for reports in profiles:
@@ -489,23 +492,30 @@ def _solve_profiles(market: FisherMarket, profiles) -> tuple[list[MarketEquilibr
         if any(linear) and not all(linear):
             raise SolverError("linear reports cannot be mixed with other families")
     reports = _encode(profiles)
-    code = reports[2]
-    kinds = np.select(
-        [(code == 1.0).all(axis=1), (code == 0.0).all(axis=1)], ["linear", "cobb-douglas"], "ces"
-    )
-    raw = [None] * len(kinds)
-    for kind in dict.fromkeys(kinds.tolist()):
-        ks = np.flatnonzero(kinds == kind)
-        solved = _SOLVERS[kind](market.budgets, [v[ks] for v in reports], market.reserves)
-        for k, res in zip(ks.tolist(), solved):
-            raw[k] = res
-    failed = next((k for k, res in enumerate(raw) if isinstance(res, SolverError)), None)
-    if failed is None:
-        return _finish(market, reports, raw)
-    if failed:
-        # A failed check on an earlier profile comes first.
-        _finish(market, [v[:failed] for v in reports], raw[:failed])
-    raise raw[failed]
+    solved, p, x, floored = _solve_stack(market, reports)
+    sold = x.sum(axis=1)
+    left = 1.0 - sold
+    eqs = [
+        MarketEquilibrium(
+            prices=tuple(prices),
+            allocation=tuple(map(tuple, alloc)),
+            unsold=tuple(unsold),
+            excess=tuple(excess),
+            utilities=tuple(utils),
+            floored=tuple(j for j, f in enumerate(flags) if f),
+            iterations=res[3],
+        )
+        for prices, alloc, unsold, excess, utils, flags, res in zip(
+            p.tolist(),
+            x.tolist(),
+            np.where(left > 0.0, left, 0.0).tolist(),
+            (sold - 1.0).tolist(),
+            _utilities(reports, x).tolist(),
+            floored.tolist(),
+            solved,
+        )
+    ]
+    return eqs, x
 
 
 def solve_market(market: FisherMarket, reports: Optional[Sequence[FisherUtility]] = None) -> MarketEquilibrium:
@@ -624,7 +634,18 @@ class _ReportGame:
         for v, menu in zip(market.utilities, self.menus):
             if _reweighted(v, v.a) not in menu:
                 raise ValueError("every menu must contain the truthful report")
-        self._cache: dict[tuple[int, ...], tuple[float, ...]] = {}
+            if any(u.m != market.m for u in menu):
+                raise ValueError("report good-count mismatch")
+        self.sizes = np.array([len(menu) for menu in self.menus])
+        width = int(self.sizes.max())
+        # Weights (n, S, m), scales and family codes (n, S).
+        self._menu = _encode([menu + menu[-1:] * (width - len(menu)) for menu in self.menus])
+        self._linear = self._menu[2] == 1.0
+        self._cells = np.arange(width) < self.sizes[:, None]  # (n, S): entry s in menu i
+        self._truth = _encode([market.utilities])
+        self._buyers = np.arange(market.buyers)
+        self._index: dict[bytes, int] = {}
+        self._util = np.empty((0, market.buyers))
 
     def truthful_profile(self) -> tuple[int, ...]:
         return tuple(
@@ -632,40 +653,53 @@ class _ReportGame:
             for v, menu in zip(self.market.utilities, self.menus)
         )
 
+    def _store(self, keys, util) -> None:
+        k, end = len(self._index), len(self._index) + len(keys)
+        if end > len(self._util):
+            self._util = np.resize(self._util, (2 * end, self.market.buyers))
+        self._util[k:end] = util
+        self._index.update(zip(keys, range(k, end)))
+
     def utils(self, profile) -> tuple[float, ...]:
-        key = tuple(profile)
-        hit = self._cache.get(key)
-        if hit is None:
-            _, hit = strategic_outcome(self.market, [self.menus[i][s] for i, s in enumerate(key)])
-            self._cache[key] = hit
+        key = np.asarray(profile, dtype=np.int64).tobytes()
+        row = self._index.get(key)
+        if row is not None:
+            return tuple(self._util[row].tolist())
+        _, hit = strategic_outcome(self.market, [self.menus[i][s] for i, s in enumerate(profile)])
+        self._store([key], [hit])
         return hit
 
-    def _solve(self, keys) -> None:
-        """Solve every uncached profile among ``keys``, each once, as one
-        batch in the order listed."""
-        todo = list(dict.fromkeys(key for key in keys if key not in self._cache))
-        if todo:
-            reports = [[self.menus[i][s] for i, s in enumerate(key)] for key in todo]
-            solved = strategic_outcomes(self.market, reports)
-            for key, (_, utils) in zip(todo, solved):
-                self._cache[key] = utils
+    def _fill(self, keys) -> None:
+        """Solve the packed profiles ``keys``, distinct and uncached, as one
+        batch in the order listed, and cache their truthful utilities."""
+        rows = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys), -1)
+        if (rows >= self.sizes).any():
+            raise IndexError("profile entry past the end of its menu")
+        linear = self._linear[self._buyers, rows]
+        if (linear.any(axis=1) & ~linear.all(axis=1)).any():
+            raise SolverError("linear reports cannot be mixed with other families")
+        _, _, x, _ = _solve_stack(self.market, [v[self._buyers, rows] for v in self._menu])
+        self._store(keys, _utilities([np.repeat(v, len(keys), axis=0) for v in self._truth], x))
 
     def table(self, profiles, who) -> np.ndarray:
         """util[p, w, s]: true utility of buyer who[p, w] switching to entry s
         of its menu against the rest of profiles[p]; 0 past the end of its
-        menu.  The uncached entries are solved as one batch, in row-then-buyer
-        order."""
-        who = np.asarray(who).tolist()
-        # One (buyer, menu profiles) entry per cell (p, w), in row-major order.
-        cells = []
-        for profile, buyers in zip(map(tuple, np.asarray(profiles).tolist()), who):
-            for i in buyers:
-                head, tail = profile[:i], profile[i + 1 :]
-                cells.append((i, [head + (s,) + tail for s in range(len(self.menus[i]))]))
-        self._solve([key for _, keys in cells for key in keys])
-        util = np.zeros((len(who), len(who[0]), max(map(len, self.menus))))
-        for row, (i, keys) in zip(util.reshape(len(cells), -1), cells):
-            row[: len(keys)] = [self._cache[key][i] for key in keys]
+        menu.  The uncached entries are solved as one batch, each once, in
+        row-then-buyer order."""
+        profiles = np.asarray(profiles, dtype=np.int64)
+        who = np.asarray(who)
+        cells = self._cells[who]
+        p, w, s = np.nonzero(cells)
+        buyers = who[p, w]
+        rows = profiles[p]
+        rows[np.arange(len(rows)), buyers] = s
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        found = list(map(self._index.get, keys))
+        if None in found:
+            self._fill(list(dict.fromkeys(k for k, j in zip(keys, found) if j is None)))
+            found = list(map(self._index.__getitem__, keys))
+        util = np.zeros(cells.shape)
+        util[cells] = self._util[found, buyers]
         return util
 
     def best_responses(self, profiles, i) -> np.ndarray:
@@ -685,10 +719,9 @@ class _ReportGame:
         """Whether no buyer gains over GAIN_TOL by switching alone, from one
         table call over all buyers, and the gain: the first over GAIN_TOL in
         (buyer, entry) order, else the largest, at least staying put's 0."""
-        buyers = np.arange(self.market.buyers)
-        sizes = np.array([len(menu) for menu in self.menus])
+        buyers = self._buyers
         util = self.table([profile], [buyers])[0]
-        gains = (util - util[buyers, profile][:, None])[np.arange(util.shape[1]) < sizes[:, None]]
+        gains = (util - util[buyers, profile][:, None])[self._cells]
         above = np.flatnonzero(gains > GAIN_TOL)
         if above.size:
             return False, float(gains[above[0]])
@@ -944,7 +977,7 @@ def run_market_learning(
     lam = float(np.max(_truthful_prices(market) / np.asarray(market.reserves)))
 
     game = _ReportGame(market, [perturbed_reports(v, deltas) for v in market.utilities])
-    sizes = np.array([len(m) for m in game.menus])
+    sizes = game.sizes
     n = market.buyers
     truthful_utils = game.utils(game.truthful_profile())
     if any(u <= 0 for u in truthful_utils):

@@ -7,9 +7,11 @@ so tests compare two genuinely different routes to the same quantity.
 There are exceptions.  ``reference_outcome`` takes the package's own Fisher
 solver output and finishes, checks and values it one profile and one buyer
 at a time, the loop that the stacked finish in ``fisher`` replaces and must
-match bit for bit.  ``reference_solve_linear`` is the package's
-proportional-response solver as it was when it checked the duality gap at
-every round, which the chunked solver must match bit for bit.
+match bit for bit; ``reference_table`` reads the Fisher reporting game's
+payoff table with it, one lone solve per cell.  ``reference_solve_linear``
+is the package's proportional-response solver as it was when it checked the
+duality gap at every round, which the chunked solver must match bit for
+bit.
 ``reference_parse_config`` is the package's scenario schema as it was before
 the harness kept one registry entry per mode; the registry must give the same
 errors and the same values.  ``reference_best_response_dynamics`` runs the
@@ -298,6 +300,20 @@ def reference_outcome(market, reports):
         float(utility(v, np.asarray(row))) for v, row in zip(market.utilities, eq.allocation)
     )
     return eq, truthful
+
+
+def reference_table(market, menus, profiles, who):
+    """``_ReportGame.table`` cell by cell: buyer who[p][w] switching to entry
+    s of its menu against the rest of profiles[p], valued by one
+    ``reference_outcome``; 0 past the end of the menu."""
+    util = np.zeros((len(who), len(who[0]), max(map(len, menus))))
+    for p, (profile, buyers) in enumerate(zip(profiles, who)):
+        for w, i in enumerate(buyers):
+            for s in range(len(menus[i])):
+                reports = [menu[j] for menu, j in zip(menus, profile)]
+                reports[i] = menus[i][s]
+                util[p, w, s] = reference_outcome(market, reports)[1][i]
+    return util
 
 
 def reference_solve_linear(budgets, stack, reserves, cap=10_000, gaps=None):

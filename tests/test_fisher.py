@@ -37,6 +37,7 @@ from oracles import (
     reference_is_nash,
     reference_outcome,
     reference_solve_linear,
+    reference_table,
 )
 
 
@@ -717,6 +718,15 @@ class OneProfileGame(_ReportGame):
         return np.array(replies, dtype=int)
 
 
+def cached(game):
+    """The game's cached profiles in fill order, each with its truthful
+    utilities."""
+    return [
+        (tuple(np.frombuffer(key, dtype=np.int64).tolist()), tuple(game._util[row].tolist()))
+        for key, row in game._index.items()
+    ]
+
+
 @pytest.mark.parametrize(
     "family, reserves", (("linear", False), ("ces-0.5", True), ("mix", False))
 )
@@ -727,8 +737,80 @@ def test_batched_best_responses_fill_the_same_cache(family, reserves):
     got = batched.find_equilibria(np.random.default_rng(5), restarts=3)
     want = reference.find_equilibria(np.random.default_rng(5), restarts=3)
     assert got == want
-    assert len(batched._cache) > len(menus[0])
-    assert list(batched._cache.items()) == list(reference._cache.items())
+    assert len(cached(batched)) > len(menus[0])
+    assert cached(batched) == cached(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 3),
+    family=st.sampled_from(("linear", "ces-0.5", "cd")),
+    reserves=st.booleans(),
+    column=st.booleans(),
+    k=st.integers(1, 3),
+)
+def test_table_equals_the_cell_by_cell_reference(seed, n, m, family, reserves, column, k):
+    market = random_market(seed, n, m, family, reserves)
+    # Menus differ in size where a buyer never wants a good, and collapse to
+    # the truthful report in a one-good market.
+    menus = [perturbed_reports(u, (0.1, 0.2)) for u in market.utilities]
+    rng = np.random.default_rng(seed)
+    profiles = [[int(rng.integers(0, len(menu))) for menu in menus] for _ in range(k)]
+    # One buyer per row, as best replies ask, or every buyer of one row.
+    who = [[int(rng.integers(0, n))] for _ in range(k)] if column else [list(range(n))]
+    profiles = profiles[: len(who)]
+    game = _ReportGame(market, menus)
+    want = solved_or_error(lambda: reference_table(market, menus, profiles, who).tolist())
+    assert solved_or_error(lambda: game.table(profiles, who).tolist()) == want
+    # Read again from the cache.
+    assert solved_or_error(lambda: game.table(profiles, who).tolist()) == want
+
+
+def test_a_table_over_mixed_families_raises_the_solver_error():
+    market = random_market(2, 3, 2, "linear", False)
+    menus = [perturbed_reports(u, (0.1,)) for u in market.utilities]
+    menus[0] += (CES((0.5, 0.5), 0.5),)
+    game = _ReportGame(market, menus)
+    truth = game.truthful_profile()
+    deviations = [[u] + [menu[s] for menu, s in zip(menus[1:], truth[1:])] for u in menus[0]]
+    want = solved_or_error(lambda: strategic_outcomes(market, deviations))
+    assert want == "linear reports cannot be mixed with other families"
+    with pytest.raises(SolverError) as err:
+        game.table([truth], [[0]])
+    assert str(err.value) == want
+    assert not cached(game)  # the batch failed as a whole
+    assert game.table([truth], [[1]]).shape == (1, 1, len(menus[0]))
+
+
+def test_a_table_refuses_an_entry_past_the_end_of_its_menu():
+    market = learning_market("cd", 3, 0)  # menus of 13, 9, 1 and 1 entries
+    game = _ReportGame(market, [perturbed_reports(u, (0.1, 0.2)) for u in market.utilities])
+    with pytest.raises(IndexError):
+        game.table([[0, 9, 0, 0]], [[0]])  # within the padded width of 13
+    assert game.table([[0, 8, 0, 0]], [[0]]).shape == (1, 1, 13)
+
+
+def test_a_table_raises_the_first_failing_profiles_error(monkeypatch):
+    market = random_market(3, 5, 3, "linear", False)
+    menus = [perturbed_reports(u, (0.05, 0.1, 0.2)) for u in market.utilities]
+    game = _ReportGame(market, menus)
+    truth = game.truthful_profile()
+    # Buyer 1's deviations from the truthful profile, in table order.
+    truthful = [menu[s] for menu, s in zip(menus, truth)]
+    deviations = [truthful[:1] + [u] + truthful[2:] for u in menus[1]]
+    rounds = [solve_market(market, d).iterations for d in deviations]
+    # Cap the rounds at the first deviation's count: it still solves, and
+    # slower ones after it fail.
+    monkeypatch.setitem(fisher._SOLVERS, "linear", partial(fisher._solve_linear, cap=rounds[0]))
+    alone = [solved_or_error(lambda: strategic_outcome(market, d)) for d in deviations]
+    failed = [msg for msg in alone if isinstance(msg, str)]
+    assert not isinstance(alone[0], str)
+    assert len(set(failed)) >= 2  # each failure reports its own residual
+    with pytest.raises(SolverError) as err:
+        game.table([truth], [[1]])
+    assert str(err.value) == failed[0]
 
 
 def found_or_error(search):
