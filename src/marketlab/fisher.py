@@ -10,15 +10,29 @@ There is one solver per utility family: closed form for Cobb-Douglas,
 proportional response for linear buyers (Birnbaum, Devanur & Xiao, EC 2011)
 and damped price adjustment for CES and CES/Cobb-Douglas mixes.  Each takes
 a stack of report profiles of one market and iterates them together,
-dropping a profile once it converges; ``solve_market`` is the one-profile
-call.  ``_encode`` turns a batch of report objects into arrays: weights,
-scales and a family code per report (0 Cobb-Douglas, 1 linear, rho for
-CES); the code rows pick each profile's solver, and the solvers,
-``_Demand`` and ``_utilities`` read only those arrays.  A
-solved stack is finished as one, by array operations equal to the
-per-profile clipping, checks and ``valuations.utility`` to the bit, and
+dropping a profile once it converges, and returns stacked prices,
+allocations, floored goods and iteration counts plus each profile's error;
+``solve_market`` is the one-profile call.  ``_encode`` turns a batch of
+report objects into arrays: weights, scales and a family code per report
+(0 Cobb-Douglas, 1 linear, rho for CES); the code rows pick each profile's
+solver, and the solvers, ``_Demand`` and ``_utilities`` read only those
+arrays.  A solved stack is finished as one, by array operations equal to
+the per-profile clipping, checks and ``valuations.utility`` to the bit, and
 the error raised is the first failing profile's, whether a ``SolverError``
 or a failed check.
+
+Without reserves, linear proportional response only has to find the
+support of the equilibrium spending, the maximum-bang-per-buck graph: the
+prices follow from it by linear algebra (Devanur, Papadimitriou, Saberi &
+Vazirani, JACM 2008; Shmyrev 2009).  At fixed rounds, 16, 32, 64, 128, 256
+and every 256th after, ``_forest_finish`` guesses a spanning forest of
+that graph from the current spend, reads the prices off it and peels its
+leaves for the flows, and takes the result when no flow is negative and
+the solver's own duality gap is at most ``GAP_TOL``, which for such a
+forest bounds how far any good beats a buyer's bang per buck.  A failed
+guess lets the rounds go on.  Markets with reserves keep plain
+proportional response, and ``GAP_ACCEPT``, the residual gap accepted at the
+round cap, serves them alone in practice.
 
 The reporting game works on profile rows of menu indices and builds no
 equilibrium objects.  Each menu is encoded once, padded to the widest
@@ -193,30 +207,29 @@ def _check_equilibria(budgets, reserves, p, x, floored) -> None:
         raise InternalCheckError(next(msg(k) for mask, msg in failures if mask[k]))
 
 
-def _finish(market: FisherMarket, solved) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clip, rescale and check a stack of solved profiles, given as one
-    solver entry per profile in the form described above the solvers.
-    Returns prices ``(K, m)``, allocations ``(K, n, m)`` and floored goods
-    ``(K, m)``.
+def _finish(market: FisherMarket, p, x, floored) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip, rescale and check the solved prices ``(K, m)``, allocations
+    ``(K, n, m)`` and floored goods ``(K, m)`` of a stack of profiles, and
+    return them.
     """
-    p = np.maximum(np.array([res[0] for res in solved], dtype=float), PRICE_FLOOR)
-    x = np.maximum(np.array([res[1] for res in solved], dtype=float), 0.0)
+    p = np.maximum(p, PRICE_FLOOR)
+    x = np.maximum(x, 0.0)
     # Clip per-good rounding overshoot so allocations stay feasible.
     over = x.sum(axis=1)
     x = x * np.where(over > 1.0, 1.0 / np.maximum(over, 1e-300), 1.0)[:, None, :]
-    floored = np.array([res[2] for res in solved], dtype=bool)
     _check_equilibria(market.budgets, market.reserves, p, x, floored)
     return p, x, floored
 
 
 # A solver takes budgets, the ``_encode`` arrays of a stack of K report
-# profiles and the reserves, and returns one entry per profile:
-# ``(prices, allocation, floored, iterations)`` with a boolean mask of the
-# goods priced at the degeneracy floor, or the SolverError that profile ended
-# with.  Profile k's iterates are the ones a stack holding only profile k
-# would produce, bit for bit: every reduction runs over the same axis of the
-# same contiguous rows, and finished profiles leave the stack rather than
-# changing its arithmetic.
+# profiles and the reserves, and returns the stacked results of the
+# profiles: prices ``(K, m)``, allocations ``(K, n, m)``, a boolean mask of
+# the goods priced at the degeneracy floor ``(K, m)`` and iteration counts
+# ``(K,)``, plus one entry per profile, the SolverError it ended with or
+# None; a failed profile's rows are zeros.  Profile k's iterates are the
+# ones a stack holding only profile k would produce, bit for bit: every
+# reduction runs over the same axis of the same contiguous rows, and
+# finished profiles leave the stack rather than changing its arithmetic.
 #
 # Proportional response runs in chunks of rounds.  The update alone runs for
 # R rounds and keeps every round's prices and allocation; then the duality
@@ -226,16 +239,35 @@ def _finish(market: FisherMarket, solved) -> tuple[np.ndarray, np.ndarray, np.nd
 # whose stacked gap is above the tolerance by more than a rounding bound is
 # not done, and every other round is decided on the per-round formula, in
 # round order.  A profile therefore stops at the round, with the iterates
-# and the gap, of a solver that checks every round.  R starts at
-# ``_CHUNK_FIRST`` and doubles up to ``_CHUNK_MAX``, and R * K * n * m stays
-# within ``_CHUNK_ELEMENTS`` so that a large market keeps its chunks small.
+# and the gap, of a solver that checks every round.
+#
+# Without reserves a profile that is not done at a finish round, 16, 32, 64,
+# 128, 256 and then every 256th round, is handed to ``_forest_finish``.  A
+# chunk ends at the next finish round, and R * K * n * m stays within
+# ``_CHUNK_ELEMENTS`` so that a large market keeps its chunks small.  As the
+# finish rounds depend on the round alone, not on where a stack's chunks
+# end, every profile is finished at the round a lone solve finishes it.
 
 _CHUNK_FIRST = 16
 _CHUNK_MAX = 256
 _CHUNK_ELEMENTS = 1 << 16  # 512 KiB of float64 per (R, K, n, m) array
+_SUPPORT_SHARE = 1e-3  # share of its budget that puts a buyer's edge in the guess
 
 
-def _solve_cobb_douglas(budgets, reports, reserves) -> list:
+def _next_finish(it: int) -> int:
+    """The first finish round after round ``it``."""
+    return min(max(_CHUNK_FIRST, 1 << it.bit_length()), (it // _CHUNK_MAX + 1) * _CHUNK_MAX)
+
+
+def _stacked(k: int, n: int, m: int):
+    """Zeroed result arrays of a stack of k profiles, as solvers return them."""
+    return (
+        np.zeros((k, m)), np.zeros((k, n, m)), np.zeros((k, m), dtype=bool),
+        np.zeros(k, dtype=int), [None] * k,
+    )
+
+
+def _solve_cobb_douglas(budgets, reports, reserves):
     e = np.asarray(budgets)
     a = reports[0]
     r = np.zeros(a.shape[2]) if reserves is None else np.asarray(reserves)
@@ -244,19 +276,144 @@ def _solve_cobb_douglas(budgets, reports, reserves) -> list:
     floored = p <= PRICE_FLOOR
     p = np.maximum(p, PRICE_FLOOR)
     x = (e[:, None] * a) / p[:, None, :]
-    return list(zip(p, x, floored, [0] * len(a)))
+    return p, x, floored, np.zeros(len(a), dtype=int), [None] * len(a)
 
 
-def _solve_linear(budgets, reports, reserves, cap=10_000) -> list:
+def _dual(e, e_scaled, wanted, weights, p):
+    """The dual of the linear Eisenberg-Gale program at prices ``p`` (the
+    sup over allocations of the budget-weighted log objective), for prices
+    of any leading shape against the profile arrays they broadcast with."""
+    ratio = np.where(wanted, weights / p[..., None, :], 0.0)
+    # A running maximum over the goods, exact in any order: ``max(axis=-1)``
+    # loops once per (round, profile, buyer) over a short inner axis.
+    best = ratio[..., 0]
+    for j in range(1, p.shape[-1]):
+        best = np.maximum(best, ratio[..., j])
+    return p.sum(axis=-1) + (e * (np.log(e_scaled * best) - 1.0)).sum(axis=-1)
+
+
+def _forest_finish(e, weights, scales, spend, dead):
+    """Exact equilibrium prices ``(m,)`` and allocation ``(n, m)`` of one
+    linear profile without reserves, from the spending forest that
+    ``spend``, a proportional-response iterate, points to; None when the
+    guess fails its certificate.  The weights ``(n, m)``, scales ``(n,)``
+    and unwanted goods ``(m,)`` are the profile's rows of the solver's
+    arrays."""
+    forest = _spending_forest(e, weights, spend, dead)
+    return _forest_equilibrium(e, weights, scales, dead, forest)
+
+
+def _spending_forest(e, weights, spend, dead) -> list[tuple[int, int]]:
+    """The support guess: every (buyer, good) edge that carries at least
+    ``_SUPPORT_SHARE`` of its buyer's budget, plus each buyer's and each
+    wanted good's largest edge, cut to a spanning forest that keeps the
+    edges of most spend (Kruskal).  Returns the edges in the order taken."""
+    n, m = weights.shape
+    pick = spend >= _SUPPORT_SHARE * e[:, None]
+    pick[np.arange(n), spend.argmax(axis=1)] = True
+    goods = np.flatnonzero(~dead)
+    pick[spend[:, goods].argmax(axis=0), goods] = True
+    buyers, items = np.nonzero(pick & (weights > 0.0) & (spend > 0.0))
+    order = np.argsort(-spend[buyers, items], kind="stable")
+    parent = list(range(n + m))  # buyers 0..n-1, then goods
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    forest = []
+    for i, j in zip(buyers[order].tolist(), items[order].tolist()):
+        ri, rj = root(i), root(n + j)
+        if ri != rj:
+            parent[ri] = rj
+            forest.append((i, j))
+    return forest
+
+
+def _forest_equilibrium(e, weights, scales, dead, forest):
+    """The prices and allocation a spending forest fixes, if they certify.
+
+    A buyer spends only on goods of its maximum bang per buck, so along a
+    tree p_k = p_j a_ik / a_ij for edges (i, j) and (i, k): a tree fixes its
+    prices up to scale, and each is scaled so that they sum to its buyers'
+    budgets.  A good nobody wants is priced at the floor.  Peeling leaves
+    gives the flows.  The forest certifies when every buyer and every wanted
+    good is in it, no flow is negative and the duality gap, ``dual - e @
+    logs`` as ``_solve_linear`` computes it, is at most ``GAP_TOL``.  Every
+    budget is then spent at its forest bang per buck beta_i, so the gap is
+    sum_i e_i log(best_i / beta_i): it certifies that no edge beats a
+    buyer's maximum bang per buck by more than a factor exp(GAP_TOL / e_i).
+    """
+    n, m = weights.shape
+    a = weights.tolist()
+    adj = [[] for _ in range(n + m)]
+    for i, j in forest:
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+    goods = np.flatnonzero(~dead).tolist()
+    if not all(adj[:n]) or not all(adj[n + j] for j in goods):
+        return None
+    # Good prices, and buyers' price per unit of weight (1 / beta_i), tree
+    # by tree from its first buyer.
+    value = [0.0] * (n + m)
+    seen = [False] * (n + m)
+    left = e.tolist() + [0.0] * m  # balances still to carry over edges
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        value[start] = 1.0
+        tree = [start]
+        for v in tree:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    value[w] = a[v][w - n] * value[v] if v < n else value[v] / a[w][v - n]
+                    tree.append(w)
+        scale = sum(left[v] for v in tree if v < n) / sum(value[v] for v in tree if v >= n)
+        for v in tree:
+            if v >= n:
+                left[v] = value[v] = value[v] * scale
+    p = np.full(m, PRICE_FLOOR)
+    p[goods] = [value[n + j] for j in goods]
+    # A leaf carries its whole balance over its one edge.
+    flow = np.zeros((n, m))
+    leaves = [v for v in range(n + m) if len(adj[v]) == 1]
+    while leaves:
+        v = leaves.pop()
+        if not adj[v]:
+            continue
+        w = adj[v].pop()
+        adj[w].remove(v)
+        if v < n:
+            flow[v, w - n] = left[v]
+        else:
+            flow[w, v - n] = left[v]
+        left[w] -= left[v]
+        if len(adj[w]) == 1:
+            leaves.append(w)
+    if (flow < 0.0).any():
+        return None
+    x = flow / p
+    logs = np.log(np.maximum(np.add.reduce(weights * x, axis=1) * scales, 1e-300))
+    if _dual(e, e * scales, weights > 0.0, weights, p) - e @ logs > GAP_TOL:
+        return None
+    return p, x
+
+
+def _solve_linear(budgets, reports, reserves, cap=10_000):
     """Proportional response on a stack of linear profiles, each run until
     its duality gap is at most ``GAP_TOL``, or ``GAP_ACCEPT`` at round
-    ``cap``.
+    ``cap``, or, without reserves, until ``_forest_finish`` certifies it at
+    a finish round.
 
     Rounds run in chunks, as described above the solvers: the stacked gap of
     a chunk only rules rounds out, and a round it leaves in is decided on the
     exact gap, ``dual - (e @ logs + unsold @ r)`` with one 1-D dot per
-    profile, in round order.  A profile leaves the stack at the end of the
-    chunk it finished in.
+    profile, in round order.  A profile not done by the gap at a finish
+    round is offered to the finish, with the spend the round's update left.
+    A profile leaves the stack at the end of the chunk it finished in.
     """
     e = np.asarray(budgets)
     e_col = e[:, None]
@@ -269,10 +426,11 @@ def _solve_linear(budgets, reports, reserves, cap=10_000) -> list:
     wanted = weights > 0
     e_scaled = e * scales
     spend = e_col * weights / weights.sum(axis=2, keepdims=True)
-    out = [None] * len(live)
-    it, rounds = 0, _CHUNK_FIRST
+    out_p, out_x, out_floored, out_it, errors = _stacked(*weights.shape)
+    it = 0
     while True:
-        size = max(1, min(rounds, cap - it, _CHUNK_ELEMENTS // weights.size))
+        mark = min(_next_finish(it), cap)
+        size = max(1, min(mark - it, _CHUNK_ELEMENTS // weights.size))
         p = np.empty((size, live.size, m))  # prices, floored at PRICE_FLOOR
         x = np.empty((size,) + weights.shape)
         mass = np.empty((size,) + scales.shape)  # unscaled utility of each bundle
@@ -284,15 +442,7 @@ def _solve_linear(budgets, reports, reserves, cap=10_000) -> list:
             spend = e_col * contrib / np.maximum(mass_col[j], 1e-300)
 
         logs = np.log(np.maximum(mass * scales, 1e-300))
-        # The dual: sup over allocations of the budget-weighted log objective
-        # at prices p.
-        # A running maximum over the goods, exact in any order: ``max(axis=3)``
-        # loops once per (round, profile, buyer) over a short inner axis.
-        ratio = np.where(wanted, weights / p_col, 0.0)
-        best = ratio[..., 0]
-        for j in range(1, m):
-            best = np.maximum(best, ratio[..., j])
-        dual = p.sum(axis=2) + (e * (np.log(e_scaled * best) - 1.0)).sum(axis=2)
+        dual = _dual(e, e_scaled, wanted, weights, p)
         primal = logs @ e
         # The stacked gap is off the exact one by a few ulps of this.
         magnitude = np.abs(logs) @ e + np.abs(dual) + 1.0
@@ -321,26 +471,35 @@ def _solve_linear(budgets, reports, reserves, cap=10_000) -> list:
         for a in np.flatnonzero(near.any(axis=0)):
             for j in np.flatnonzero(near[:, a]).tolist():
                 if exact_gap(j, a) <= tol[j, 0]:
-                    floored = dead[a] & (p[j, a] <= low)
-                    out[live[a]] = (p[j, a].copy(), x[j, a].copy(), floored, it + j + 1)
+                    k = live[a]
+                    out_p[k], out_x[k] = p[j, a], x[j, a]
+                    out_floored[k] = dead[a] & (p[j, a] <= low)
+                    out_it[k] = it + j + 1
                     done[a] = True
                     break
         it += size
+        if reserves is None and it == _next_finish(it - 1):
+            for a in np.flatnonzero(~done):
+                exact = _forest_finish(e, weights[a], scales[a], spend[a], dead[a])
+                if exact is not None:
+                    k = live[a]
+                    out_p[k], out_x[k] = exact
+                    out_floored[k], out_it[k] = dead[a], it
+                    done[a] = True
         if it == cap:
             for a in np.flatnonzero(~done):
-                out[live[a]] = SolverError(
+                errors[live[a]] = SolverError(
                     f"proportional response failed to converge in {cap} rounds: "
                     f"duality gap {exact_gap(size - 1, a):.3e}"
                 )
-            return out
+            return out_p, out_x, out_floored, out_it, errors
         if done.any():
             keep = ~done
             live, weights, scales, dead, wanted, e_scaled, spend = (
                 v[keep] for v in (live, weights, scales, dead, wanted, e_scaled, spend)
             )
             if not live.size:
-                return out
-        rounds = min(2 * rounds, _CHUNK_MAX)
+                return out_p, out_x, out_floored, out_it, errors
 
 
 class _Demand:
@@ -405,7 +564,7 @@ def _utilities(reports, x) -> np.ndarray:
     return out
 
 
-def _solve_tatonnement(budgets, reports, reserves, cap=200_000) -> list:
+def _solve_tatonnement(budgets, reports, reserves, cap=200_000):
     e = np.asarray(budgets)
     demand = _Demand(budgets, reports)
     live = np.arange(len(demand.a))
@@ -416,7 +575,7 @@ def _solve_tatonnement(budgets, reports, reserves, cap=200_000) -> list:
     p = np.maximum(np.full((live.size, m), e.sum() / m), low)
     step = np.full(live.size, 0.1)
     last = np.full(live.size, math.inf)
-    out = [None] * len(live)
+    out_p, out_x, out_floored, out_it, errors = _stacked(*demand.a.shape)
     for it in range(cap):
         x = demand(p)
         z = x.sum(axis=1) - 1.0
@@ -427,23 +586,24 @@ def _solve_tatonnement(budgets, reports, reserves, cap=200_000) -> list:
         worst = resid.max(axis=1)
         done = worst <= CLEAR_TOL
         if done.any():
-            for a in np.flatnonzero(done):
-                out[live[a]] = (np.where(dead[a], low, p[a]), x[a], dead[a], it + 1)
+            ks = live[done]
+            out_p[ks] = np.where(dead[done], low, p[done])
+            out_x[ks], out_floored[ks], out_it[ks] = x[done], dead[done], it + 1
             keep = ~done
             demand.keep(keep)
             live, dead, p, z, worst, step, last = (
                 v[keep] for v in (live, dead, p, z, worst, step, last)
             )
             if not live.size:
-                return out
+                return out_p, out_x, out_floored, out_it, errors
         p = np.maximum(p * (1.0 + step[:, None] * np.clip(z, -0.9, 0.9)), low)
         step = np.where(worst < last, np.minimum(step * 1.05, 0.5), np.maximum(step * 0.5, 1e-4))
         last = worst
     for k, worst in zip(live, last):
-        out[k] = SolverError(
+        errors[k] = SolverError(
             f"price adjustment failed to converge in {cap} rounds: max residual {worst:.3e}"
         )
-    return out
+    return out_p, out_x, out_floored, out_it, errors
 
 
 _SOLVERS = {
@@ -453,26 +613,27 @@ _SOLVERS = {
 }
 
 
-def _solve_stack(market: FisherMarket, reports) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """The solver entries and ``_finish`` arrays of the ``_encode`` arrays of
-    a stack; profiles whose family codes pick the same solver are solved as
-    one stack, and the first failing profile's error is raised."""
+def _solve_stack(market: FisherMarket, reports) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The iteration counts and ``_finish`` arrays of the ``_encode`` arrays
+    of a stack; profiles whose family codes pick the same solver are solved
+    as one stack, and the first failing profile's error is raised."""
     code = reports[2]
     other = np.where((code == 0.0).all(axis=1), "cobb-douglas", "ces")
     kinds = np.where((code == 1.0).all(axis=1), "linear", other)
-    raw = [None] * len(kinds)
+    p, x, floored, iterations, errors = _stacked(*reports[0].shape)
     for kind in dict.fromkeys(kinds.tolist()):
         ks = np.flatnonzero(kinds == kind)
-        solved = _SOLVERS[kind](market.budgets, [v[ks] for v in reports], market.reserves)
-        for k, res in zip(ks.tolist(), solved):
-            raw[k] = res
-    failed = next((k for k, res in enumerate(raw) if isinstance(res, SolverError)), None)
+        *solved, errs = _SOLVERS[kind](market.budgets, [v[ks] for v in reports], market.reserves)
+        p[ks], x[ks], floored[ks], iterations[ks] = solved
+        for k, err in zip(ks.tolist(), errs):
+            errors[k] = err
+    failed = next((k for k, err in enumerate(errors) if err is not None), None)
     if failed is None:
-        return (raw, *_finish(market, raw))
+        return (iterations, *_finish(market, p, x, floored))
     if failed:
         # A failed check on an earlier profile comes first.
-        _finish(market, raw[:failed])
-    raise raw[failed]
+        _finish(market, p[:failed], x[:failed], floored[:failed])
+    raise errors[failed]
 
 
 def _solve_profiles(market: FisherMarket, profiles) -> tuple[list[MarketEquilibrium], np.ndarray]:
@@ -492,7 +653,7 @@ def _solve_profiles(market: FisherMarket, profiles) -> tuple[list[MarketEquilibr
         if any(linear) and not all(linear):
             raise SolverError("linear reports cannot be mixed with other families")
     reports = _encode(profiles)
-    solved, p, x, floored = _solve_stack(market, reports)
+    iterations, p, x, floored = _solve_stack(market, reports)
     sold = x.sum(axis=1)
     left = 1.0 - sold
     eqs = [
@@ -503,16 +664,16 @@ def _solve_profiles(market: FisherMarket, profiles) -> tuple[list[MarketEquilibr
             excess=tuple(excess),
             utilities=tuple(utils),
             floored=tuple(j for j, f in enumerate(flags) if f),
-            iterations=res[3],
+            iterations=count,
         )
-        for prices, alloc, unsold, excess, utils, flags, res in zip(
+        for prices, alloc, unsold, excess, utils, flags, count in zip(
             p.tolist(),
             x.tolist(),
             np.where(left > 0.0, left, 0.0).tolist(),
             (sold - 1.0).tolist(),
             _utilities(reports, x).tolist(),
             floored.tolist(),
-            solved,
+            iterations.tolist(),
         )
     ]
     return eqs, x

@@ -896,6 +896,16 @@ def _draw_fisher_market(rng, gen: dict, buyers: int) -> FisherMarket:
     return FisherMarket(budgets, tuple(utils))
 
 
+def _check_certified(sc: Scenario, L: int, seed: int, res, out: _TaskOut) -> None:
+    """A Fisher search that certified no equilibrium fails, whatever its
+    floor check says about the ratios of no equilibria."""
+    if not res.equilibria:
+        out.checks.append(Check(
+            sc.id, "certified-equilibrium", False,
+            f"L={L} seed={seed}: search certified no equilibrium, {res.walks_dropped} walks dropped",
+        ))
+
+
 def _task_fisher_poa(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: int, out: _TaskOut):
     spec = sc.spec
     rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
@@ -908,6 +918,7 @@ def _task_fisher_poa(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: 
         f"L={L} seed={seed}: gm {res.gm_ratio:.4f}, sum {res.sum_ratio:.4f} vs bound {res.bound:.4f}, "
         f"{res.walks_dropped} walks dropped",
     ))
+    _check_certified(sc, L, seed, res, out)
     out.rows.append((
         sc.id, L, market.m, seed, spec["generator"]["family"],
         res.gm_ratio, res.sum_ratio, res.bound, res.equilibria,
@@ -933,6 +944,7 @@ def _task_fisher_reserve(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, se
         f"L={L} seed={seed}: sum {res.sum_ratio:.4f} vs bound {res.bound:.4f}, "
         f"{res.walks_dropped} walks dropped",
     ))
+    _check_certified(sc, L, seed, res, out)
 
     trials = spec["compress_trials"]
     bad = 0

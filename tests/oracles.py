@@ -11,7 +11,8 @@ match bit for bit; ``reference_table`` reads the Fisher reporting game's
 payoff table with it, one lone solve per cell.  ``reference_solve_linear``
 is the package's proportional-response solver as it was when it checked the
 duality gap at every round, which the chunked solver must match bit for
-bit.
+bit; it calls the package's exact finish, at the same rounds, and
+``linear_support_oracle`` checks that finish by enumerating supports.
 ``reference_parse_config`` is the package's scenario schema as it was before
 the harness kept one registry entry per mode; the registry must give the same
 errors and the same values.  ``reference_best_response_dynamics`` runs the
@@ -249,6 +250,71 @@ def eg_grid_oracle(budgets, utilities, reserves=None, sweeps=4, pts=15, zooms=5)
     return eg_objective(budgets, utilities, alloc[:n], reserves), alloc[:n]
 
 
+def linear_support_oracle(budgets, weights, tol=1e-9):
+    """Equilibrium prices of a linear Fisher market without reserves, n <= 4
+    buyers and m <= 3 goods, by brute-force support enumeration.
+
+    Each buyer gets a nonempty set of the goods it wants.  On those edges a
+    buyer's bang per buck is one number, a_ij g_i = p_j with g_i its price
+    per unit of weight; with the prices of each connected component summing
+    to its buyers' budgets, and goods nobody wants at 0, that is a linear
+    system, solved by least squares.  The first assignment whose system is
+    consistent and that passes the KKT conditions gives the prices: every
+    wanted good priced above 0, no good beating a buyer's bang per buck, and
+    a flow on the chosen edges that spends every budget and clears every
+    good (Gale: no set of goods costs more than its neighbours' budgets).
+    None when no assignment passes.
+    """
+    e = np.asarray(budgets, dtype=float)
+    a = np.asarray(weights, dtype=float)
+    n, m = a.shape
+    if n > 4 or m > 3:
+        raise ValueError("support enumeration is for n <= 4 and m <= 3")
+    wanted = (a > 0).any(axis=0)
+    options = [
+        [set(s) for r in range(1, m + 1) for s in itertools.combinations(np.flatnonzero(row > 0), r)]
+        for row in a
+    ]
+    subsets = [
+        set(t) for r in range(1, m + 1) for t in itertools.combinations(np.flatnonzero(wanted), r)
+    ]
+    for support in itertools.product(*options):
+        if set().union(*support) != set(np.flatnonzero(wanted)):
+            continue
+        # Components of the support graph: buyers 0..n-1, goods n..n+m-1.
+        label = list(range(n + m))
+        for i, goods in enumerate(support):
+            for j in goods:
+                old, new = label[n + j], label[i]
+                label = [new if c == old else c for c in label]
+        rows, rhs = [], []
+        for i, goods in enumerate(support):
+            for j in goods:
+                row = np.zeros(n + m)
+                row[i], row[n + j] = a[i, j], -1.0
+                rows.append(row)
+                rhs.append(0.0)
+        for c in set(label[:n]):
+            rows.append(np.array([0.0] * n + [float(label[n + j] == c) for j in range(m)]))
+            rhs.append(sum(e[i] for i in range(n) if label[i] == c))
+        for j in np.flatnonzero(~wanted):
+            rows.append(np.eye(n + m)[n + j])
+            rhs.append(0.0)
+        A, b = np.array(rows), np.array(rhs)
+        sol = np.linalg.lstsq(A, b, rcond=None)[0]
+        if np.abs(A @ sol - b).max() > tol * e.sum():
+            continue
+        g, p = sol[:n], sol[n:]
+        if (p[wanted] <= 0).any() or (a * g[:, None] > p * (1 + tol) + tol).any():
+            continue
+        if all(
+            p[list(t)].sum() <= sum(e[i] for i in range(n) if support[i] & t) + tol * e.sum()
+            for t in subsets
+        ):
+            return p
+    return None
+
+
 def reference_check(budgets, reserves, prices, alloc, floored):
     """Fisher solver postconditions for one profile, checked on their own."""
     e = np.asarray(budgets)
@@ -276,10 +342,11 @@ def reference_outcome(market, reports):
     reports = tuple(reports)
     kinds = {type(u) for u in reports}
     kind = "linear" if Linear in kinds else "cobb-douglas" if kinds == {CobbDouglas} else "ces"
-    res = fisher._SOLVERS[kind](market.budgets, fisher._encode([reports]), market.reserves)[0]
-    if isinstance(res, SolverError):
-        raise res
-    prices, alloc, mask, iters = res
+    solved = fisher._SOLVERS[kind](market.budgets, fisher._encode([reports]), market.reserves)
+    prices, alloc, mask, iters, (error,) = solved
+    if error is not None:
+        raise error
+    prices, alloc, mask, iters = prices[0], alloc[0], mask[0], int(iters[0])
     floored = [int(j) for j in np.flatnonzero(mask)]
     p = np.maximum(np.asarray(prices, dtype=float), fisher.PRICE_FLOOR)
     x = np.maximum(np.asarray(alloc, dtype=float), 0.0)
@@ -316,18 +383,41 @@ def reference_table(market, menus, profiles, who):
     return util
 
 
+def finish_round(t):
+    """Whether proportional response offers its live profiles to the exact
+    finish after round t: rounds 16, 32, 64, 128, 256 and every 256th."""
+    return t >= fisher._CHUNK_FIRST and (t & (t - 1) == 0 or t % fisher._CHUNK_MAX == 0)
+
+
+def stacked_results(entries, n, m):
+    """Per-profile solver entries, ``(prices, allocation, floored,
+    iterations)`` or a SolverError, stacked as the package's solvers return
+    them."""
+    k = len(entries)
+    p, x = np.zeros((k, m)), np.zeros((k, n, m))
+    floored, iterations, errors = np.zeros((k, m), dtype=bool), np.zeros(k, dtype=int), [None] * k
+    for k, res in enumerate(entries):
+        if isinstance(res, SolverError):
+            errors[k] = res
+        else:
+            p[k], x[k], floored[k], iterations[k] = res
+    return p, x, floored, iterations, errors
+
+
 def reference_solve_linear(budgets, stack, reserves, cap=10_000, gaps=None):
     """``fisher._solve_linear`` as it was before its rounds ran in chunks: the
     duality gap of every live profile at every round, one 1-D dot per
-    profile.  The chunked solver must match it bit for bit, iteration counts
-    and error texts included.  When ``gaps`` is a list, each round's gaps of
-    the live profiles are appended to it as ``(live, gap)``."""
+    profile, and without reserves ``fisher._forest_finish`` on each live
+    profile after every ``finish_round``.  The chunked solver must match it
+    bit for bit, iteration counts and error texts included.  When ``gaps``
+    is a list, each round's gaps of the live profiles are appended to it as
+    ``(live, gap)``."""
     e = np.asarray(budgets)
     # profiles x buyers x goods
     weights = np.asarray([[u.a for u in reports] for reports in stack])
     scales = np.asarray([[u.scale for u in reports] for reports in stack])
     live = np.arange(len(stack))  # profile of each stack row
-    m = weights.shape[2]
+    n, m = weights.shape[1:]
     r = np.zeros(m) if reserves is None else np.asarray(reserves)
     dead = weights.sum(axis=1) <= 0.0  # demanded by nobody
     wanted = weights > 0
@@ -351,30 +441,35 @@ def reference_solve_linear(budgets, stack, reserves, cap=10_000, gaps=None):
         gap = dual - primal
         if gaps is not None:
             gaps.append((live, gap))
-        # Each update spends every budget in full, so the market clears
-        # identically at every round; a run that exhausts the budget of
-        # rounds with a small residual gap is still usable.
-        done = gap <= (fisher.GAP_ACCEPT if it + 1 == cap else fisher.GAP_TOL)
-        if done.any():
-            for a in np.flatnonzero(done):
-                floored = dead[a] & (p[a] <= np.maximum(r, fisher.PRICE_FLOOR))
-                out[live[a]] = (p_safe[a], x[a], floored, it + 1)
-            keep = ~done
-            live, weights, scales, dead, wanted, e_scaled, x, gap = (
-                v[keep] for v in (live, weights, scales, dead, wanted, e_scaled, x, gap)
-            )
-            if not live.size:
-                return out
         contrib = weights * x
         spend = e[:, None] * contrib / np.maximum(
             contrib.sum(axis=2, keepdims=True), 1e-300
         )
+        # Each update spends every budget in full, so the market clears
+        # identically at every round; a run that exhausts the budget of
+        # rounds with a small residual gap is still usable.
+        done = gap <= (fisher.GAP_ACCEPT if it + 1 == cap else fisher.GAP_TOL)
+        for a in np.flatnonzero(done):
+            floored = dead[a] & (p[a] <= np.maximum(r, fisher.PRICE_FLOOR))
+            out[live[a]] = (p_safe[a], x[a], floored, it + 1)
+        if reserves is None and finish_round(it + 1):
+            for a in np.flatnonzero(~done):
+                exact = fisher._forest_finish(e, weights[a], scales[a], spend[a], dead[a])
+                if exact is not None:
+                    out[live[a]] = (*exact, dead[a], it + 1)
+                    done[a] = True
+        keep = ~done
+        live, weights, scales, dead, wanted, e_scaled, spend, gap = (
+            v[keep] for v in (live, weights, scales, dead, wanted, e_scaled, spend, gap)
+        )
+        if not live.size:
+            return stacked_results(out, n, m)
     for k, g in zip(live, gap):
         out[k] = SolverError(
             f"proportional response failed to converge in {cap} rounds: "
             f"duality gap {g:.3e}"
         )
-    return out
+    return stacked_results(out, n, m)
 
 
 class ScipyWelfareOracle(WelfareOracle):

@@ -32,6 +32,7 @@ from marketlab.valuations import CES, CobbDouglas, Linear, fisher_demand, utilit
 from oracles import (
     eg_grid_oracle,
     eg_objective,
+    linear_support_oracle,
     reference_best_response,
     reference_find_equilibria,
     reference_is_nash,
@@ -126,6 +127,7 @@ def test_proportional_response_matches_grid_oracle():
         )
         market = FisherMarket(budgets, utils)
         eq = solve_market(market)
+        assert type(eq.iterations) is int  # as JSON writers need
         assert eq.iterations < 10_000
         assert max(abs(z) for z in eq.excess) <= 1e-6
         got = eg_objective(budgets, utils, np.asarray(eq.allocation))
@@ -664,14 +666,11 @@ def test_a_failed_check_before_a_solver_error_is_raised(monkeypatch):
     solve = fisher._SOLVERS["ces"]
 
     def broken(budgets, stack, reserves):
-        out = solve(budgets, stack, reserves)
-        p, x, floored, iters = out[0]
-        x = x.copy()
-        x[:, 0] = 1.0  # every buyer gets all of good 0
-        out[0] = (p, x, floored, iters)
-        if len(out) > 1:
-            out[1] = SolverError("profile 1 did not converge")
-        return out
+        p, x, floored, iters, errors = solve(budgets, stack, reserves)
+        x[0, :, 0] = 1.0  # every buyer gets all of good 0
+        if len(errors) > 1:
+            errors[1] = SolverError("profile 1 did not converge")
+        return p, x, floored, iters, errors
 
     monkeypatch.setitem(fisher._SOLVERS, "ces", broken)
     with pytest.raises(InternalCheckError) as alone:
@@ -797,9 +796,9 @@ def test_a_table_raises_the_first_failing_profiles_error(monkeypatch):
     menus = [perturbed_reports(u, (0.05, 0.1, 0.2)) for u in market.utilities]
     game = _ReportGame(market, menus)
     truth = game.truthful_profile()
-    # Buyer 1's deviations from the truthful profile, in table order.
+    # Buyer 0's deviations from the truthful profile, in table order.
     truthful = [menu[s] for menu, s in zip(menus, truth)]
-    deviations = [truthful[:1] + [u] + truthful[2:] for u in menus[1]]
+    deviations = [[u] + truthful[1:] for u in menus[0]]
     rounds = [solve_market(market, d).iterations for d in deviations]
     # Cap the rounds at the first deviation's count: it still solves, and
     # slower ones after it fail.
@@ -809,7 +808,7 @@ def test_a_table_raises_the_first_failing_profiles_error(monkeypatch):
     assert not isinstance(alone[0], str)
     assert len(set(failed)) >= 2  # each failure reports its own residual
     with pytest.raises(SolverError) as err:
-        game.table([truth], [[1]])
+        game.table([truth], [[0]])
     assert str(err.value) == failed[0]
 
 
@@ -956,17 +955,17 @@ def linear_stack(seed, n, m, k, reserves):
 
 
 def exact_entries(solved):
-    """Solver entries in a form ``==`` compares bit for bit, with the type of
-    the iteration count: it must be a Python int, as JSON writers need."""
+    """A solver's stacked results, one entry per profile, in a form ``==``
+    compares bit for bit."""
+    p, x, floored, iterations, errors = solved
     return [
-        str(res) if isinstance(res, SolverError)
-        else (res[0].tolist(), res[1].tolist(), res[2].tolist(), res[3], type(res[3]))
-        for res in solved
+        str(err) if err is not None else (p[k].tolist(), x[k].tolist(), floored[k].tolist(), count)
+        for k, (err, count) in enumerate(zip(errors, iterations.tolist()))
     ]
 
 
-# Chunks end after rounds 16, 48, 112, 240, 496, ...
-CAPS = (1, 2, 15, 16, 17, 47, 48, 49, 112, 241, 10_000)
+# Chunks end at the finish rounds 16, 32, 64, 128, 256, 512, 768, ...
+CAPS = (1, 2, 15, 16, 17, 31, 32, 33, 128, 257, 10_000)
 
 
 @settings(max_examples=120)
@@ -1005,11 +1004,14 @@ def running_minima(gaps):
 def test_the_stopping_round_is_decided_on_the_exact_gap(monkeypatch, seed, reserves):
     budgets, stack, floor = linear_stack(seed, 4, 3, 3, reserves)
     trace = []
-    finished = reference_solve_linear(budgets, stack, floor, gaps=trace)[0][3]
+    finished = reference_solve_linear(budgets, stack, floor, gaps=trace)[3][0]
     # Profile 0's exact gap at each round until it finished.
     gaps = [float(gap[list(live).index(0)]) for live, gap in trace[:finished]]
     minima = running_minima(gaps[:-1])
-    rounds = sorted({max(r for r in minima if r <= t) for t in (1, 15, 16, 17, 48, finished)})
+    # Without reserves the exact finish can end a profile at round 16, so
+    # the rounds tried come before it.
+    points = (1, 15, 16, 17, 48, finished) if reserves else (1, 4, 8, 12, 15)
+    rounds = sorted({max(r for r in minima if r <= t) for t in points})
     assert len(rounds) >= 3
 
     def both(cap=10_000):
@@ -1032,3 +1034,108 @@ def test_the_stopping_round_is_decided_on_the_exact_gap(monkeypatch, seed, reser
             assert both(cap=r)[3] == r
             patch.setattr(fisher, "GAP_ACCEPT", math.nextafter(g, -math.inf))
             assert both(cap=r).startswith(f"proportional response failed to converge in {r} rounds")
+
+
+# -- exact finish of linear markets ---------------------------------------------------
+
+
+def finish_market(seed, n, m, shape):
+    """Budgets, linear weights and scales of a market without reserves:
+    random weights with some zeros, buyer 1's weights a multiple of buyer
+    0's ("proportional", a cycle in the support), or a good nobody wants
+    ("unwanted")."""
+    rng = np.random.default_rng(seed)
+    budgets = rng.uniform(0.5, 2.0, n)
+    weights = rng.uniform(0.05, 1.0, (n, m))
+    weights[rng.random((n, m)) < 0.2] = 0.0
+    gone = int(rng.integers(0, m)) if shape == "unwanted" and m > 1 else None
+    if gone is not None:
+        weights[:, gone] = 0.0
+    for row in weights:
+        if not row.any():
+            row[int(rng.integers(0, m)) if gone is None else (gone + 1) % m] = 0.5
+    if shape == "proportional" and n > 1:
+        weights[1] = weights[0] * rng.uniform(0.5, 2.0)
+    return budgets, weights, rng.uniform(0.5, 2.0, n)
+
+
+def spends_after(e, a, rounds):
+    """Proportional-response spends after each count of rounds in
+    ``rounds``, from spending in proportion to the weights."""
+    spend = e[:, None] * a / a.sum(axis=1, keepdims=True)
+    out = []
+    for t in range(1, max(rounds) + 1):
+        p = spend.sum(axis=0)
+        x = spend / np.where(p > 0.0, p, 1.0)
+        value = (a * x).sum(axis=1, keepdims=True)
+        spend = e[:, None] * a * x / value
+        if t in rounds:
+            out.append(spend)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 3),
+    shape=st.sampled_from(("random", "proportional", "unwanted")),
+)
+def test_the_exact_finish_matches_support_enumeration(seed, n, m, shape):
+    e, a, scales = finish_market(seed, n, m, shape)
+    want = linear_support_oracle(e, a)
+    assert want is not None  # a linear market always has an equilibrium
+    dead = a.sum(axis=0) <= 0.0
+    x = None
+    for spend in spends_after(e, a, (1, 16, 64, 256, 1024)):
+        got = fisher._forest_finish(e, a, scales, spend, dead)
+        if got is None:
+            continue  # declined: proportional response runs on
+        p, x = got
+        np.testing.assert_allclose(p[~dead], want[~dead], rtol=1e-12, atol=0.0)
+        assert (p[dead] == fisher.PRICE_FLOOR).all() and (x[:, dead] == 0.0).all()
+        fisher._check_equilibria(e, None, p[None], x[None], dead[None])
+    if x is not None and n <= 2:
+        utils = tuple(Linear(tuple(row), float(c)) for row, c in zip(a.tolist(), scales))
+        grid, _ = eg_grid_oracle(e, utils)
+        assert eg_objective(e, utils, x) >= grid - 1e-9
+
+
+@pytest.mark.parametrize(
+    "budgets, weights",
+    (
+        ((1.0, 1.5), ((0.2, 0.6), (0.5, 1.5))),
+        ((1.0, 1.0, 0.7), ((1.0, 0.0, 0.5), (0.2, 0.0, 1.0), (0.4, 0.0, 0.4))),
+        ((1.0, 2.0, 0.5), ((1.0,), (0.3,), (2.0,))),
+    ),
+    ids=("proportional-weights", "unwanted-good", "one-good"),
+)
+def test_the_exact_finish_certifies_degenerate_markets(budgets, weights):
+    e, a = np.asarray(budgets), np.asarray(weights)
+    dead = a.sum(axis=0) <= 0.0
+    (spend,) = spends_after(e, a, (16,))
+    p, x = fisher._forest_finish(e, a, np.ones(len(e)), spend, dead)
+    want = linear_support_oracle(e, a)
+    np.testing.assert_allclose(p[~dead], want[~dead], rtol=1e-12, atol=0.0)
+    fisher._check_equilibria(e, None, p[None], x[None], dead[None])
+    utils = tuple(Linear(tuple(row)) for row in weights)
+    grid, _ = eg_grid_oracle(budgets, utils)
+    assert eg_objective(budgets, utils, x) >= grid - 1e-9
+
+
+def test_a_forest_with_one_wrong_edge_fails_the_gap_check(monkeypatch):
+    e, a = np.array([1.3, 1.9]), np.array([[0.2, 1.0], [0.4, 0.5]])
+    scales, dead = np.ones(2), np.zeros(2, dtype=bool)
+    # Buyer 1 buys both goods and buyer 0 only good 1: p is (4, 5) / 9 of
+    # the budgets, as buyer 1's weights are.
+    p, _ = fisher._forest_equilibrium(e, a, scales, dead, [(1, 0), (0, 1), (1, 1)])
+    np.testing.assert_allclose(p, 3.2 * np.array([4.0, 5.0]) / 9.0, rtol=1e-15)
+    # Buyer 0 buying good 0 in buyer 1's place prices the goods as buyer 0's
+    # weights; its flows are nonnegative, so only the gap rejects it.
+    wrong = [(0, 0), (0, 1), (1, 1)]
+    assert fisher._forest_equilibrium(e, a, scales, dead, wrong) is None
+    monkeypatch.setattr(fisher, "GAP_TOL", math.inf)
+    p, x = fisher._forest_equilibrium(e, a, scales, dead, wrong)
+    np.testing.assert_allclose(p, 3.2 * np.array([1.0, 5.0]) / 6.0, rtol=1e-15)
+    assert (x >= 0.0).all()
+
