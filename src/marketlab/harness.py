@@ -500,12 +500,7 @@ def audit_assumptions(
         welfare_rate = floor_rate(spread_slack, copies_share, rho_prime)
     else:
         welfare_rate = 0.0
-    sw_draws = []
-    for _ in range(200):
-        vals = _draw_bidders(rng, gen, bidders)
-        counts = sample(model, rng)
-        sw_draws.append(WelfareOracle(vals).welfare(counts))
-    sw = np.array(sw_draws)
+    sw = _optimal_welfare_draws(rng, gen, model, bidders, 200)
     sw_opt_hat = float(sw.mean())
     sw_se = float(sw.std(ddof=1) / math.sqrt(sw.size))
     welfare_ok = size_ok and sw_opt_hat >= welfare_rate * sweep_n - 3.0 * sw_se
@@ -532,6 +527,30 @@ def audit_assumptions(
         point_mass_flag=flag,
         suppress_bounds=suppress,
     )
+
+
+def _optimal_welfare_draws(rng, gen: dict, model, bidders: int, draws: int) -> np.ndarray:
+    """Optimal welfare of ``draws`` fresh markets, each drawn as ``bidders``
+    bidders and then one supply.  On one good the welfare is read off the
+    market's slots, as the oracle's slots path does: the weights (positive,
+    as the schema draws them) sorted descending and repeated by cap, summed
+    left to right, at min(copies, slots).  Several goods ask a
+    ``WelfareOracle``."""
+    if gen["goods"] > 1:
+        return np.array([
+            WelfareOracle(_draw_bidders(rng, gen, bidders)).welfare(sample(model, rng))
+            for _ in range(draws)
+        ])
+    weights = np.empty((draws, bidders))
+    copies = np.empty(draws, dtype=int)
+    for d in range(draws):
+        weights[d] = _draw_item_weights(rng, gen["values"], (bidders, 1))[:, 0]
+        copies[d] = sample(model, rng)[0]
+    cap = 1 if gen["family"] == "unit" else gen.get("cap", 1)
+    slots = np.repeat(np.sort(weights, axis=1)[:, ::-1], cap, axis=1)
+    prefix = np.zeros((draws, slots.shape[1] + 1))
+    np.cumsum(slots, axis=1, out=prefix[:, 1:])
+    return prefix[np.arange(draws), np.minimum(copies, slots.shape[1])]
 
 
 # -- task execution ----------------------------------------------------------------

@@ -12,14 +12,16 @@ implementations, picked once by ``_auction``: ``table`` gives a profile
 stack's utilities for every menu entry at every supply, ``outcomes`` one
 profile's own utilities and true welfare per supply, ``play`` one learning
 round.  ``_SingleGood``, for unit-demand players on one good, is an
-order-statistic kernel over copy counts 0..max that ranks bids by (weight
-descending, owner descending), the engine's slot order, and matches
-``run_mechanism`` to the bit.  ``_Engine`` runs ``run_mechanism`` itself, on
-the distinct count vectors among the atoms, for every other game.  All
-expectations go through ``GameContext._expect``.  The kernel's win-and-price
-rule is written once, in ``_SingleGood._settle``: ``utilities`` applies it to
-a stack of profiles, and ``play`` to one learning round, whose one sorted bid
-row gives every player's price slot.
+order-statistic kernel over copy counts 0..max and matches ``run_mechanism``
+to the bit.  It works on integer keys fixed when the game is built: every
+candidate bid of every player gets one, in the engine's slot order (weight,
+then owner), so ranking a profile sorts integers with no tie, a win is one
+integer comparison and ``worth[key]`` reads a price back.  ``_Engine`` runs
+``run_mechanism`` itself, on the distinct count vectors among the atoms, for
+every other game.  All expectations go through ``GameContext._expect``.  The
+kernel's win-and-price rule is written once, in ``_SingleGood._settle``:
+``utilities`` applies it to a stack of profiles, and ``play`` to one learning
+round, whose keys, sorted once, give every player's price slot.
 
 ``_Hedge`` is the no-regret learner of both learning loops, this one and the
 Fisher one.  It normalizes each mixture over its own menu, as a per-player
@@ -40,6 +42,7 @@ those of running the walks one at a time.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -160,11 +163,15 @@ class _SingleGood:
     """Order statistics of a one-good auction among unit-demand players.
 
     ``cand[i, s]`` is player i's bid under menu entry s, the same float
-    expression as ``scale_bid``; entries past the end of a shorter menu bid
-    0, which never wins.  Bids rank by (weight descending, owner
-    descending), the engine's slot order: at supply n the n top-ranked
-    positive bids win, the english price is the (n+1)-th largest bid and the
-    dutch price the n-th.
+    expression as ``scale_bid``; entries past a shorter menu bid 0.
+    ``key[i, s]`` in 1..K is that bid's place among all K candidates sorted
+    by (weight, owner), so keys of different players compare as the
+    engine's slot order and never tie; ``worth[key]`` is the bid, with the
+    sentinels ``worth[0] = 0`` below every bid and ``worth[K + 1] = +inf``
+    above.  ``challenge[i, s]`` is the key, or 0 for a zero bid, which never
+    wins.  A profile's keys sorted descending are its slots: at supply n the
+    positive bids on the n top slots win, the english price is the bid on
+    slot n + 1 and the dutch price the bid on slot n.
     """
 
     def __init__(self, true_values, menu, rule: str, lam: Optional[float]):
@@ -174,10 +181,19 @@ class _SingleGood:
         self.cand = np.zeros((len(weights), max(len(m) for m in menu)))
         for i, (w, m) in enumerate(zip(weights, menu)):
             self.cand[i, : len(m)] = [g * w + d for g, d in m]
+        owners = np.repeat(self.owner, self.cand.shape[1])
+        ranked = np.lexsort((owners, self.cand.ravel()))
+        self.top = ranked.size + 1
+        key = np.empty(ranked.size, dtype=int)
+        key[ranked] = np.arange(1, self.top)
+        self.key = key.reshape(self.cand.shape)
+        self.worth = np.concatenate(([0.0], self.cand.ravel()[ranked], [np.inf]))
+        self.challenge = np.where(self.cand > 0.0, self.key, 0)
+        # Zero bids hold keys 1..zero_keys, below every positive bid.
+        self.zero_keys = int(np.count_nonzero(self.cand == 0.0))
         # The dutch price's weight in the price; 1 is the dutch price, also
         # at supply 0, where the english one is +inf.
         self.blend = {"english": 0.0, "dutch": 1.0}.get(rule, lam)
-        self._row = np.zeros((2, 0))  # the slot row of ``play``, reused
 
     def supplies(self, atoms) -> tuple[np.ndarray, np.ndarray]:
         """The supply axis of this game's tables, copy counts 0..max, and
@@ -185,115 +201,107 @@ class _SingleGood:
         ns = np.fromiter((c[0] for c in atoms), int)
         return np.arange(ns.max(initial=0) + 1), ns
 
-    def bids(self, profiles) -> np.ndarray:
-        """bids[p, i]: player i's bid in profiles[p]."""
-        return self.cand[self.owner, profiles]
+    def keys(self, profiles) -> np.ndarray:
+        """keys[p, i]: the key of player i's bid in profiles[p]."""
+        return self.key[self.owner, profiles]
 
-    def order(self, bids: np.ndarray) -> np.ndarray:
-        """order[p]: the players in slot order under bid row p.  A stable
-        ascending sort keeps equal bids in owner order, so its reverse ranks
-        by (weight descending, owner descending)."""
-        return bids.argsort(axis=1, kind="stable")[:, ::-1]
+    def order(self, keys: np.ndarray) -> np.ndarray:
+        """order[p]: the players in slot order under key row p."""
+        return keys.argsort(axis=1)[:, ::-1]
 
-    def rank(self, bids: np.ndarray) -> np.ndarray:
+    def rank(self, keys: np.ndarray) -> np.ndarray:
         """rank[p, i]: the slot of player i's bid in row p."""
-        order = self.order(bids)
+        order = self.order(keys)
         rank = np.empty_like(order)
         rank[np.arange(order.shape[0])[:, None], order] = self.owner
         return rank
 
-    def winners(self, bids: np.ndarray, supplies: np.ndarray) -> np.ndarray:
+    def winners(self, keys: np.ndarray, supplies: np.ndarray) -> np.ndarray:
         """won[p, i, a]: player i gets a copy in row p at supply supplies[a]."""
-        return (bids > 0.0)[..., None] & (self.rank(bids)[..., None] < supplies)
+        return (keys > self.zero_keys)[..., None] & (self.rank(keys)[..., None] < supplies)
 
     def table(self, profiles, who, supplies: np.ndarray) -> np.ndarray:
         """util[p, w, s, a]: true utility of player who[p, w] switching to
         menu entry s against the rest of profiles[p], at supply supplies[a]."""
-        return self.utilities(self.bids(profiles), who, supplies)
+        return self.utilities(self.keys(profiles), who, supplies)
 
     def outcomes(self, profile, supplies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """util[i, a] of every player and the true welfare sw[a] of one
         profile at every supply, welfare summed in player order."""
-        bids = self.bids([profile])
-        util = self.utilities(bids, self.owner[None], supplies)[0, self.owner, profile]
-        sw = np.where(self.winners(bids, supplies)[0], self.tv[:, None], 0.0).sum(axis=0)
+        keys = self.keys([profile])
+        util = self.utilities(keys, self.owner[None], supplies)[0, self.owner, profile]
+        sw = np.where(self.winners(keys, supplies)[0], self.tv[:, None], 0.0).sum(axis=0)
         return util, sw
 
     def play(self, actions: np.ndarray, n) -> tuple[np.ndarray, float]:
         """One learning round at count vector n: uts[i, s] = util of player
         i playing s against the others' actions, and the realized welfare
         of the actions, summed in slot order.  The same floats as the
-        ``utilities`` row, read off the round's one sorted bid row, written
-        after a +inf bid into a zero-padded row that grows with the supply."""
-        bids = self.bids(actions)
-        order = self.order(bids[None])[0]
-        rank = np.empty_like(order)
-        rank[order] = self.owner
+        ``utilities`` row, read off the round's keys sorted once."""
+        keys = self.keys(actions)
+        order = keys.argsort()
+        rising = keys[order].tolist()
         n = n[0]
-        players = bids.size
-        if self._row.shape[1] < players + n + 2:
-            self._row = np.zeros((2, players + n + 2))
-            self._row[0, 0] = np.inf
-        row = self._row
-        row[0, 1 : players + 1] = bids[order]
-        row[1, 1 : players + 1] = order
-        own = rank[:, None]
+        players = len(rising)
+
+        def slot(j):  # the j-th best key of the round, with its sentinels
+            return self.top if j < 0 else rising[players - 1 - j] if j < players else 0
+
+        held = keys[:, None]
 
         def others(j):
-            return row[:, 1 + j + (j >= own)]
+            below = slot(j + 1)
+            return np.where(held > below, below, slot(j))
 
-        uts = self._settle(self.cand, self.owner[:, None], n, others)
-        take = min(n, np.count_nonzero(bids))  # bids are nonnegative
-        return uts, float(np.add.reduce(self.tv[order[:take]]))
+        uts = self._settle(self.challenge, self.cand, self.tv[:, None], n, others)
+        take = min(n, players - bisect_right(rising, self.zero_keys))
+        return uts, float(np.add.reduce(self.tv[order[players - take :][::-1]]))
 
-    def utilities(self, bids: np.ndarray, who, supplies: np.ndarray) -> np.ndarray:
+    def utilities(self, keys: np.ndarray, who, supplies: np.ndarray) -> np.ndarray:
         """util[p, w, s, a]: true utility of player who[p, w] switching to
-        menu entry s while everyone else keeps bid row p, at supply
+        menu entry s while everyone else keeps key row p, at supply
         supplies[a].  Each row is the same float expression as a one-row call."""
         who = np.asarray(who)
-        rank = self.rank(bids)
-        profiles, players = bids.shape
+        profiles, players = keys.shape
         rows = np.arange(profiles)[:, None]
-        # slots[0]: bids in slot order after a leading +inf, zero-padded past
-        # the end; slots[1]: the owner of each slot.
-        slots = np.zeros((2, profiles, players + int(supplies.max(initial=0)) + 2))
-        slots[0, :, 0] = np.inf
-        place = 1 + rank
-        slots[0, rows, place] = bids
-        slots[1, rows, place] = self.owner
-        me = who[..., None, None]
+        # Each row's keys in slot order after the top sentinel, zero-padded
+        # past the end.
+        slots = np.zeros((profiles, players + int(supplies.max(initial=0)) + 2), dtype=keys.dtype)
+        slots[:, 0] = self.top
+        slots[:, 1 : players + 1] = np.sort(keys, axis=1)[:, ::-1]
         row = rows[..., None, None]
-        own = rank[row, me]
+        held = keys[rows, who][..., None, None]
 
         def others(j):
-            return slots[:, row, 1 + j + (j >= own)]
+            above = slots[row, 1 + j]
+            return np.where(above > held, above, slots[row, 2 + j])
 
-        return self._settle(self.cand[who][..., None], me, supplies, others)
+        me = who[..., None, None]
+        return self._settle(
+            self.challenge[who][..., None], self.cand[who][..., None], self.tv[me], supplies, others
+        )
 
-    def _settle(self, x, me, supplies, others) -> np.ndarray:
-        """True utility of player me bidding x at supply supplies, where
-        others(j) gives the bid and owner of the j-th best slot (from 0;
-        +inf at -1) held by anyone but the player.
+    def _settle(self, challenge, x, tv, supplies, others) -> np.ndarray:
+        """True utility, for a player of true value tv, of a candidate bid x
+        with challenge key ``challenge`` at supply supplies, where others(j)
+        is the key of the j-th best slot (from 0; the top sentinel at -1)
+        held by anyone but the player.
 
-        The candidate wins at supply n when it is positive and ranks above
-        the n-th best other bid under the composite key; that bid,
-        others(n - 1), is then the english price, the (n+1)-th largest (at
-        supply 0 the +inf slot).  The dutch price, the n-th largest, is the
-        lower of the candidate and others(n - 2).  Losers' prices are never
-        used."""
-        english, holder = others(supplies - 1)
-        # The bar to clear: one ulp lower when the player outranks the
-        # price's holder, so a tie wins, and never below 0.
-        bar = np.where(me > holder, np.nextafter(english, -np.inf), english)
-        wins = x > np.maximum(bar, 0.0)
+        The candidate wins at supply n when its challenge key exceeds the
+        n-th best other key, others(n - 1), whose bid is then the english
+        price, the (n+1)-th largest (at supply 0 the top sentinel's +inf).
+        The dutch price, the n-th largest, is the lower of the candidate and
+        others(n - 2).  Losers' prices are never used."""
+        english = others(supplies - 1)
+        wins = challenge > english
         if self.blend == 0.0:
-            price = english
+            price = self.worth[english]
         else:
-            dutch = np.minimum(x, others(np.maximum(supplies - 2, -1))[0])
+            dutch = np.minimum(x, self.worth[others(np.maximum(supplies - 2, -1))])
             price = dutch if self.blend == 1.0 else (
-                (1.0 - self.blend) * english + self.blend * dutch
+                (1.0 - self.blend) * self.worth[english] + self.blend * dutch
             )
-        return np.where(wins, self.tv[me] - price, 0.0)
+        return np.where(wins, tv - price, 0.0)
 
 
 class _Engine:

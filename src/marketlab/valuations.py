@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,24 +169,6 @@ def bundle_cost(bundle, prices) -> float:
         if c:
             total += c * p
     return total
-
-
-def demand_set(v: AuctionValuation, prices, tol: float = 0.0) -> tuple[Bundle, ...]:
-    """All quasi-linear-utility-maximizing bundles at ``prices``.
-
-    Enumerates bundles with at most ``v.cap`` items, which is sufficient
-    because extra items never add value. Ties within ``tol`` of the maximum
-    are all returned, in lexicographic bundle order.
-    """
-    if len(prices) != v.m:
-        raise ValueError("price vector length mismatch")
-    best = -math.inf
-    utilities = []
-    for b in bundles_upto(v.m, v.cap):
-        u = _value(v, b) - bundle_cost(b, prices)
-        utilities.append((b, u))
-        best = max(best, u)
-    return tuple(b for b, u in utilities if u >= best - tol)
 
 
 def best_utility(v: AuctionValuation, prices) -> float:

@@ -13,6 +13,10 @@ is the package's proportional-response solver as it was when it checked the
 duality gap at every round, which the chunked solver must match bit for
 bit; it calls the package's exact finish, at the same rounds, and
 ``linear_support_oracle`` checks that finish by enumerating supports.
+``reference_audit`` is the package's assumption audit as it was before
+one-good markets were valued on arrays, one ``WelfareOracle`` per drawn
+market (``reference_welfare_draws``); every field and every draw must be
+matched exactly.
 ``reference_parse_config`` is the package's scenario schema as it was before
 the harness kept one registry entry per mode; the registry must give the same
 errors and the same values.  ``reference_best_response_dynamics`` runs the
@@ -35,10 +39,9 @@ one size it must be matched exactly.  ``ScipyWelfareOracle`` is
 ``WelfareOracle`` with its assignments solved by scipy's
 ``linear_sum_assignment``, as the package did before it ported the solver;
 prices, allocations and welfare must be matched exactly.
-``is_monotone_table``,
-``check_gross_substitutes`` and ``assert_valid_outcome`` are test helpers
-built on the package's own ``value``, ``demand_set`` and
-``validate_outcome``.
+``demand_set``, ``is_monotone_table``, ``check_gross_substitutes`` and
+``assert_valid_outcome`` are test helpers built on the package's own
+``value`` and ``validate_outcome``.
 """
 
 import heapq
@@ -49,7 +52,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from marketlab import fisher
+from marketlab import fisher, harness
 from marketlab.errors import InternalCheckError, ScenarioError, SolverError
 from marketlab.harness import SCHEMA_VERSION, Scenario
 from marketlab.strategic import (
@@ -62,7 +65,16 @@ from marketlab.strategic import (
     _auction,
     _Stats,
 )
-from marketlab.supply import MultiplicityModel, iter_support, sample, support_size
+from marketlab.supply import (
+    MultiplicityModel,
+    floor_rate,
+    iter_support,
+    max_point_mass,
+    mean_counts,
+    sample,
+    std_counts,
+    support_size,
+)
 from marketlab.valuations import (
     CES,
     AuctionValuation,
@@ -72,7 +84,9 @@ from marketlab.valuations import (
     KDemand,
     Linear,
     UnitDemand,
-    demand_set,
+    _value,
+    bundle_cost,
+    bundles_upto,
     scale_bid,
     utility,
     value,
@@ -759,6 +773,100 @@ def reference_draw_bidders(rng, gen: dict, count: int):
         else:
             out.append(KDemand(w, gen.get("cap", 1)))
     return tuple(out)
+
+
+def reference_welfare_draws(rng, gen: dict, model, bidders: int, draws: int) -> list[float]:
+    """The audit's optimal welfare draws, one ``WelfareOracle`` per market."""
+    sw_draws = []
+    for _ in range(draws):
+        vals = harness._draw_bidders(rng, gen, bidders)
+        counts = sample(model, rng)
+        sw_draws.append(WelfareOracle(vals).welfare(counts))
+    return sw_draws
+
+
+def reference_audit(
+    gen: dict, assumptions: dict, sweep_n: int, bidders: int, seq, samples: int = 400
+) -> harness.AssumptionAudit:
+    """``harness.audit_assumptions`` as it was before one-good markets were
+    valued on arrays: one ``WelfareOracle`` per drawn market."""
+    rng = np.random.default_rng(seq)
+    zeta = assumptions["zeta"]
+    rho_prime = assumptions["rho_prime"]
+    goods = gen["goods"]
+
+    draws = harness._draw_item_weights(rng, gen["values"], (samples, goods))
+    per_item = draws.mean(axis=0)
+    per_item_se = draws.std(axis=0, ddof=1) / math.sqrt(samples)
+    zeta_hat = float(per_item.max())
+    slack = 3.0 * float(per_item_se.max())
+    bounded_value_ok = zeta_hat <= zeta + slack
+    best_item_hat = zeta_hat
+    value_floor_ok = best_item_hat >= rho_prime - slack
+    best_draw = draws.max(axis=1)
+    cap_hat = float(best_draw.mean())
+    cap_se = float(best_draw.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    item_expectation_cap_ok = cap_hat <= goods * zeta + 3.0 * cap_se
+
+    model = harness._build_model(gen, sweep_n)
+    mu = mean_counts(model)
+    sd = std_counts(model)
+    if np.any(mu <= 0):
+        spread_slack, copies_share, size_ok = 0.0, 0.0, False
+    else:
+        spread_slack = float(np.min(1.0 - sd / mu))
+        copies_share = float(np.min(mu / sweep_n))
+        size_ok = spread_slack > 0.0 and copies_share > 0.0
+
+    if size_ok:
+        welfare_rate = floor_rate(spread_slack, copies_share, rho_prime)
+    else:
+        welfare_rate = 0.0
+    sw = np.array(reference_welfare_draws(rng, gen, model, bidders, 200))
+    sw_opt_hat = float(sw.mean())
+    sw_se = float(sw.std(ddof=1) / math.sqrt(sw.size))
+    welfare_ok = size_ok and sw_opt_hat >= welfare_rate * sweep_n - 3.0 * sw_se
+
+    peak = max_point_mass(model)
+    flag = peak >= 1.0 - 1e-12
+    suppress = (not bounded_value_ok) or (not welfare_ok) or flag
+    return harness.AssumptionAudit(
+        sweep=sweep_n,
+        zeta=zeta,
+        zeta_hat=zeta_hat,
+        bounded_value_ok=bounded_value_ok,
+        rho_prime=rho_prime,
+        best_item_hat=best_item_hat,
+        value_floor_ok=value_floor_ok,
+        spread_slack=spread_slack,
+        copies_share=copies_share,
+        size_ok=size_ok,
+        welfare_rate=welfare_rate,
+        sw_opt_hat=sw_opt_hat,
+        welfare_ok=welfare_ok,
+        item_expectation_cap_ok=item_expectation_cap_ok,
+        point_mass=peak,
+        point_mass_flag=flag,
+        suppress_bounds=suppress,
+    )
+
+
+def demand_set(v: AuctionValuation, prices, tol: float = 0.0) -> tuple[Bundle, ...]:
+    """All quasi-linear-utility-maximizing bundles at ``prices``.
+
+    Enumerates bundles with at most ``v.cap`` items, which is sufficient
+    because extra items never add value. Ties within ``tol`` of the maximum
+    are all returned, in lexicographic bundle order.
+    """
+    if len(prices) != v.m:
+        raise ValueError("price vector length mismatch")
+    best = -math.inf
+    utilities = []
+    for b in bundles_upto(v.m, v.cap):
+        u = _value(v, b) - bundle_cost(b, prices)
+        utilities.append((b, u))
+        best = max(best, u)
+    return tuple(b for b, u in utilities if u >= best - tol)
 
 
 def is_monotone_table(v: Explicit) -> bool:

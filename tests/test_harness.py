@@ -31,7 +31,12 @@ from marketlab.harness import (
     run_config,
 )
 from marketlab.walrasian import max_welfare
-from oracles import reference_draw_bidders, reference_parse_config
+from oracles import (
+    reference_audit,
+    reference_draw_bidders,
+    reference_parse_config,
+    reference_welfare_draws,
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -242,6 +247,36 @@ def test_audit_accepts_heavy_tail_in_expectation():
     tight = audit_assumptions(gen, {"zeta": 0.5, "rho_prime": 0.25}, 16, 16, np.random.SeedSequence(1))
     assert not tight.bounded_value_ok
     assert tight.suppress_bounds
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{"kind": "uniform", "low": 0.5, "high": 1.0}, {"kind": "pareto", "shape": 3.0, "scale": 0.5}],
+)
+def test_one_good_audit_equals_the_oracle_loop(values):
+    """The audit's welfare draws read off sorted slots equal one
+    WelfareOracle per drawn market, on every field; two goods still ask
+    the oracle."""
+    assumptions = {"zeta": 0.8, "rho_prime": 0.5}
+    for family, cap, goods in (
+        ("unit", 1, 1), ("kdemand", 1, 1), ("kdemand", 2, 1), ("kdemand", 3, 1), ("kdemand", 2, 2),
+    ):
+        for supply in ({"kind": "fixed", "counts": [3] * goods}, {"kind": "binomial", "prob": 0.3}):
+            # Two goods stop at 16 bidders, inside the assignment path's limit.
+            for n, bidders in ((1, 1), (2, 5), (7, 7), (16, 3), (16, 16) if goods > 1 else (64, 64)):
+                gen = {"family": family, "goods": goods, "values": values, "supply": supply}
+                if family == "kdemand":
+                    gen["cap"] = cap
+                seq = np.random.SeedSequence((n, cap, goods))
+                got = audit_assumptions(gen, assumptions, n, bidders, seq)
+                want = reference_audit(gen, assumptions, n, bidders, seq)
+                assert dataclasses.asdict(got) == dataclasses.asdict(want), (gen, n, bidders)
+                # Each draw to the bit, and the generator left where the loop leaves it.
+                model = harness._build_model(gen, n)
+                rng, ref = np.random.default_rng(seq), np.random.default_rng(seq)
+                draws = harness._optimal_welfare_draws(rng, gen, model, bidders, 200)
+                assert draws.tolist() == reference_welfare_draws(ref, gen, model, bidders, 200)
+                assert rng.random() == ref.random()
 
 
 def test_audit_runs_once_per_sweep_point(tmp_path, monkeypatch):

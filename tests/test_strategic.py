@@ -257,7 +257,7 @@ def test_fast_round_counterfactuals_match_engine():
         for rule, lam in (("english", None), ("dutch", None), ("mix", 0.4)):
             kernel = _SingleGood(vals, menu, rule, lam)
             supplies = np.arange(n_players + 2)
-            table = kernel.utilities(kernel.bids([actions]), [range(n_players)], supplies)[0]
+            table = kernel.utilities(kernel.keys([actions]), [range(n_players)], supplies)[0]
             for n in supplies:
                 for i in range(n_players):
                     for s in range(3):
@@ -269,11 +269,11 @@ def test_fast_round_counterfactuals_match_engine():
 def test_fast_round_realized_welfare_counts_true_values():
     vals = unit((3.0, 2.0, 1.0))
     kernel = _SingleGood(vals, [ScalingGrid((0.0, 1.0)).strategies] * 3, "english", None)
-    bids = kernel.bids([(0, 1, 1)])  # 0, 2, 1
-    won = kernel.winners(bids, np.array([2, 5]))[0]
+    keys = kernel.keys([(0, 1, 1)])  # bids 0, 2, 1
+    won = kernel.winners(keys, np.array([2, 5]))[0]
     # Winners hold true values 2 and 1; a zero bid never fills a slot.
     assert (kernel.tv @ won).tolist() == [3.0, 3.0]
-    assert kernel.tv[kernel.order(bids)[0]][:2].tolist() == [2.0, 1.0]
+    assert kernel.tv[kernel.order(keys)[0]][:2].tolist() == [2.0, 1.0]
 
 
 @st.composite
@@ -295,20 +295,44 @@ def tied_single_good_games(draw):
     return unit(float(v) for v in values), [g.strategies for g in grids], actions, rule
 
 
+@given(tied_single_good_games(), st.data())
+def test_keys_order_candidates_by_weight_then_owner(game, data):
+    """Each candidate bid's key: keys of different players compare as
+    (weight, owner) tuples, worth reads the bid back, and a zero bid has no
+    challenge.  Menus get zero bids and uneven lengths added."""
+    vals, menu, _, (rule, lam) = game
+    menu = [
+        list(m)[: data.draw(st.integers(1, len(m)))]
+        + ([(0.0, 0.0)] if (0.0, 0.0) not in m and data.draw(st.booleans()) else [])
+        for m in menu
+    ]
+    kernel = _SingleGood(vals, menu, rule, lam)
+    cand, key = kernel.cand, kernel.key
+    assert sorted(key.ravel().tolist()) == list(range(1, cand.size + 1))
+    assert kernel.worth[key].tolist() == cand.tolist()
+    assert kernel.worth[0] == 0.0 and kernel.worth[cand.size + 1] == np.inf
+    assert kernel.challenge.tolist() == np.where(cand > 0, key, 0).tolist()
+    cells = [(i, s) for i in range(cand.shape[0]) for s in range(cand.shape[1])]
+    for i, s in cells:
+        for h, t in cells:
+            if i != h:
+                assert (key[i, s] < key[h, t]) == ((cand[i, s], i) < (cand[h, t], h))
+
+
 @given(tied_single_good_games())
 def test_kernel_matches_engine_exactly(game):
     vals, menu, actions, (rule, lam) = game
     kernel = _SingleGood(vals, menu, rule, lam)
     players = len(vals)
     supplies = np.arange(players + 2)
-    table = kernel.utilities(kernel.bids([actions]), [range(players)], supplies)[0]
-    won = kernel.winners(kernel.bids([actions]), supplies)[0]
+    table = kernel.utilities(kernel.keys([actions]), [range(players)], supplies)[0]
+    won = kernel.winners(kernel.keys([actions]), supplies)[0]
     for i in range(players):
         assert not table[i, len(menu[i]) :].any()
         for s in range(len(menu[i])):
             trial = tuple(s if h == i else a for h, a in enumerate(actions))
             want_bids = [scale_bid(vals[h], *menu[h][a]).weights[0] for h, a in enumerate(trial)]
-            assert kernel.bids(trial).tolist() == want_bids
+            assert kernel.worth[kernel.keys(trial)].tolist() == want_bids
             for n in supplies:
                 want, out = engine_utility(vals, menu, trial, i, int(n), rule, lam)
                 assert table[i, s, n] == want, (i, s, n)
@@ -328,10 +352,10 @@ def test_stacked_kernel_rows_equal_one_profile_calls(game, data):
     width = data.draw(st.integers(1, players))
     who = np.array([data.draw(st.permutations(range(players)))[:width] for _ in range(rows)])
     supplies = np.arange(players + 2)
-    table = kernel.utilities(kernel.bids(profiles), who, supplies)
+    table = kernel.utilities(kernel.keys(profiles), who, supplies)
     assert table.shape == (rows, width, kernel.cand.shape[1], supplies.size)
     for p in range(rows):
-        one = kernel.utilities(kernel.bids(profiles[p : p + 1]), who[p : p + 1], supplies)
+        one = kernel.utilities(kernel.keys(profiles[p : p + 1]), who[p : p + 1], supplies)
         assert table[p].tobytes() == one[0].tobytes()
 
 
@@ -348,8 +372,8 @@ def test_play_reads_the_stacked_kernel_row(game, rule, data):
     kernel = _SingleGood(vals, menu, *rule)
     n = (data.draw(st.integers(0, len(vals) + 2)),)
     uts, welfare = kernel.play(np.array(actions), n)
-    bids = kernel.bids(np.array(actions)[None])
-    want = kernel.utilities(bids, kernel.owner[None], np.array(n))[0, ..., 0]
+    keys = kernel.keys(np.array(actions)[None])
+    want = kernel.utilities(keys, kernel.owner[None], np.array(n))[0, ..., 0]
     assert uts.shape == want.shape and uts.tobytes() == want.tobytes()
     out = run_mechanism(
         tuple(scale_bid(v, *m[a]) for v, m, a in zip(vals, menu, actions)), n, *rule

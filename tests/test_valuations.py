@@ -15,7 +15,6 @@ from marketlab.valuations import (
     UnitDemand,
     best_utility,
     bundles_upto,
-    demand_set,
     fisher_demand,
     item_values,
     max_item_value,
@@ -26,6 +25,7 @@ from marketlab.valuations import (
 )
 from oracles import (
     check_gross_substitutes,
+    demand_set,
     is_monotone_table,
     oracle_demand,
     oracle_single_buyer_optimum,
