@@ -37,13 +37,12 @@ round cap, serves them alone in practice.
 The reporting game works on profile rows of menu indices and builds no
 equilibrium objects.  Each menu is encoded once, padded to the widest
 menu, so a stack of rows becomes the ``_encode`` arrays of its reports, to
-the bit, by one gather.  One cache maps a row, packed as int64 bytes, to a
-row of a growing array of truthful utilities.  ``_ReportGame.table`` builds
-the deviation rows of a stack with array operations, solves the uncached
-ones as one batch, each once in row-then-buyer order, and reads every cell
-with one fancy index; ``utils`` solves a lone miss with
-``strategic_outcome``.  Every profile gets the bits, iteration count and
-error of a lone solve.
+the bit, by one gather.  ``_ReportGame.table`` gathers whole (buyer,
+others' reports) rows of menu utilities from a row store and builds only
+the rows never seen, from a cache of solved profiles whose misses it solves
+as one batch, each once in row-then-buyer order; ``utils`` solves a lone
+miss with ``strategic_outcome``.  Every profile gets the bits, iteration
+count and error of a lone solve.
 
 ``poa_search`` is the one search for a worst reporting equilibrium, with or
 without reserve prices: the market's reserves pick the floor, and the
@@ -60,7 +59,8 @@ auction game's loop, and reads each round's payoffs of every buyer's whole
 menu from one table call.  Its draw is the inverse-CDF count that
 ``rng.choice(k, p=sigma)`` makes (cumulative weights divided by their total,
 counted at or below one uniform per buyer), so it consumes the random stream
-of a per-buyer loop and draws the same actions.  A round runs the draw, the
+of a per-buyer loop and draws the same actions; the uniforms of a block of
+rounds come from one ``rng.random`` call.  A round runs the draw, the
 table call, the reserve-cap check and the score update; the learner keeps
 its payoffs and reports and folds the regret sums (each buyer earning the
 payoff of the report it drew) once per block of rounds, to the bits of a
@@ -179,11 +179,11 @@ def _check_equilibria(budgets, reserves, p, x, floored) -> None:
     solver bug, not bad input; the error raised is the first failing
     profile's, for the first condition it fails."""
     e = np.asarray(budgets)
-    r = np.zeros(p.shape[1]) if reserves is None else np.asarray(reserves)
     sold = x.sum(axis=1)
     # A stacked matmul runs one product per profile, as a lone ``x @ p`` does.
     spend = (x @ p[:, :, None])[..., 0]
-    live = (p > r + CLEAR_TOL) & (p > PRICE_FLOOR * 10) & ~floored
+    live = p > (CLEAR_TOL if reserves is None else np.asarray(reserves) + CLEAR_TOL)
+    live &= (p > PRICE_FLOOR * 10) & ~floored
     failures = [
         ((sold > 1.0 + CLEAR_TOL).any(axis=1), lambda k: f"over-allocation: {sold[k]}"),
         (
@@ -201,9 +201,11 @@ def _check_equilibria(budgets, reserves, p, x, floored) -> None:
             ~floored.any(axis=1) & (np.abs(total - e.sum()) > CLEAR_TOL * max(1.0, e.sum())),
             lambda k: f"price sum {total[k]} != budget sum {e.sum()}",
         ))
-    bad = np.flatnonzero(np.any([mask for mask, _ in failures], axis=0))
-    if bad.size:
-        k = bad[0]
+    bad = failures[0][0]
+    for mask, _ in failures[1:]:
+        bad = bad | mask
+    if bad.any():
+        k = int(bad.argmax())
         raise InternalCheckError(next(msg(k) for mask, msg in failures if mask[k]))
 
 
@@ -216,7 +218,8 @@ def _finish(market: FisherMarket, p, x, floored) -> tuple[np.ndarray, np.ndarray
     x = np.maximum(x, 0.0)
     # Clip per-good rounding overshoot so allocations stay feasible.
     over = x.sum(axis=1)
-    x = x * np.where(over > 1.0, 1.0 / np.maximum(over, 1e-300), 1.0)[:, None, :]
+    if (over > 1.0).any():
+        x = x * np.where(over > 1.0, 1.0 / np.maximum(over, 1e-300), 1.0)[:, None, :]
     _check_equilibria(market.budgets, market.reserves, p, x, floored)
     return p, x, floored
 
@@ -552,6 +555,8 @@ def _utilities(reports, x) -> np.ndarray:
     another order.
     """
     a, scale, code = reports
+    if not code.any():  # every report Cobb-Douglas: the rows the mask below would pick
+        return scale * np.prod(np.power(x, a).reshape(-1, a.shape[2]), axis=1).reshape(scale.shape)
     cd, linear = code == 0.0, code == 1.0
     out = np.empty(scale.shape)
     out[cd] = scale[cd] * np.prod(np.power(x[cd], a[cd]), axis=1)
@@ -611,6 +616,7 @@ _SOLVERS = {
     "linear": _solve_linear,
     "ces": _solve_tatonnement,
 }
+_KINDS = ("cobb-douglas", "linear", "ces")
 
 
 def _solve_stack(market: FisherMarket, reports) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -618,15 +624,23 @@ def _solve_stack(market: FisherMarket, reports) -> tuple[np.ndarray, np.ndarray,
     of a stack; profiles whose family codes pick the same solver are solved
     as one stack, and the first failing profile's error is raised."""
     code = reports[2]
-    other = np.where((code == 0.0).all(axis=1), "cobb-douglas", "ces")
-    kinds = np.where((code == 1.0).all(axis=1), "linear", other)
-    p, x, floored, iterations, errors = _stacked(*reports[0].shape)
-    for kind in dict.fromkeys(kinds.tolist()):
-        ks = np.flatnonzero(kinds == kind)
-        *solved, errs = _SOLVERS[kind](market.budgets, [v[ks] for v in reports], market.reserves)
-        p[ks], x[ks], floored[ks], iterations[ks] = solved
-        for k, err in zip(ks.tolist(), errs):
-            errors[k] = err
+    # Linear when every code is 1, Cobb-Douglas when every code is 0, else CES.
+    kinds = np.where((code == 1.0).all(axis=1), 1, np.where(code.any(axis=1), 2, 0))
+    picked = dict.fromkeys(kinds.tolist())
+    if len(picked) == 1:  # one solver takes the whole stack
+        p, x, floored, iterations, errors = _SOLVERS[_KINDS[kinds[0]]](
+            market.budgets, reports, market.reserves
+        )
+    else:
+        p, x, floored, iterations, errors = _stacked(*reports[0].shape)
+        for kind in picked:
+            ks = np.flatnonzero(kinds == kind)
+            *solved, errs = _SOLVERS[_KINDS[kind]](
+                market.budgets, [v[ks] for v in reports], market.reserves
+            )
+            p[ks], x[ks], floored[ks], iterations[ks] = solved
+            for k, err in zip(ks.tolist(), errs):
+                errors[k] = err
     failed = next((k for k, err in enumerate(errors) if err is not None), None)
     if failed is None:
         return (iterations, *_finish(market, p, x, floored))
@@ -784,8 +798,29 @@ def perturbed_reports(
     return tuple(menu)
 
 
+def _stored(index: dict, table: np.ndarray, keys, rows) -> np.ndarray:
+    """Append ``rows`` to ``table`` under ``keys`` in ``index``, numbered in
+    order, and return the table, grown when full."""
+    k, end = len(index), len(index) + len(keys)
+    if end > len(table):
+        table = np.resize(table, (2 * end, table.shape[1]))
+    table[k:end] = rows
+    index.update(zip(keys, range(k, end)))
+    return table
+
+
 class _ReportGame:
-    """True-utility payoff table over finite report menus, cached per profile."""
+    """True-utility payoff table over finite report menus.
+
+    Two caches are keyed by int64 rows packed as bytes.  The profile cache
+    ``_index`` maps a profile to a row of ``_util``, every buyer's truthful
+    utility.  The row store ``_rows`` maps the profile with one buyer's own
+    entry replaced by -1 to a row of ``_row_util``: that buyer's true
+    utility at every entry of its menu, 0 past its end.  ``table`` gathers
+    whole rows; only a row never seen is built cell by cell from the profile
+    cache, solving its misses as one batch, each once, in row-then-buyer
+    order.  A key with an entry outside its menu is never stored, so it
+    always reaches ``_fill``, which refuses it."""
 
     def __init__(self, market: FisherMarket, menus: Sequence[Sequence[FisherUtility]]):
         self.market = market
@@ -797,6 +832,7 @@ class _ReportGame:
                 raise ValueError("every menu must contain the truthful report")
             if any(u.m != market.m for u in menu):
                 raise ValueError("report good-count mismatch")
+        n = market.buyers
         self.sizes = np.array([len(menu) for menu in self.menus])
         width = int(self.sizes.max())
         # Weights (n, S, m), scales and family codes (n, S).
@@ -804,9 +840,13 @@ class _ReportGame:
         self._linear = self._menu[2] == 1.0
         self._cells = np.arange(width) < self.sizes[:, None]  # (n, S): entry s in menu i
         self._truth = _encode([market.utilities])
-        self._buyers = np.arange(market.buyers)
+        self._buyers = np.arange(n)
+        self._own = np.eye(n, dtype=bool)
+        self._packed = np.dtype((np.void, 8 * n))
         self._index: dict[bytes, int] = {}
-        self._util = np.empty((0, market.buyers))
+        self._util = np.empty((0, n))
+        self._rows: dict[bytes, int] = {}
+        self._row_util = np.empty((0, width))
 
     def truthful_profile(self) -> tuple[int, ...]:
         return tuple(
@@ -814,54 +854,60 @@ class _ReportGame:
             for v, menu in zip(self.market.utilities, self.menus)
         )
 
-    def _store(self, keys, util) -> None:
-        k, end = len(self._index), len(self._index) + len(keys)
-        if end > len(self._util):
-            self._util = np.resize(self._util, (2 * end, self.market.buyers))
-        self._util[k:end] = util
-        self._index.update(zip(keys, range(k, end)))
-
     def utils(self, profile) -> tuple[float, ...]:
         key = np.asarray(profile, dtype=np.int64).tobytes()
         row = self._index.get(key)
         if row is not None:
             return tuple(self._util[row].tolist())
+        if not all(0 <= s < len(menu) for s, menu in zip(profile, self.menus)):
+            raise IndexError("profile entry outside its menu")
         _, hit = strategic_outcome(self.market, [self.menus[i][s] for i, s in enumerate(profile)])
-        self._store([key], [hit])
+        self._util = _stored(self._index, self._util, [key], [hit])
         return hit
 
     def _fill(self, keys) -> None:
         """Solve the packed profiles ``keys``, distinct and uncached, as one
         batch in the order listed, and cache their truthful utilities."""
         rows = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys), -1)
-        if (rows >= self.sizes).any():
-            raise IndexError("profile entry past the end of its menu")
+        if ((rows < 0) | (rows >= self.sizes)).any():
+            raise IndexError("profile entry outside its menu")
         linear = self._linear[self._buyers, rows]
         if (linear.any(axis=1) & ~linear.all(axis=1)).any():
             raise SolverError("linear reports cannot be mixed with other families")
         _, _, x, _ = _solve_stack(self.market, [v[self._buyers, rows] for v in self._menu])
-        self._store(keys, _utilities([np.repeat(v, len(keys), axis=0) for v in self._truth], x))
+        util = _utilities([np.repeat(v, len(keys), axis=0) for v in self._truth], x)
+        self._util = _stored(self._index, self._util, keys, util)
 
     def table(self, profiles, who) -> np.ndarray:
         """util[p, w, s]: true utility of buyer who[p, w] switching to entry s
         of its menu against the rest of profiles[p]; 0 past the end of its
-        menu.  The uncached entries are solved as one batch, each once, in
-        row-then-buyer order."""
-        profiles = np.asarray(profiles, dtype=np.int64)
+        menu."""
         who = np.asarray(who)
-        cells = self._cells[who]
-        p, w, s = np.nonzero(cells)
-        buyers = who[p, w]
-        rows = profiles[p]
-        rows[np.arange(len(rows)), buyers] = s
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-        found = list(map(self._index.get, keys))
+        rows = np.where(self._own[who], -1, np.asarray(profiles, dtype=np.int64)[:, None, :])
+        keys = rows.view(self._packed).ravel().tolist()
+        found = list(map(self._rows.get, keys))
         if None in found:
-            self._fill(list(dict.fromkeys(k for k, j in zip(keys, found) if j is None)))
-            found = list(map(self._index.__getitem__, keys))
+            self._add_rows(list(dict.fromkeys(k for k, j in zip(keys, found) if j is None)))
+            found = list(map(self._rows.__getitem__, keys))
+        return self._row_util.take(found, axis=0).reshape(*who.shape, -1)
+
+    def _add_rows(self, keys) -> None:
+        """Build the rows of the distinct, unstored row keys ``keys`` and
+        store them."""
+        rows = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys), -1)
+        buyers = (rows == -1).argmax(axis=1)
+        cells = self._cells[buyers]
+        r, s = np.nonzero(cells)
+        profiles = rows[r]
+        profiles[np.arange(len(r)), buyers[r]] = s
+        packed = profiles.view(self._packed).ravel().tolist()
+        found = list(map(self._index.get, packed))
+        if None in found:
+            self._fill(list(dict.fromkeys(k for k, j in zip(packed, found) if j is None)))
+            found = list(map(self._index.__getitem__, packed))
         util = np.zeros(cells.shape)
-        util[cells] = self._util[found, buyers]
-        return util
+        util[cells] = self._util[found, buyers[r]]
+        self._row_util = _stored(self._rows, self._row_util, keys, util)
 
     def best_responses(self, profiles, i) -> np.ndarray:
         """Buyer i's best entry against every row of a profile stack, from one
@@ -1149,28 +1195,31 @@ def run_market_learning(
     T = rounds
     learner = _Hedge(sizes, T, expected=False)
     rows = np.arange(n)
-    last = sizes - 1
+    everyone = rows[None]
     chi_col = np.array(chi)[:, None]
     cap = chi_col + 1e-6 * np.maximum(1.0, chi_col)
     welfare_sum = 0.0
 
-    for _ in range(T):
-        sigma = learner.mixtures()
-        # Inverse-CDF draw, as ``rng.choice(k, p=sigma)`` makes it: the count
-        # of cumulative weights, divided by their total, at or below u.
-        cdf = np.add.accumulate(sigma, axis=1)
-        cdf /= cdf[rows, last][:, None]
-        actions = np.add.reduce(cdf <= rng.random(n)[:, None], axis=1)
-        utils = game.table([actions], [rows])[0]
-        over = utils > cap
-        if over.any():
-            i = int(np.flatnonzero(over.any(axis=1))[0])
-            raise InternalCheckError(
-                f"buyer {i} payoff exceeds the reserve cap {chi[i]}: {utils[i, :sizes[i]].max()}"
-            )
-        learner.scores += utils / chi_col
-        learner.note(utils, actions)
-        welfare_sum += float(utils[rows, actions].sum())
+    for start in range(0, T, learner.block):
+        # The numbers of one ``rng.random(n)`` per round, a block at a time.
+        for u in rng.random((min(learner.block, T - start), n, 1)):
+            sigma = learner.mixtures()
+            # Inverse-CDF draw, as ``rng.choice(k, p=sigma)`` makes it: the
+            # count of cumulative weights, divided by their total (sigma is
+            # 0 past a menu), at or below u.
+            cdf = np.add.accumulate(sigma, axis=1)
+            cdf /= cdf[:, -1:]
+            actions = np.add.reduce(cdf <= u, axis=1)
+            utils = game.table(actions[None], everyone)[0]
+            over = utils > cap
+            if over.any():
+                i = int(np.flatnonzero(over.any(axis=1))[0])
+                raise InternalCheckError(
+                    f"buyer {i} payoff exceeds the reserve cap {chi[i]}: {utils[i, :sizes[i]].max()}"
+                )
+            learner.scores += utils / chi_col
+            learner.note(utils, actions)
+            welfare_sum += float(utils[rows, actions].sum())
     learner.fold()
 
     regrets = learner.regrets()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from functools import partial
@@ -34,6 +35,7 @@ from oracles import (
     eg_objective,
     linear_support_oracle,
     reference_best_response,
+    reference_check,
     reference_find_equilibria,
     reference_is_nash,
     reference_outcome,
@@ -591,13 +593,16 @@ def test_market_learning_names_the_first_buyer_over_the_cap(monkeypatch):
 
 
 def test_market_learning_equals_the_per_buyer_loop_at_the_block_edges():
-    # Menus of 13, 9, 1 and 1 entries.
+    # Menus of 13, 9, 1 and 1 entries.  The learner folds and the loop draws
+    # its uniforms once per block of rounds.
     market = learning_market("cd", 3, 0)
     block = _Hedge([13, 9, 1, 1], 10**6).block
     assert block == _Hedge.BLOCK_ELEMENTS // (4 * 13)
-    for rounds in (1, block - 1, block, block + 1, 2 * block + 3):
+    for rounds in (1, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 3):
         got = run_market_learning(market, rounds, (0.1, 0.2), seed=rounds)
-        assert got == loop_market_learning(market, rounds, (0.1, 0.2), rounds), rounds
+        want = loop_market_learning(market, rounds, (0.1, 0.2), rounds)
+        for field in dataclasses.fields(FisherLearningResult):
+            assert getattr(got, field.name) == getattr(want, field.name), (rounds, field.name)
 
 
 # -- batched menu evaluation -------------------------------------------------------
@@ -658,6 +663,47 @@ def test_batched_solves_equal_one_profile_solves(seed, n, m, family, reserves, k
     loop = solved_or_error(lambda: [reference_outcome(market, p) for p in profiles])
     # Same bits and the same iteration counts, not just close.
     assert batched == one_by_one == loop
+
+
+# Two buyers of budget 1, two goods: one equilibrium and one profile that
+# fails each solver postcondition, each first of all at its own condition.
+CHECKED = {
+    "equilibrium": ((1.0, 1.0), ((1.0, 0.0), (0.0, 1.0))),
+    "over-allocation": ((1.0, 1.0), ((1.0, 0.5), (0.0, 1.0))),
+    "market fails to clear": ((1.0, 1.0), ((1.0, 0.0), (0.0, 0.5))),
+    "budgets not exhausted": ((1.0, 1.0), ((1.0, 0.5), (0.0, 0.5))),
+    "price sum": ((2.0, -2.0), ((0.5, 0.0), (0.5, 0.0))),
+}
+
+
+@pytest.mark.parametrize("broken", [name for name in CHECKED if name != "equilibrium"])
+@pytest.mark.parametrize("reserves", (None, (0.5, 0.5)))
+def test_each_check_fails_the_first_failing_profile(broken, reserves):
+    e = (1.0, 1.0)
+
+    def check(names):
+        p, x = (np.array([CHECKED[name][i] for name in names]) for i in (0, 1))
+        floored = np.zeros(p.shape, dtype=bool)
+        try:
+            fisher._check_equilibria(e, reserves, p, x, floored)
+        except InternalCheckError as err:
+            return str(err)
+
+    def alone(name):
+        try:
+            reference_check(e, reserves, *CHECKED[name], [])
+        except InternalCheckError as err:
+            return str(err)
+
+    assert check(["equilibrium"] * 3) is None
+    want = alone(broken)
+    if reserves is not None and broken == "price sum":
+        assert want is None  # prices need not sum to the budgets above a reserve
+    else:
+        assert want.startswith(broken)
+    # The first failing profile's error, whichever condition a later one fails.
+    for later in CHECKED:
+        assert check(["equilibrium", broken, later]) == (want or alone(later)), later
 
 
 def test_a_failed_check_before_a_solver_error_is_raised(monkeypatch):
@@ -745,7 +791,7 @@ def test_batched_best_responses_fill_the_same_cache(family, reserves):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 4),
     m=st.integers(1, 3),
-    family=st.sampled_from(("linear", "ces-0.5", "cd")),
+    family=st.sampled_from(("linear", "ces-0.5", "cd", "mix")),
     reserves=st.booleans(),
     column=st.booleans(),
     k=st.integers(1, 3),
@@ -756,15 +802,35 @@ def test_table_equals_the_cell_by_cell_reference(seed, n, m, family, reserves, c
     # the truthful report in a one-good market.
     menus = [perturbed_reports(u, (0.1, 0.2)) for u in market.utilities]
     rng = np.random.default_rng(seed)
-    profiles = [[int(rng.integers(0, len(menu))) for menu in menus] for _ in range(k)]
-    # One buyer per row, as best replies ask, or every buyer of one row.
-    who = [[int(rng.integers(0, n))] for _ in range(k)] if column else [list(range(n))]
-    profiles = profiles[: len(who)]
+
+    def draw():
+        return [int(rng.integers(0, len(menu))) for menu in menus]
+
+    def moved(profile, buyers):
+        # The same (profile, buyer) rows, reached with other own entries.
+        return [int(rng.integers(0, len(menus[i]))) if i in buyers else s for i, s in enumerate(profile)]
+
+    profiles = [draw() for _ in range(k)]
+    # One buyer per row, as best replies ask, or every buyer of each row.
+    who = [[int(rng.integers(0, n))] for _ in range(k)] if column else [list(range(n))] * k
+    # Each row twice in one call, the second time from a moved own entry;
+    # then those rows from other profiles and one new profile; then the
+    # first stack again, from a warm store.
+    first = profiles + [moved(p, w) for p, w in zip(profiles, who)]
+    second = [moved(p, w) for p, w in zip(first, who + who)] + [draw()]
     game = _ReportGame(market, menus)
-    want = solved_or_error(lambda: reference_table(market, menus, profiles, who).tolist())
-    assert solved_or_error(lambda: game.table(profiles, who).tolist()) == want
-    # Read again from the cache.
-    assert solved_or_error(lambda: game.table(profiles, who).tolist()) == want
+    pairs = set()
+    for stack, buyers in ((first, who + who), (second, who + who + who[:1]), (first, who + who)):
+        want = solved_or_error(lambda: reference_table(market, menus, stack, buyers).tolist())
+        got = solved_or_error(lambda: game.table(stack, buyers).tolist())
+        assert got == want
+        if not isinstance(got, str):
+            pairs |= {
+                (i, tuple(s for j, s in enumerate(p) if j != i))
+                for p, ws in zip(stack, buyers) for i in ws
+            }
+    # One stored row per distinct (buyer, others' entries) pair read.
+    assert len(game._rows) == len(pairs)
 
 
 def test_a_table_over_mixed_families_raises_the_solver_error():
@@ -789,6 +855,20 @@ def test_a_table_refuses_an_entry_past_the_end_of_its_menu():
     with pytest.raises(IndexError):
         game.table([[0, 9, 0, 0]], [[0]])  # within the padded width of 13
     assert game.table([[0, 8, 0, 0]], [[0]]).shape == (1, 1, 13)
+
+
+def test_a_table_and_utils_refuse_a_negative_entry():
+    market = learning_market("cd", 3, 0)  # menus of 13, 9, 1 and 1 entries
+    game = _ReportGame(market, [perturbed_reports(u, (0.1, 0.2)) for u in market.utilities])
+    entry_8 = game.table([[0, 8, 0, 0]], [[0, 2]])  # every row and profile of entry 8 stored
+    for profile in ([0, -1, 0, 0], [0, -4, 0, 0], [0, 0, -1, 0]):
+        with pytest.raises(IndexError):
+            game.table([profile], [[0]])
+        with pytest.raises(IndexError):
+            game.utils(tuple(profile))
+    # A buyer's own entry is replaced, whatever it is.
+    assert game.table([[-1, 8, 0, 0]], [[0]]).tolist() == entry_8[:, :1].tolist()
+    assert game.table([[0, 8, -3, 0]], [[2]]).tolist() == entry_8[:, 1:].tolist()
 
 
 def test_a_table_raises_the_first_failing_profiles_error(monkeypatch):
