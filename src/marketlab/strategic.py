@@ -19,9 +19,16 @@ then owner), so ranking a profile sorts integers with no tie, a win is one
 integer comparison and ``worth[key]`` reads a price back.  ``_Engine`` runs
 ``run_mechanism`` itself, on the distinct count vectors among the atoms, for
 every other game.  All expectations go through ``GameContext._expect``.  The
-kernel's win-and-price rule is written once, in ``_SingleGood._settle``:
-``utilities`` applies it to a stack of profiles, and ``play`` to one learning
-round, whose keys, sorted once, give every player's price slot.
+kernel decides a win only in ``_SingleGood._settle``, which returns the win
+mask with the utilities: ``utilities`` applies it to a stack of profiles for
+both ``table`` and ``outcomes`` (whose welfare counts the winners of that
+mask), and ``play`` to one learning round, whose keys, sorted once, give
+every player's price slot.
+
+A certificate is one table call: ``GameContext.certify`` reads a profile's
+own utilities off the own entries of its menu table, and its Monte Carlo
+differences off that table's per-atom rows.  ``stats`` serves ``report``
+alone and keeps no cache.
 
 ``_Hedge`` is the no-regret learner of both learning loops, this one and the
 Fisher one.  It normalizes each mixture over its own menu, as a per-player
@@ -60,7 +67,7 @@ from .valuations import (
     scale_bid,
     value,
 )
-from .walrasian import WelfareOracle, run_mechanism
+from .walrasian import WelfareOracle, _check_rule, run_mechanism
 
 __all__ = [
     "ScalingGrid",
@@ -150,10 +157,7 @@ class _Stats:
 def _auction(true_values, menu, goods: int, rule: str, lam: Optional[float]):
     """The table implementation for one auction game: the order-statistic
     kernel for unit-demand players on one good, the exact engine otherwise."""
-    if rule not in ("english", "dutch", "mix"):
-        raise ValueError(f"unknown rule {rule!r}")
-    if rule == "mix" and (lam is None or not 0.0 <= lam <= 1.0):
-        raise ValueError("mix rule needs a blend weight in [0, 1]")
+    _check_rule(rule, lam)
     if goods == 1 and all(isinstance(v, UnitDemand) for v in true_values):
         return _SingleGood(true_values, menu, rule, lam)
     return _Engine(true_values, menu, rule, lam)
@@ -205,33 +209,18 @@ class _SingleGood:
         """keys[p, i]: the key of player i's bid in profiles[p]."""
         return self.key[self.owner, profiles]
 
-    def order(self, keys: np.ndarray) -> np.ndarray:
-        """order[p]: the players in slot order under key row p."""
-        return keys.argsort(axis=1)[:, ::-1]
-
-    def rank(self, keys: np.ndarray) -> np.ndarray:
-        """rank[p, i]: the slot of player i's bid in row p."""
-        order = self.order(keys)
-        rank = np.empty_like(order)
-        rank[np.arange(order.shape[0])[:, None], order] = self.owner
-        return rank
-
-    def winners(self, keys: np.ndarray, supplies: np.ndarray) -> np.ndarray:
-        """won[p, i, a]: player i gets a copy in row p at supply supplies[a]."""
-        return (keys > self.zero_keys)[..., None] & (self.rank(keys)[..., None] < supplies)
-
     def table(self, profiles, who, supplies: np.ndarray) -> np.ndarray:
         """util[p, w, s, a]: true utility of player who[p, w] switching to
         menu entry s against the rest of profiles[p], at supply supplies[a]."""
-        return self.utilities(self.keys(profiles), who, supplies)
+        return self.utilities(self.keys(profiles), who, supplies)[0]
 
     def outcomes(self, profile, supplies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """util[i, a] of every player and the true welfare sw[a] of one
-        profile at every supply, welfare summed in player order."""
-        keys = self.keys([profile])
-        util = self.utilities(keys, self.owner[None], supplies)[0, self.owner, profile]
-        sw = np.where(self.winners(keys, supplies)[0], self.tv[:, None], 0.0).sum(axis=0)
-        return util, sw
+        profile at every supply, welfare summed in player order: every
+        player's own entry of the profile's table and its win mask."""
+        util, won = self.utilities(self.keys([profile]), self.owner[None], supplies)
+        own = 0, self.owner, profile
+        return util[own], np.where(won[own], self.tv[:, None], 0.0).sum(axis=0)
 
     def play(self, actions: np.ndarray, n) -> tuple[np.ndarray, float]:
         """One learning round at count vector n: uts[i, s] = util of player
@@ -253,14 +242,15 @@ class _SingleGood:
             below = slot(j + 1)
             return np.where(held > below, below, slot(j))
 
-        uts = self._settle(self.challenge, self.cand, self.tv[:, None], n, others)
+        uts, _ = self._settle(self.challenge, self.cand, self.tv[:, None], n, others)
         take = min(n, players - bisect_right(rising, self.zero_keys))
         return uts, float(np.add.reduce(self.tv[order[players - take :][::-1]]))
 
-    def utilities(self, keys: np.ndarray, who, supplies: np.ndarray) -> np.ndarray:
+    def utilities(self, keys, who, supplies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """util[p, w, s, a]: true utility of player who[p, w] switching to
         menu entry s while everyone else keeps key row p, at supply
-        supplies[a].  Each row is the same float expression as a one-row call."""
+        supplies[a], and won[p, w, s, a], whether that bid gets a copy.
+        Each row is the same float expression as a one-row call."""
         who = np.asarray(who)
         profiles, players = keys.shape
         rows = np.arange(profiles)[:, None]
@@ -281,11 +271,11 @@ class _SingleGood:
             self.challenge[who][..., None], self.cand[who][..., None], self.tv[me], supplies, others
         )
 
-    def _settle(self, challenge, x, tv, supplies, others) -> np.ndarray:
+    def _settle(self, challenge, x, tv, supplies, others) -> tuple[np.ndarray, np.ndarray]:
         """True utility, for a player of true value tv, of a candidate bid x
-        with challenge key ``challenge`` at supply supplies, where others(j)
-        is the key of the j-th best slot (from 0; the top sentinel at -1)
-        held by anyone but the player.
+        with challenge key ``challenge`` at supply supplies, and whether it
+        wins, where others(j) is the key of the j-th best slot (from 0; the
+        top sentinel at -1) held by anyone but the player.
 
         The candidate wins at supply n when its challenge key exceeds the
         n-th best other key, others(n - 1), whose bid is then the english
@@ -301,7 +291,7 @@ class _SingleGood:
             price = dutch if self.blend == 1.0 else (
                 (1.0 - self.blend) * self.worth[english] + self.blend * dutch
             )
-        return np.where(wins, tv - price, 0.0)
+        return np.where(wins, tv - price, 0.0), wins
 
 
 class _Engine:
@@ -380,6 +370,8 @@ class GameContext:
         mc_draws: int = 2000,
         seed: int = 0,
     ):
+        if mc_draws < 2:
+            raise ValueError("Monte Carlo certificates need at least two draws")
         self.true_values = tuple(true_values)
         self.players = len(self.true_values)
         self.menu = _menus(grids, self.players)
@@ -404,7 +396,6 @@ class GameContext:
         self._supplies, self._ns = self._game.supplies(self._atom_counts)
         sizes = np.array([len(m) for m in self.menu])
         self._mask = np.arange(sizes.max()) < sizes[:, None]
-        self._stats_cache: dict[tuple[int, ...], _Stats] = {}
         # Position of every menu entry in (scale, offset) order.
         self._menu_place = tuple(
             np.argsort(sorted(range(len(m)), key=m.__getitem__)) for m in self.menu
@@ -416,28 +407,13 @@ class GameContext:
         return float(self._opt @ self._atom_probs)
 
     def stats(self, profile) -> _Stats:
-        key = tuple(profile)
-        hit = self._stats_cache.get(key)
-        if hit is None:
-            util, sw = self._game.outcomes(key, self._supplies)
-            hit = _Stats(tuple(self._expect(util).tolist()), float(self._expect(sw)))
-            self._stats_cache[key] = hit
-        return hit
+        util, sw = self._game.outcomes(tuple(profile), self._supplies)
+        return _Stats(tuple(self._expect(util).tolist()), float(self._expect(sw)))
 
     def _expect(self, table: np.ndarray) -> np.ndarray:
         """Expectation of a per-supply table over the atoms.  Each row is
         summed on its own, so equal rows give bit-equal expectations."""
         return (table[..., self._ns] * self._atom_probs).sum(axis=-1)
-
-    def _atom_utility(self, profile, i: int) -> np.ndarray:
-        """Per-atom utility of player i, for paired Monte Carlo comparisons."""
-        return self._game.outcomes(tuple(profile), self._supplies)[0][i, self._ns]
-
-    def _menu_utils(self, profile, who) -> np.ndarray:
-        """u[w, s]: expected utility of player who[w] switching to menu entry
-        s against the rest of ``profile``; -inf past the end of its menu."""
-        u = self._expect(self._game.table([profile], [who], self._supplies)[0])
-        return np.where(self._mask[who], u, -np.inf)
 
     # -- equilibrium machinery ----------------------------------------------
 
@@ -471,10 +447,13 @@ class GameContext:
         return best_s, best_u
 
     def certify(self, profile, tol: float = GAIN_TOL) -> Certification:
+        """Whether any player gains more than tol by a unilateral switch,
+        from one table of every player's menu against ``profile``."""
         profile = tuple(profile)
-        base = self.stats(profile)
         players = np.arange(self.players)
-        gains = self._menu_utils(profile, players) - np.array(base.utils)[:, None]
+        table = self._game.table([profile], [players], self._supplies)[0]
+        utils = np.where(self._mask, self._expect(table), -np.inf)
+        gains = utils - utils[players, profile][:, None]
         gains[players, profile] = -np.inf
         if not np.isfinite(gains).any():
             return Certification("exact-nash", 0.0, None)
@@ -485,10 +464,7 @@ class GameContext:
             if worst_gain <= tol:
                 return Certification("exact-nash", max(worst_gain, 0.0), None)
             return Certification("not-equilibrium", worst_gain, witness)
-        i, s = witness
-        trial = list(profile)
-        trial[i] = s
-        diffs = self._atom_utility(trial, i) - self._atom_utility(profile, i)
+        diffs = table[i, s, self._ns] - table[i, profile[i], self._ns]
         half = Z99 * float(diffs.std(ddof=1)) / math.sqrt(diffs.size)
         lo, hi = float(diffs.mean() - half), float(diffs.mean() + half)
         if lo > tol:

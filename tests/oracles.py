@@ -27,7 +27,11 @@ in one call.  Both must be matched exactly.  ``reference_engine_stats`` is
 the package's expected-outcome evaluation as it was before every game went
 through one table interface: one ``run_mechanism`` call per atom, expected
 values summed atom by atom; it is matched to 1e-12, as the tables sum
-expectations in another order.  ``reference_find_equilibria`` (with
+expectations in another order.  ``reference_certify`` is the package's Nash
+certificate as it was before it read everything off one table: own
+utilities from ``stats``, one table row per deviating player, and Monte
+Carlo differences from the ``outcomes`` rows of both profiles; every field
+must be matched exactly.  ``reference_find_equilibria`` (with
 ``reference_best_response`` and ``reference_is_nash``) is the Fisher
 reporting game's walk-by-walk search, one menu batch per step, as it was
 before its walks ran in lockstep; the equilibria, their order, the dropped
@@ -55,8 +59,10 @@ from scipy.optimize import linear_sum_assignment
 from marketlab import fisher, harness
 from marketlab.errors import InternalCheckError, ScenarioError, SolverError
 from marketlab.harness import SCHEMA_VERSION, Scenario
+from marketlab.sensitivity import Z99
 from marketlab.strategic import (
     GAIN_TOL,
+    Certification,
     EquilibriumReport,
     GameContext,
     LearningConfig,
@@ -637,6 +643,40 @@ def reference_engine_stats(self: GameContext, profile) -> _Stats:
             utils[i] += p * u
             sw += p * value(self.true_values[i], out.allocation[i])
     return _Stats(tuple(float(u) for u in utils), float(sw))
+
+
+def reference_certify(ctx: GameContext, profile, tol: float = GAIN_TOL) -> Certification:
+    """``GameContext.certify``, one deviation at a time: the profile's own
+    expected utilities from ``stats``, each player's menu from its own table
+    row, and the Monte Carlo differences of the largest gain from the
+    per-atom ``outcomes`` rows of the profile and of the deviation."""
+    profile = tuple(profile)
+    base = ctx.stats(profile).utils
+    worst_gain, witness = -math.inf, None
+    for i in range(ctx.players):
+        row = ctx._expect(ctx._game.table([profile], [[i]], ctx._supplies))[0, 0]
+        for s in range(len(ctx.menu[i])):
+            gain = float(row[s]) - base[i]
+            if s != profile[i] and gain > worst_gain:
+                worst_gain, witness = gain, (i, s)
+    if witness is None:
+        return Certification("exact-nash", 0.0, None)
+    if ctx.exact:
+        if worst_gain <= tol:
+            return Certification("exact-nash", max(worst_gain, 0.0), None)
+        return Certification("not-equilibrium", worst_gain, witness)
+    i, s = witness
+    trial = profile[:i] + (s,) + profile[i + 1 :]
+    diffs = np.array([
+        ctx._game.outcomes(trial, ctx._supplies)[0][i, n]
+        - ctx._game.outcomes(profile, ctx._supplies)[0][i, n]
+        for n in ctx._ns
+    ])
+    half = Z99 * float(diffs.std(ddof=1)) / math.sqrt(diffs.size)
+    lo, hi = float(diffs.mean() - half), float(diffs.mean() + half)
+    if lo > tol:
+        return Certification("not-equilibrium", worst_gain, witness, (lo, hi))
+    return Certification("eps-nash", max(worst_gain, 0.0), witness, (lo, hi))
 
 
 def reference_run_learning(

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marketlab
-from marketlab import fisher, harness, strategic
+from marketlab import fisher, harness, strategic, walrasian
 from marketlab.cli import main
 from marketlab.errors import CheckFailure, ScenarioError
 from marketlab.harness import (
@@ -1048,6 +1048,31 @@ def test_fisher_outputs_match_the_benchmark_reference(tmp_path):
         for csv_name, entry in ref["csv"].items():
             data = (out / csv_name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == entry["sha256"], (block, csv_name)
+
+
+def test_the_benchmark_tracer_finds_every_layer_it_wraps():
+    """The benchmark's tracer wraps ``GameContext.stats``, ``best_response``,
+    ``certify``, ``fisher.strategic_outcome`` and the other layers by name,
+    so installing it fails when one is renamed away; uninstalling puts
+    every original back."""
+    tracing = _perfbench_module("tracing")
+    modules = [m for n, m in sys.modules.items() if n == "marketlab" or n.startswith("marketlab.")]
+    classes = (strategic.GameContext, walrasian.WelfareOracle)
+
+    def snapshot():
+        return [dict(vars(m)) for m in modules] + [dict(vars(c)) for c in classes]
+
+    before = snapshot()
+    methods, outcome = dict(vars(strategic.GameContext)), fisher.strategic_outcome
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for name in ("stats", "best_response", "certify"):
+            assert vars(strategic.GameContext)[name] is not methods[name], name
+        assert fisher.strategic_outcome is not outcome
+    finally:
+        tracer.uninstall()
+    assert snapshot() == before
 
 
 def test_the_linear_task_that_ran_out_of_rounds_certifies(tmp_path):

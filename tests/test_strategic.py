@@ -36,6 +36,7 @@ from marketlab.walrasian import WelfareOracle, run_mechanism
 from oracles import (
     random_market,
     reference_best_response_dynamics,
+    reference_certify,
     reference_engine_stats,
     reference_run_learning,
 )
@@ -257,7 +258,7 @@ def test_fast_round_counterfactuals_match_engine():
         for rule, lam in (("english", None), ("dutch", None), ("mix", 0.4)):
             kernel = _SingleGood(vals, menu, rule, lam)
             supplies = np.arange(n_players + 2)
-            table = kernel.utilities(kernel.keys([actions]), [range(n_players)], supplies)[0]
+            table = kernel.table([actions], [range(n_players)], supplies)[0]
             for n in supplies:
                 for i in range(n_players):
                     for s in range(3):
@@ -269,11 +270,16 @@ def test_fast_round_counterfactuals_match_engine():
 def test_fast_round_realized_welfare_counts_true_values():
     vals = unit((3.0, 2.0, 1.0))
     kernel = _SingleGood(vals, [ScalingGrid((0.0, 1.0)).strategies] * 3, "english", None)
-    keys = kernel.keys([(0, 1, 1)])  # bids 0, 2, 1
-    won = kernel.winners(keys, np.array([2, 5]))[0]
+    profile = (0, 1, 1)  # bids 0, 2, 1
+    supplies = np.array([1, 2, 5])
+    _, won = kernel.utilities(kernel.keys([profile]), kernel.owner[None], supplies)
+    won = won[0, kernel.owner, profile]
     # Winners hold true values 2 and 1; a zero bid never fills a slot.
-    assert (kernel.tv @ won).tolist() == [3.0, 3.0]
-    assert kernel.tv[kernel.order(keys)[0]][:2].tolist() == [2.0, 1.0]
+    assert (kernel.tv @ won[:, 1:]).tolist() == [3.0, 3.0]
+    assert kernel.outcomes(profile, supplies)[1].tolist() == [2.0, 3.0, 3.0]
+    # The top slot holds true value 2, the next one 1.
+    assert kernel.tv[won[:, 0]].tolist() == [2.0]
+    assert kernel.tv[won[:, 1] & ~won[:, 0]].tolist() == [1.0]
 
 
 @st.composite
@@ -325,8 +331,8 @@ def test_kernel_matches_engine_exactly(game):
     kernel = _SingleGood(vals, menu, rule, lam)
     players = len(vals)
     supplies = np.arange(players + 2)
-    table = kernel.utilities(kernel.keys([actions]), [range(players)], supplies)[0]
-    won = kernel.winners(kernel.keys([actions]), supplies)[0]
+    table, won = kernel.utilities(kernel.keys([actions]), [range(players)], supplies)
+    table, won = table[0], won[0]
     for i in range(players):
         assert not table[i, len(menu[i]) :].any()
         for s in range(len(menu[i])):
@@ -336,8 +342,7 @@ def test_kernel_matches_engine_exactly(game):
             for n in supplies:
                 want, out = engine_utility(vals, menu, trial, i, int(n), rule, lam)
                 assert table[i, s, n] == want, (i, s, n)
-                if s == actions[i]:
-                    assert won[i, n] == bool(out.allocation[i][0])
+                assert won[i, s, n] == bool(out.allocation[i][0]), (i, s, n)
 
 
 @given(tied_single_good_games(), st.data())
@@ -352,11 +357,12 @@ def test_stacked_kernel_rows_equal_one_profile_calls(game, data):
     width = data.draw(st.integers(1, players))
     who = np.array([data.draw(st.permutations(range(players)))[:width] for _ in range(rows)])
     supplies = np.arange(players + 2)
-    table = kernel.utilities(kernel.keys(profiles), who, supplies)
-    assert table.shape == (rows, width, kernel.cand.shape[1], supplies.size)
+    table, won = kernel.utilities(kernel.keys(profiles), who, supplies)
+    assert table.shape == won.shape == (rows, width, kernel.cand.shape[1], supplies.size)
     for p in range(rows):
-        one = kernel.utilities(kernel.keys(profiles[p : p + 1]), who[p : p + 1], supplies)
+        one, one_won = kernel.utilities(kernel.keys(profiles[p : p + 1]), who[p : p + 1], supplies)
         assert table[p].tobytes() == one[0].tobytes()
+        assert won[p].tobytes() == one_won[0].tobytes()
 
 
 @given(
@@ -365,15 +371,14 @@ def test_stacked_kernel_rows_equal_one_profile_calls(game, data):
     st.data(),
 )
 def test_play_reads_the_stacked_kernel_row(game, rule, data):
-    """A learning round is the one-profile ``utilities`` row at the round's
+    """A learning round is the one-profile ``table`` row at the round's
     supply, to the byte, and its welfare is the true value of the
     mechanism's winners."""
     vals, menu, actions, _ = game
     kernel = _SingleGood(vals, menu, *rule)
     n = (data.draw(st.integers(0, len(vals) + 2)),)
     uts, welfare = kernel.play(np.array(actions), n)
-    keys = kernel.keys(np.array(actions)[None])
-    want = kernel.utilities(keys, kernel.owner[None], np.array(n))[0, ..., 0]
+    want = kernel.table(np.array(actions)[None], kernel.owner[None], np.array(n))[0, ..., 0]
     assert uts.shape == want.shape and uts.tobytes() == want.tobytes()
     out = run_mechanism(
         tuple(scale_bid(v, *m[a]) for v, m, a in zip(vals, menu, actions)), n, *rule
@@ -383,7 +388,8 @@ def test_play_reads_the_stacked_kernel_row(game, rule, data):
 
 def scalar_best_response(ctx, profile, i):
     """The tie rule one menu entry at a time, in Python floats."""
-    utils = ctx._menu_utils(profile, [i])[0, : len(ctx.menu[i])].tolist()
+    table = ctx._game.table([profile], [[i]], ctx._supplies)
+    utils = ctx._expect(table)[0, 0, : len(ctx.menu[i])].tolist()
     best_s, best_u = None, None
     for s, u in enumerate(utils):
         if best_u is None or u > best_u + GAIN_TOL or (
@@ -461,6 +467,29 @@ def test_best_responses_match_the_scalar_tie_rule(game, data):
         want = [scalar_best_response(ctx, p, i) for p in stack.tolist()]
         assert [ctx.best_response(p, i) for p in stack.tolist()] == want
         assert ctx.best_responses(stack, i).tolist() == [s for s, _ in want]
+
+
+@given(walk_games(), st.data())
+def test_certify_matches_the_per_entry_reference(game, data):
+    """One table call certifies as the per-entry reference does, field for
+    field, on random profiles and on the fixed points of walks from them:
+    kernel and engine, every rule, exact and Monte Carlo atoms."""
+    make, _, max_sweeps, _ = game
+    ctx = make()
+    stack = np.array([
+        [data.draw(st.integers(0, len(m) - 1)) for m in ctx.menu]
+        for _ in range(data.draw(st.integers(1, 4)))
+    ])
+    ends, _ = strategic.lockstep_walks(stack, ctx.best_responses, max_sweeps)
+    for profile in [*map(tuple, stack.tolist()), *ends]:
+        got, want = ctx.certify(profile), reference_certify(ctx, profile)
+        if ctx.players == 1:
+            # ``_expect`` sums a one-row gather pairwise and a wider one atom
+            # by atom, so the reference's lone own utility (from ``stats``)
+            # can sit an ulp off the table's; certify reads both off the table.
+            assert got.max_gain == pytest.approx(want.max_gain, rel=1e-12, abs=1e-15)
+            got = dataclasses.replace(got, max_gain=want.max_gain)
+        assert got == want, profile
 
 
 # Both paths below see the same game: a one-item KDemand is the same
@@ -753,6 +782,26 @@ def test_monte_carlo_stats_are_deterministic_and_close_to_exact():
     assert mc_a.stats(profile).sw_true == pytest.approx(
         exact.stats(profile).sw_true, abs=0.1
     )
+
+
+@pytest.mark.parametrize("draws", [0, 1])
+def test_monte_carlo_needs_two_draws(draws):
+    # One draw has no sample deviation (its interval would be NaN), and none
+    # no mean.
+    with pytest.raises(ValueError):
+        GameContext(
+            unit((1.0, 0.8)), ScalingGrid((0.0, 1.0)), BinomialCounts(1, 3, 0.5),
+            exact_limit=0, mc_draws=draws,
+        )
+
+
+@pytest.mark.parametrize("rule, lam", [("x", None), ("mix", None)])
+def test_games_reject_a_bad_rule(rule, lam):
+    vals, grid, model = unit((1.0, 0.8)), ScalingGrid((0.0, 1.0)), BinomialCounts(1, 3, 0.5)
+    with pytest.raises(ValueError):
+        GameContext(vals, grid, model, rule, lam)
+    with pytest.raises(ValueError):
+        run_learning(vals, grid, model, LearningConfig(rounds=4), rule, lam)
 
 
 def test_monte_carlo_certification_reports_interval():
