@@ -46,13 +46,10 @@ count and error of a lone solve.
 
 ``poa_search`` is the one search for a worst reporting equilibrium, with or
 without reserve prices: the market's reserves pick the floor, and the
-outcome's ``holds`` is the one verdict on it.  Its best-reply walks run in
-lockstep on ``strategic.lockstep_walks``, the driver the auction game's
-walks use; each (sweep, buyer) step is one ``_ReportGame.best_responses``
-call, one table of the menu entries of every walk still moving.  As every
-profile keeps the bits of a lone solve, each walk takes the path it would
-take alone, and the search finds the same equilibria, in the same order, as
-walks run one after another.
+outcome's ``holds`` is the one verdict on it.  Its walks follow the search
+rules of ``strategic``, from the truthful profile first and on equal ranks;
+as every profile keeps the bits of a lone solve, they find the equilibria of
+walks run one at a time, in their order.
 
 ``run_market_learning`` drives ``strategic._Hedge``, the learner of the
 auction game's loop, and reads each round's payoffs of every buyer's whole
@@ -76,7 +73,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalCheckError, SolverError
-from .strategic import GAIN_TOL, _Hedge, lockstep_walks
+from .strategic import GAIN_TOL, _Hedge, _scan, _switch_gains, _walk_starts, lockstep_walks
 from .valuations import CES, CobbDouglas, FisherUtility, Linear
 
 __all__ = [
@@ -216,10 +213,12 @@ def _finish(market: FisherMarket, p, x, floored) -> tuple[np.ndarray, np.ndarray
     """
     p = np.maximum(p, PRICE_FLOOR)
     x = np.maximum(x, 0.0)
-    # Clip per-good rounding overshoot so allocations stay feasible.
+    # Clip per-good rounding overshoot so allocations stay feasible; the
+    # over-allocation check sees any overshoot past CLEAR_TOL as solved.
     over = x.sum(axis=1)
-    if (over > 1.0).any():
-        x = x * np.where(over > 1.0, 1.0 / np.maximum(over, 1e-300), 1.0)[:, None, :]
+    trim = (over > 1.0) & (over <= 1.0 + CLEAR_TOL)
+    if trim.any():
+        x = x * np.where(trim, 1.0 / np.maximum(over, 1e-300), 1.0)[:, None, :]
     _check_equilibria(market.budgets, market.reserves, p, x, floored)
     return p, x, floored
 
@@ -910,40 +909,26 @@ class _ReportGame:
         self._row_util = _stored(self._rows, self._row_util, keys, util)
 
     def best_responses(self, profiles, i) -> np.ndarray:
-        """Buyer i's best entry against every row of a profile stack, from one
-        table call.  Each row's menu is scanned in order, and an entry takes
-        over only when it beats the best so far by more than GAIN_TOL."""
-        utils = self.table(profiles, np.full((len(profiles), 1), i))[:, 0, : len(self.menus[i])]
-        best_s = profiles[:, i].copy()
-        best_u = np.full(len(utils), -math.inf)
-        for s in range(utils.shape[1]):
-            take = utils[:, s] > best_u + GAIN_TOL
-            best_s[take] = s
-            best_u[take] = utils[take, s]
-        return best_s
+        """Buyer i's ``strategic._scan`` reply, on equal ranks, to every row
+        of a profile stack, from one table call."""
+        utils = self.table(profiles, np.full((len(profiles), 1), i))[:, 0, : self.sizes[i]]
+        return _scan(utils, np.zeros(utils.shape[1]))[0]
 
     def is_nash(self, profile) -> tuple[bool, float]:
-        """Whether no buyer gains over GAIN_TOL by switching alone, from one
-        table call over all buyers, and the gain: the first over GAIN_TOL in
-        (buyer, entry) order, else the largest, at least staying put's 0."""
-        buyers = self._buyers
-        util = self.table([profile], [buyers])[0]
-        gains = (util - util[buyers, profile][:, None])[self._cells]
+        """Whether no buyer gains over GAIN_TOL by switching alone, off one
+        ``strategic._switch_gains`` table, and the gain: the first over
+        GAIN_TOL in (buyer, entry) order, else the largest, at least 0."""
+        gains = _switch_gains(self.table([profile], [self._buyers])[0], profile, self._cells)
         above = np.flatnonzero(gains > GAIN_TOL)
         if above.size:
-            return False, float(gains[above[0]])
-        return True, float(gains.max())
+            return False, float(gains.flat[above[0]])
+        return True, max(float(gains.max()), 0.0)
 
     def find_equilibria(self, rng: np.random.Generator, restarts=8, max_sweeps=100):
-        """Best-response walks from the truthful profile and ``restarts``
-        random ones, run in lockstep by ``strategic.lockstep_walks``.  Returns
-        the certified equilibria found, keyed by profile in walk order, and
-        the number of walks dropped for not converging within ``max_sweeps``
-        sweeps."""
-        starts = [self.truthful_profile()] + [
-            tuple(int(rng.integers(0, len(m))) for m in self.menus)
-            for _ in range(restarts)
-        ]
+        """Lockstep best-reply walks from the truthful profile and ``restarts``
+        random ones: the certified equilibria found, keyed by profile in walk
+        order, and the number of walks still moving after ``max_sweeps``."""
+        starts = np.vstack([self.truthful_profile(), _walk_starts(rng, self.sizes, restarts)])
         ends, dropped = lockstep_walks(starts, self.best_responses, max_sweeps)
         return {key: self.utils(key) for key in ends if self.is_nash(key)[0]}, dropped
 

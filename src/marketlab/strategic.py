@@ -36,14 +36,13 @@ loop does, and folds the regret sums and play counts once per block of
 rounds, so a round runs only scores -> mixture -> draw -> payoffs -> scores.
 Each loop keeps its draw, payoff normalization and payoff-bound check.
 
-Best-reply walks run in lockstep (``lockstep_walks``, which the Fisher
-reporting game shares).  Every start profile is drawn first, in the order
-the walks would draw them one after another; each (sweep, player) step is
-then one stacked best-reply call over the walks still moving, and a walk
-leaves after a sweep that changed nothing.  ``lockstep_walks`` returns the
-distinct fixed points in walk order, which are certified and reported in
-that order, so the reports, the dropped count and the generator state are
-those of running the walks one at a time.
+Both games search by rules coded once here.  ``_walk_starts`` draws every
+walk's start first, in the order of walks run one after another;
+``lockstep_walks`` then makes each (sweep, player) step one stacked
+``_scan`` reply over the walks still moving, and ``_switch_gains`` is the
+table every certificate reads.  The distinct fixed points come back in walk
+order, so the reports, the dropped count and the generator state are those
+of running the walks one at a time.
 """
 
 from __future__ import annotations
@@ -411,8 +410,9 @@ class GameContext:
         return _Stats(tuple(self._expect(util).tolist()), float(self._expect(sw)))
 
     def _expect(self, table: np.ndarray) -> np.ndarray:
-        """Expectation of a per-supply table over the atoms.  Each row is
-        summed on its own, so equal rows give bit-equal expectations."""
+        """Expectation of a per-supply table over the atoms.  Stacks of two
+        or more rows sum atom by atom, so equal rows agree to the bit; a lone
+        row (1-D or one row) sums pairwise and may differ by an ulp."""
         return (table[..., self._ns] * self._atom_probs).sum(axis=-1)
 
     # -- equilibrium machinery ----------------------------------------------
@@ -428,33 +428,17 @@ class GameContext:
         return self._replies(profiles, i)[0]
 
     def _replies(self, profiles, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Player i's best entry against every row of a profile stack and its
-        utility, the menu scanned in order: an entry takes over when it gains
-        more than GAIN_TOL, or ties within GAIN_TOL and is the larger (scale,
-        offset)."""
+        """Player i's ``_scan`` reply to every row of a profile stack, and its
+        utility, on the (scale, offset) ranks of its menu."""
         table = self._game.table(profiles, np.full((len(profiles), 1), i), self._supplies)
-        utils = self._expect(table)[:, 0, : len(self.menu[i])]
-        place = self._menu_place[i]
-        best_s = np.zeros(len(utils), dtype=int)
-        best_u = utils[:, 0].copy()
-        for s in range(1, utils.shape[1]):
-            u = utils[:, s]
-            take = (u > best_u + GAIN_TOL) | (
-                (abs(u - best_u) <= GAIN_TOL) & (place[s] > place[best_s])
-            )
-            best_s[take] = s
-            best_u[take] = u[take]
-        return best_s, best_u
+        return _scan(self._expect(table)[:, 0, : len(self.menu[i])], self._menu_place[i])
 
     def certify(self, profile, tol: float = GAIN_TOL) -> Certification:
         """Whether any player gains more than tol by a unilateral switch,
         from one table of every player's menu against ``profile``."""
         profile = tuple(profile)
-        players = np.arange(self.players)
-        table = self._game.table([profile], [players], self._supplies)[0]
-        utils = np.where(self._mask, self._expect(table), -np.inf)
-        gains = utils - utils[players, profile][:, None]
-        gains[players, profile] = -np.inf
+        table = self._game.table([profile], [np.arange(self.players)], self._supplies)[0]
+        gains = _switch_gains(self._expect(table), profile, self._mask)
         if not np.isfinite(gains).any():
             return Certification("exact-nash", 0.0, None)
         # First largest gain in (player, entry) order.
@@ -485,6 +469,38 @@ class GameContext:
             ratio,
             cert,
         )
+
+
+def _scan(utils: np.ndarray, rank) -> tuple[np.ndarray, np.ndarray]:
+    """The best entry of every row of ``utils[p, s]`` and its utility, the
+    menu scanned in order: an entry takes over when it gains more than
+    GAIN_TOL on the best so far, or ties within GAIN_TOL and has the higher
+    ``rank[s]``.  With equal ranks the first of tied entries stays."""
+    best_s = np.zeros(len(utils), dtype=int)
+    best_u = utils[:, 0].copy()
+    for s in range(1, utils.shape[1]):
+        u = utils[:, s]
+        take = (u > best_u + GAIN_TOL) | ((abs(u - best_u) <= GAIN_TOL) & (rank[s] > rank[best_s]))
+        best_s[take] = s
+        best_u[take] = u[take]
+    return best_s, best_u
+
+
+def _walk_starts(rng: np.random.Generator, sizes, restarts: int) -> np.ndarray:
+    """``restarts`` random profiles over menus of ``sizes`` entries, drawn
+    row by row with one ``rng.integers(0, size)`` per player."""
+    starts = [[int(rng.integers(0, k)) for k in sizes] for _ in range(restarts)]
+    return np.array(starts, dtype=int).reshape(restarts, len(sizes))
+
+
+def _switch_gains(utils: np.ndarray, profile, cells: np.ndarray) -> np.ndarray:
+    """gains[i, s]: player i's gain by switching alone from its entry of
+    ``profile`` to s, off the table ``utils[i, s]`` of every menu against
+    ``profile``; -inf at its own entry and past its menu (``cells`` False)."""
+    players = np.arange(len(profile))
+    gains = np.where(cells, utils - utils[players, profile][:, None], -np.inf)
+    gains[players, profile] = -np.inf
+    return gains
 
 
 def lockstep_walks(starts, best_responses, max_sweeps: int) -> tuple[list[tuple[int, ...]], int]:
@@ -522,10 +538,7 @@ def best_response_dynamics(
     for every fixed point reached (certified exactly by construction) and
     the number of walks dropped for not converging within ``max_sweeps``
     sweeps.  The walks run in lockstep (see the module docstring)."""
-    starts = np.array(
-        [[int(rng.integers(0, len(m))) for m in ctx.menu] for _ in range(restarts)],
-        dtype=int,
-    ).reshape(restarts, ctx.players)
+    starts = _walk_starts(rng, [len(m) for m in ctx.menu], restarts)
     ends, dropped = lockstep_walks(starts, ctx.best_responses, max_sweeps)
     reports = []
     for key in ends:
@@ -610,11 +623,18 @@ class LemmaVerdict:
     detail: str = ""
 
 
-def _stable_everywhere(oracle, supply, slack, threshold, ceiling) -> bool:
-    return all(
-        not is_unstable_within(oracle, supply, j, slack, threshold, ceiling)
+def _stable_everywhere(oracle, supply, max_items, threshold, ceiling) -> bool:
+    """The price lemmas' precondition: no good is scarce (every supply is
+    above max_items + 1) and every good is price-stable with that headroom."""
+    return min(supply) > max_items + 1 and all(
+        not is_unstable_within(oracle, supply, j, max_items + 1, threshold, ceiling)
         for j in range(oracle.m)
     )
+
+
+def _truthful_switch(true_values, bids, bidder: int) -> tuple:
+    """The bids with ``bidder``'s replaced by its true valuation."""
+    return tuple(true_values[i] if i == bidder else b for i, b in enumerate(bids))
 
 
 def check_price_floor(bids, bidder: int, supply, rule="english", lam=None) -> LemmaVerdict:
@@ -650,17 +670,12 @@ def check_price_bracket(
     is price-stable with that much headroom and no good is scarce."""
     supply = tuple(int(c) for c in supply)
     oracle = WelfareOracle(bids)
-    if min(supply) <= max_items + 1 or not _stable_everywhere(
-        oracle, supply, max_items + 1, threshold, ceiling
-    ):
+    if not _stable_everywhere(oracle, supply, max_items, threshold, ceiling):
         return LemmaVerdict(False, True, "precondition not met")
     floor = check_price_floor(bids, bidder, supply, rule, lam)
     if not floor.ok:
         return LemmaVerdict(True, False, f"floor: {floor.detail}")
-    hybrid = tuple(
-        true_values[i] if i == bidder else b for i, b in enumerate(bids)
-    )
-    p_truth = WelfareOracle(hybrid).prices(supply, rule, lam)
+    p_truth = WelfareOracle(_truthful_switch(true_values, bids, bidder)).prices(supply, rule, lam)
     p_bid = oracle.prices(supply, rule, lam)
     slackp = (max_items + 1) * threshold
     for j in range(oracle.m):
@@ -691,13 +706,10 @@ def check_smooth_bound(
     if ceiling < max_item_value(v_i) - 1e-12:
         return LemmaVerdict(False, True, "ceiling below an item value")
     oracle = WelfareOracle(bids)
-    if min(supply) <= max_items + 1 or not _stable_everywhere(
-        oracle, supply, max_items + 1, threshold, ceiling
-    ):
+    if not _stable_everywhere(oracle, supply, max_items, threshold, ceiling):
         return LemmaVerdict(False, True, "precondition not met")
 
-    hybrid = tuple(true_values[i] if i == bidder else b for i, b in enumerate(bids))
-    out = run_mechanism(hybrid, supply, rule, lam)
+    out = run_mechanism(_truthful_switch(true_values, bids, bidder), supply, rule, lam)
     u_truthful = value(v_i, out.allocation[bidder]) - out.payments[bidder]
 
     truthful_alloc = WelfareOracle(true_values).allocation(supply)[bidder]

@@ -358,7 +358,8 @@ def reference_check(budgets, reserves, prices, alloc, floored):
 
 def reference_outcome(market, reports):
     """``fisher.strategic_outcome`` one profile at a time: a lone solve,
-    then clipping, the checks and one ``utility`` call per buyer and bundle."""
+    then clipping (a good sold over 1 is rescaled only within CLEAR_TOL),
+    the checks and one ``utility`` call per buyer and bundle."""
     reports = tuple(reports)
     kinds = {type(u) for u in reports}
     kind = "linear" if Linear in kinds else "cobb-douglas" if kinds == {CobbDouglas} else "ces"
@@ -371,7 +372,8 @@ def reference_outcome(market, reports):
     p = np.maximum(np.asarray(prices, dtype=float), fisher.PRICE_FLOOR)
     x = np.maximum(np.asarray(alloc, dtype=float), 0.0)
     over = x.sum(axis=0)
-    x = x * np.where(over > 1.0, 1.0 / np.maximum(over, 1e-300), 1.0)
+    trim = (over > 1.0) & (over <= 1.0 + fisher.CLEAR_TOL)  # larger overshoots fail the check
+    x = x * np.where(trim, 1.0 / np.maximum(over, 1e-300), 1.0)
     sold = x.sum(axis=0)
     reference_check(market.budgets, market.reserves, p, x, floored)
     eq = fisher.MarketEquilibrium(

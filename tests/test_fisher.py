@@ -721,10 +721,31 @@ def test_a_failed_check_before_a_solver_error_is_raised(monkeypatch):
     monkeypatch.setitem(fisher._SOLVERS, "ces", broken)
     with pytest.raises(InternalCheckError) as alone:
         reference_outcome(market, profiles[0])
-    assert str(alone.value).startswith("budgets not exhausted")
+    assert str(alone.value).startswith("over-allocation")
     with pytest.raises(InternalCheckError) as stacked:
         strategic_outcomes(market, profiles)
     assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("factor", (1.0 + 1e-7, 1.01, 1.5))
+def test_over_allocation_is_judged_before_the_rescale(monkeypatch, factor):
+    """A solver that hands out more than the supply fails the check; only an
+    overshoot within CLEAR_TOL is rescaled to the supply and passes."""
+    market = random_market(2, 3, 2, "cd", False)
+    solve = fisher._SOLVERS["cobb-douglas"]
+
+    def inflated(budgets, stack, reserves):
+        p, x, *rest = solve(budgets, stack, reserves)
+        return (p, x * factor, *rest)
+
+    monkeypatch.setitem(fisher._SOLVERS, "cobb-douglas", inflated)
+    if factor - 1.0 <= fisher.CLEAR_TOL:
+        eq = solve_market(market)
+        assert (np.sum(eq.allocation, axis=0) <= 1.0 + 1e-15).all()
+        assert eq == reference_outcome(market, market.utilities)[0]
+    else:
+        with pytest.raises(InternalCheckError, match="over-allocation"):
+            solve_market(market)
 
 
 @settings(max_examples=300)

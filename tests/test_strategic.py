@@ -469,6 +469,54 @@ def test_best_responses_match_the_scalar_tie_rule(game, data):
         assert ctx.best_responses(stack, i).tolist() == [s for s, _ in want]
 
 
+def test_scan_takes_a_gain_over_the_tolerance_or_a_higher_ranked_tie():
+    """Both games' reply rule on crafted ties: a gain of exactly GAIN_TOL is
+    a tie, a tie goes to the higher rank, and equal ranks (the Fisher game's)
+    keep the first of tied entries."""
+    tol = GAIN_TOL
+    utils = np.array([
+        [1.0, 1.0, 1.0],  # exact ties
+        [0.0, tol, -tol],  # a gain of exactly GAIN_TOL, then a tie with each
+        [0.0, tol, tol / 2],  # the same gain, then a tie with both
+        [0.0, 2 * tol, 0.0],  # a gain over GAIN_TOL, then a fall
+        [0.0, -tol, 3 * tol],  # a tie below the best, then a gain over both
+    ])
+    best_s, best_u = strategic._scan(utils, np.zeros(3))
+    assert best_s.tolist() == [0, 0, 0, 1, 2]
+    assert best_u.tolist() == [1.0, 0.0, 0.0, 2 * tol, 3 * tol]
+    assert strategic._scan(utils, np.array([2, 1, 0]))[0].tolist() == [0, 0, 0, 1, 2]
+    best_s, best_u = strategic._scan(utils, np.array([0, 1, 2]))
+    assert best_s.tolist() == [2, 1, 2, 1, 2]
+    assert best_u.tolist() == [1.0, tol, tol / 2, 2 * tol, 3 * tol]
+
+
+@pytest.mark.parametrize("restarts", (0, 1, 6))
+def test_walk_starts_draw_both_games_streams(restarts):
+    """The start draw equals each game's own former draw, on uneven menus:
+    the auction's start array and the Fisher game's random start tuples."""
+    menus = [range(k) for k in (3, 1, 5, 2)]
+    auction_rng, fisher_rng, rng = (np.random.default_rng(11) for _ in range(3))
+    auction = np.array(
+        [[int(auction_rng.integers(0, len(m))) for m in menus] for _ in range(restarts)],
+        dtype=int,
+    ).reshape(restarts, len(menus))
+    fisher = [
+        tuple(int(fisher_rng.integers(0, len(m))) for m in menus) for _ in range(restarts)
+    ]
+    got = strategic._walk_starts(rng, np.array([len(m) for m in menus]), restarts)
+    assert got.shape == auction.shape and got.dtype == auction.dtype
+    assert got.tolist() == auction.tolist() == [list(p) for p in fisher]
+    assert rng.random() == auction_rng.random() == fisher_rng.random()
+
+
+def test_switch_gains_are_minus_inf_at_own_entries_and_past_menus():
+    utils = np.array([[1.0, 3.0, 0.0], [2.0, 0.0, 0.0], [5.0, 4.0, 7.0]])
+    cells = np.array([[True, True, False], [True, False, False], [True, True, True]])
+    gains = strategic._switch_gains(utils, (1, 0, 2), cells)
+    ninf = -math.inf
+    assert gains.tolist() == [[-2.0, ninf, ninf], [ninf, ninf, ninf], [-2.0, -3.0, ninf]]
+
+
 @given(walk_games(), st.data())
 def test_certify_matches_the_per_entry_reference(game, data):
     """One table call certifies as the per-entry reference does, field for
@@ -484,9 +532,9 @@ def test_certify_matches_the_per_entry_reference(game, data):
     for profile in [*map(tuple, stack.tolist()), *ends]:
         got, want = ctx.certify(profile), reference_certify(ctx, profile)
         if ctx.players == 1:
-            # ``_expect`` sums a one-row gather pairwise and a wider one atom
-            # by atom, so the reference's lone own utility (from ``stats``)
-            # can sit an ulp off the table's; certify reads both off the table.
+            # The reference's own utility is a lone ``stats`` row, which may
+            # sit an ulp off the table's (see ``GameContext._expect``);
+            # certify reads both off the table.
             assert got.max_gain == pytest.approx(want.max_gain, rel=1e-12, abs=1e-15)
             got = dataclasses.replace(got, max_gain=want.max_gain)
         assert got == want, profile
