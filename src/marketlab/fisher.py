@@ -1055,11 +1055,7 @@ def verify_price_shift(
     return PriceShiftVerdict(True)
 
 
-def verify_utility_floor(
-    market: FisherMarket,
-    reports: Sequence[FisherUtility],
-    tol: float = 1e-9,
-) -> PriceShiftVerdict:
+def verify_utility_floor(market: FisherMarket, reports: Sequence[FisherUtility]) -> PriceShiftVerdict:
     """Budget-weighted log utilities of unilateral truthful switches sit at
     most m * max budget below the truthful profile's."""
     reports = tuple(reports)
@@ -1075,7 +1071,7 @@ def verify_utility_floor(
     rhs = sum(
         b * math.log(u) for b, u in zip(e, truthful.utilities)
     ) - market.m * max(e)
-    if lhs < rhs - tol:
+    if lhs < rhs - 1e-9:
         return PriceShiftVerdict(False, f"floor broken: {lhs} < {rhs}")
     return PriceShiftVerdict(True, f"slack {lhs - rhs:.6g}")
 
@@ -1084,9 +1080,7 @@ def verify_utility_floor(
 # Compressed prices.
 
 
-def compress_prices(
-    q, p_star, low: float, total: float, tol: float = 1e-10
-) -> tuple[tuple[float, ...], float]:
+def compress_prices(q, p_star, low: float, total: float) -> tuple[tuple[float, ...], float]:
     """Squeeze the price ratios q/p* into [low, t], preserving the total.
 
     Ratios below ``low`` are lifted to low * p*; a threshold t > 1, found by
@@ -1095,6 +1089,7 @@ def compress_prices(
     """
     q = np.asarray(q, dtype=float)
     ps = np.asarray(p_star, dtype=float)
+    tol = 1e-10
     if not 0.0 < low <= 1.0:
         raise ValueError("compression level must lie in (0, 1]")
     if abs(q.sum() - total) > 1e-9 * max(1.0, total):
@@ -1129,7 +1124,7 @@ def compress_prices(
         t = hi
     capped = np.minimum(np.maximum(ratio, low), t)
     out = np.where(ps > 0, capped * ps, q)
-    if abs(out.sum() - total) > max(tol, 1e-10) * max(1.0, total):
+    if abs(out.sum() - total) > tol * max(1.0, total):
         raise SolverError(f"compression missed the total: {out.sum()} vs {total}")
     return tuple(float(v) for v in out), float(t)
 

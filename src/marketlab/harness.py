@@ -4,12 +4,14 @@ A run file is JSON with a versioned schema: ``{"schema_version": 1,
 "scenarios": [...]}``.  Each scenario names a setting (walrasian or fisher),
 a mode, a sweep (auction sizes N, market largeness L, or instance counts,
 depending on the mode), and a list of seeds.  Every (sweep value, seed) pair
-becomes one task.  Tasks are pure functions of (scenario, sweep index, seed),
-with per-task generators derived as
+becomes one task.  A task is a pure function of (scenario, sweep point,
+seed), with per-task generators derived as
 
     SeedSequence(entropy=seed, spawn_key=(scenario_index, sweep_index))
 
-so identical configs produce byte-identical CSVs, serial or parallel.
+so identical configs produce byte-identical CSVs, serial or parallel.  A sweep
+point's assumption audit is computed once, before the tasks, and handed to
+each task of the point, so serial and ``--jobs`` runs do the same work.
 
 Each scenario writes one CSV with a fixed column order (documented in the
 README) plus an entry in ``summary.json``.  A theorem or lemma check coming
@@ -32,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckFailure, InternalCheckError, ScenarioError, SolverError
+from .errors import CheckFailure, InternalCheckError, ScenarioError, SizeLimitError, SolverError
 from .fisher import (
     FisherMarket,
     compress_prices,
@@ -113,8 +115,6 @@ class Scenario:
     csv: str
     # The mode's keys, with the default of every key the config leaves out.
     spec: dict
-    # Assumption audits by sweep index, filled in as the tasks run.
-    audits: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _fail(path: str, msg: str):
@@ -377,6 +377,8 @@ def load_config(source: str) -> dict:
             return json.load(f)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"{path}: {e}") from e
 
 
 def bundled_scenarios() -> tuple[str, ...]:
@@ -464,11 +466,10 @@ class AssumptionAudit:
     suppress_bounds: bool
 
 
-def audit_assumptions(
-    gen: dict, assumptions: dict, sweep_n: int, bidders: int, seq, samples: int = 400
-) -> AssumptionAudit:
+def audit_assumptions(gen: dict, assumptions: dict, sweep_n: int, bidders: int, seq) -> AssumptionAudit:
     """Estimate the assumption constants for one generator at one sweep point."""
     rng = np.random.default_rng(seq)
+    samples = 400
     zeta = assumptions["zeta"]
     rho_prime = assumptions["rho_prime"]
     goods = gen["goods"]
@@ -483,7 +484,7 @@ def audit_assumptions(
     value_floor_ok = best_item_hat >= rho_prime - slack
     best_draw = draws.max(axis=1)
     cap_hat = float(best_draw.mean())
-    cap_se = float(best_draw.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    cap_se = float(best_draw.std(ddof=1) / math.sqrt(samples))
     item_expectation_cap_ok = cap_hat <= goods * zeta + 3.0 * cap_se
 
     model = _build_model(gen, sweep_n)
@@ -556,18 +557,6 @@ def _optimal_welfare_draws(rng, gen: dict, model, bidders: int, draws: int) -> n
 # -- task execution ----------------------------------------------------------------
 
 
-def _sweep_audit(
-    sc: Scenario, sweep_idx: int, gen: dict, assumptions: dict, n: int, bidders: int
-) -> AssumptionAudit:
-    """Assumption audit of one sweep point, computed once per scenario: it is
-    seeded from the scenario's first seed, so every seed of the point shares it."""
-    if sweep_idx not in sc.audits:
-        sc.audits[sweep_idx] = audit_assumptions(
-            gen, assumptions, n, bidders, _task_seq(sc, sweep_idx, sc.seeds[0], tag=2)
-        )
-    return sc.audits[sweep_idx]
-
-
 @dataclass(frozen=True)
 class Check:
     scenario: str
@@ -583,7 +572,6 @@ class Check:
 class _TaskOut:
     rows: list = field(default_factory=list)
     checks: list = field(default_factory=list)
-    audit: AssumptionAudit | None = None
     seconds: float = 0.0
 
 
@@ -593,12 +581,12 @@ def _rule_label(spec: dict) -> str:
     return spec["rule"]
 
 
-def _auction_task(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, bidders: int, out: _TaskOut):
-    """Steps shared by poa_sweep and Walrasian regret tasks: draw the bidders,
-    the model and the grid, audit the sweep point (kept in ``out`` on the
-    first seed) and bound the ratio (None when the audit suppresses it)."""
+def _auction_task(sc: Scenario, sweep_idx: int, n: int, seed: int, audit: AssumptionAudit):
+    """Steps shared by poa_sweep and Walrasian regret tasks: draw as many
+    bidders as the point's audit, the model and the grid, and bound the ratio
+    from the audit (None when the audit suppresses it)."""
     spec = sc.spec
-    gen = spec["generator"]
+    gen, _, bidders = _MODES[(sc.setting, sc.mode)].audit(spec, n)
     rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
     values = _draw_bidders(rng, gen, bidders)
     model = _build_model(gen, n)
@@ -606,50 +594,31 @@ def _auction_task(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int
         tuple(float(s) for s in spec["grid"]["scales"]),
         tuple(float(o) for o in spec["grid"]["offsets"]),
     )
-    audit = _sweep_audit(sc, sweep_idx, gen, spec["assumptions"], n, bidders)
-    if seed_idx == 0:
-        out.audit = audit
     if audit.suppress_bounds:
         sqrt_b = log_b = None
     else:
         args = (gen["goods"], gen["cap"], audit.zeta, audit.welfare_rate, audit.point_mass)
         sqrt_b, log_b = ratio_bound_sqrt(*args), ratio_bound_log(*args)
-    return rng, values, model, grid, audit, sqrt_b, log_b
+    return rng, values, model, grid, sqrt_b, log_b
 
 
-def _task_poa_sweep(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, out: _TaskOut):
+def _task_poa_sweep(sc: Scenario, sweep_idx: int, n: int, seed: int, audit, out: _TaskOut):
     spec = sc.spec
-    bidders = n if spec["generator"]["bidders"] == "sweep" else spec["generator"]["bidders"]
-    rng, values, model, grid, _, sqrt_b, log_b = _auction_task(
-        sc, sweep_idx, n, seed_idx, seed, bidders, out
-    )
+    rng, values, model, grid, sqrt_b, log_b = _auction_task(sc, sweep_idx, n, seed, audit)
     ctx_seed = int(_task_seq(sc, sweep_idx, seed, tag=1).generate_state(1)[0])
-    ctx = GameContext(
-        values, grid, model, rule=spec["rule"],
-        lam=spec["lam"], seed=ctx_seed,
-    )
-    worst, reports, complete, dropped = worst_equilibrium(
-        ctx, rng, restarts=spec["restarts"]
-    )
+    ctx = GameContext(values, grid, model, rule=spec["rule"], lam=spec["lam"], seed=ctx_seed)
+    worst, reports, complete, dropped = worst_equilibrium(ctx, rng, restarts=spec["restarts"])
     search = "search exhaustive" if complete else f"search best-response, {dropped} walks dropped"
-    floor = max(0.0, sqrt_b if sqrt_b is not None else 0.0, log_b if log_b is not None else 0.0)
+    floor = max(0.0, sqrt_b or 0.0, log_b or 0.0)
 
     exact = [r for r in reports if r.certification.kind == "exact-nash"]
     below = [r for r in exact if r.ratio < floor - BOUND_TOL]
     if below:
         r = below[0]
-        out.checks.append(Check(
-            sc.id, "poa-bound", False,
-            f"N={n} seed={seed} profile={r.profile}: ratio {r.ratio:.6f} < bound {floor:.6f}"
-            f" ({len(below)} of {len(exact)} below), {search}",
-            vacuous=floor <= 0.0,
-        ))
+        found = f" profile={r.profile}: ratio {r.ratio:.6f} < bound {floor:.6f} ({len(below)} of {len(exact)} below)"
     else:
-        out.checks.append(Check(
-            sc.id, "poa-bound", True,
-            f"N={n} seed={seed}: {len(exact)} exact equilibria above max(0, bounds), {search}",
-            vacuous=floor <= 0.0,
-        ))
+        found = f": {len(exact)} exact equilibria above max(0, bounds)"
+    out.checks.append(Check(sc.id, "poa-bound", not below, f"N={n} seed={seed}{found}, {search}", vacuous=floor <= 0.0))
     if worst is None:
         out.checks.append(Check(sc.id, "certified-equilibrium", False, f"N={n} seed={seed}: search certified no equilibrium"))
         ratio, cert = None, "none"
@@ -658,7 +627,7 @@ def _task_poa_sweep(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: i
     out.rows.append((sc.id, n, seed, _rule_label(spec), ratio, sqrt_b, log_b, cert, None))
 
 
-def _task_bullying(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, out: _TaskOut):
+def _task_bullying(sc: Scenario, sweep_idx: int, n: int, seed: int, audit, out: _TaskOut):
     values = (UnitDemand((10.0,)), UnitDemand((1.0,)))
     grids = [ScalingGrid((0.0, 1.0)), ScalingGrid((0.0, 1.0, 10.0))]
     model = FixedCounts((1,))
@@ -672,20 +641,11 @@ def _task_bullying(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: in
         f"certification={cert.kind} ratio={rep.ratio!r} (want exact-nash at exactly 0.1)",
     ))
     out.rows.append((sc.id, n, seed, "english", rep.ratio, None, None, cert.kind, None))
-    if seed_idx == 0:
-        gen = {
-            "family": "unit", "goods": 1, "cap": 1,
-            "values": {"kind": "uniform", "low": 1.0, "high": 10.0},
-            "supply": {"kind": "fixed", "counts": [1]},
-        }
-        out.audit = _sweep_audit(sc, sweep_idx, gen, {"zeta": 10.0, "rho_prime": 1.0}, n, 2)
 
 
-def _task_wal_regret(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, out: _TaskOut):
+def _task_wal_regret(sc: Scenario, sweep_idx: int, n: int, seed: int, audit, out: _TaskOut):
     spec = sc.spec
-    _, values, model, grid, audit, sqrt_b, log_b = _auction_task(
-        sc, sweep_idx, n, seed_idx, seed, spec["players"], out
-    )
+    _, values, model, grid, sqrt_b, log_b = _auction_task(sc, sweep_idx, n, seed, audit)
     goods, cap = spec["generator"]["goods"], spec["generator"]["cap"]
 
     full_box = (cap,) * goods
@@ -695,14 +655,9 @@ def _task_wal_regret(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: 
     # A k-demand bid adds its offset once per item, so a payment can reach
     # the scaled bid's value for the full box.
     chi = max(max(vm, value(scale_bid(v, gamma, delta), full_box)) for v, vm in zip(values, vmax))
-    config = LearningConfig(
-        rounds=spec["rounds"], feedback=spec["feedback"], payoff_bound=chi
-    )
+    config = LearningConfig(rounds=spec["rounds"], feedback=spec["feedback"], payoff_bound=chi)
     lseed = int(_task_seq(sc, sweep_idx, seed, tag=1).generate_state(1)[0])
-    res = run_learning(
-        values, grid, model, config, rule=spec["rule"],
-        lam=spec["lam"], seed=lseed,
-    )
+    res = run_learning(values, grid, model, config, rule=spec["rule"], lam=spec["lam"], seed=lseed)
     within = all(r <= b + 1e-9 for r, b in zip(res.regrets, res.regret_budgets))
     out.checks.append(Check(
         sc.id, "regret-budget", within,
@@ -733,7 +688,7 @@ def _task_wal_regret(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: 
     ))
 
 
-def _task_validity(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, out: _TaskOut):
+def _task_validity(sc: Scenario, sweep_idx: int, n: int, seed: int, audit, out: _TaskOut):
     gen = sc.spec["generator"]
     lam = sc.spec["mix_weight"]
     rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
@@ -782,7 +737,7 @@ def _lemma_market(rng, gen: dict):
     return tuple(vals), supply, cap
 
 
-def _task_lemmas(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, out: _TaskOut):
+def _task_lemmas(sc: Scenario, sweep_idx: int, n: int, seed: int, audit, out: _TaskOut):
     gen = sc.spec["generator"]
     rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
     for lemma in sc.spec["lemmas"]:
@@ -879,7 +834,7 @@ def _enumerated_welfare(bids, supply) -> float:
     return best
 
 
-def _task_oracle(sc: Scenario, sweep_idx: int, n: int, seed_idx: int, seed: int, out: _TaskOut):
+def _task_oracle(sc: Scenario, sweep_idx: int, n: int, seed: int, audit, out: _TaskOut):
     gen = sc.spec["generator"]
     rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
     mismatches = 0
@@ -925,7 +880,7 @@ def _check_certified(sc: Scenario, L: int, seed: int, res, out: _TaskOut) -> Non
         ))
 
 
-def _task_fisher_poa(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: int, out: _TaskOut):
+def _task_fisher_poa(sc: Scenario, sweep_idx: int, L: int, seed: int, audit, out: _TaskOut):
     spec = sc.spec
     rng = np.random.default_rng(_task_seq(sc, sweep_idx, seed))
     market = _draw_fisher_market(rng, spec["generator"], L)
@@ -954,7 +909,7 @@ def _reserve_market(sc: Scenario, sweep_idx: int, L: int, seed: int):
     return rng, plain, pstar, FisherMarket(plain.budgets, plain.utilities, reserves=reserves)
 
 
-def _task_fisher_reserve(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: int, out: _TaskOut):
+def _task_fisher_reserve(sc: Scenario, sweep_idx: int, L: int, seed: int, audit, out: _TaskOut):
     spec = sc.spec
     rng, plain, pstar, market = _reserve_market(sc, sweep_idx, L, seed)
     res = poa_search(market, deltas=spec["deltas"], rng=rng, restarts=spec["restarts"])
@@ -997,7 +952,7 @@ def _task_fisher_reserve(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, se
     ))
 
 
-def _task_fisher_regret(sc: Scenario, sweep_idx: int, L: int, seed_idx: int, seed: int, out: _TaskOut):
+def _task_fisher_regret(sc: Scenario, sweep_idx: int, L: int, seed: int, audit, out: _TaskOut):
     spec = sc.spec
     _, _, _, market = _reserve_market(sc, sweep_idx, L, seed)
     lseed = int(_task_seq(sc, sweep_idx, seed, tag=1).generate_state(1)[0])
@@ -1058,13 +1013,17 @@ def _lemma_coverage(sc: Scenario, rows: list) -> list:
 class _Mode:
     """One (setting, mode): its key checkers in checking order (each fills in
     its key's default), cross-key check, CSV columns, the runner that fills
-    one task's record, and the checks over all of a scenario's rows."""
+    one task's record, and the checks over all of a scenario's rows.  A
+    runner is a pure function of (scenario, sweep point, seed) and is handed
+    the point's audit of the (generator, assumptions, bidders) that
+    ``audit(spec, N)`` names, or None."""
 
     keys: dict
     columns: tuple
     run: Callable
     cross_check: Callable = lambda spec, path, sweep: None
     scenario_checks: Callable = lambda sc, rows: []
+    audit: Callable = lambda spec, n: None
 
 
 _AUCTION_COLUMNS = (
@@ -1093,6 +1052,7 @@ _MODES = {
         },
         _AUCTION_COLUMNS, _task_poa_sweep,
         cross_check=_sweeps_binomial_trials, scenario_checks=_ratio_trend,
+        audit=lambda spec, n: (spec["generator"], spec["assumptions"], n if spec["generator"]["bidders"] == "sweep" else spec["generator"]["bidders"]),
     ),
     ("walrasian", "validity"): _Mode(
         {
@@ -1110,7 +1070,15 @@ _MODES = {
         ("scenario", "N", "seed", "lemma", "instances", "applied", "violations"), _task_lemmas,
         scenario_checks=_lemma_coverage,
     ),
-    ("walrasian", "bullying"): _Mode({}, _AUCTION_COLUMNS, _task_bullying),
+    ("walrasian", "bullying"): _Mode(
+        {}, _AUCTION_COLUMNS, _task_bullying,
+        # A fixed one-good market of two bidders.
+        audit=lambda spec, n: ({
+            "family": "unit", "goods": 1, "cap": 1,
+            "values": {"kind": "uniform", "low": 1.0, "high": 10.0},
+            "supply": {"kind": "fixed", "counts": [1]},
+        }, {"zeta": 10.0, "rho_prime": 1.0}, 2),
+    ),
     ("walrasian", "regret"): _Mode(
         {
             "generator": _check_auction_generator,
@@ -1123,6 +1091,7 @@ _MODES = {
             "lam": _check_lam,
         },
         _AUCTION_COLUMNS, _task_wal_regret, cross_check=_sized_by_players,
+        audit=lambda spec, n: (spec["generator"], spec["assumptions"], spec["players"]),
     ),
     ("walrasian", "oracle"): _Mode(
         {"generator": partial(_check_corpus_block, defaults={"max_bidders": 4, "max_goods": 3, "max_cap": 2, "max_copies": 3, "low": 0.1, "high": 1.0})},
@@ -1165,16 +1134,35 @@ _MODES = {
 }
 
 
+_TASK_ERRORS = (InternalCheckError, SolverError, SizeLimitError)
+
+
+def _point_audit(sc: Scenario, sweep_idx: int, n: int):
+    """A sweep point's audit, seeded from the first seed; else the error it
+    raised, for each task of the point to report; else None."""
+    drawn = _MODES[(sc.setting, sc.mode)].audit(sc.spec, n)
+    if drawn is None:
+        return None
+    gen, assumptions, bidders = drawn
+    try:
+        return audit_assumptions(gen, assumptions, n, bidders, _task_seq(sc, sweep_idx, sc.seeds[0], tag=2))
+    except _TASK_ERRORS as e:
+        return e
+
+
 def _run_task(args) -> _TaskOut:
-    sc, sweep_idx, sweep_val, seed_idx, seed = args
+    sc, sweep_idx, sweep_val, seed, audit = args
     runner = _MODES[(sc.setting, sc.mode)].run
     start = time.perf_counter()
     result = _TaskOut()
     try:
-        runner(sc, sweep_idx, sweep_val, seed_idx, seed, result)
-    except (InternalCheckError, SolverError) as e:
+        if isinstance(audit, Exception):
+            raise audit
+        runner(sc, sweep_idx, sweep_val, seed, audit, result)
+    except _TASK_ERRORS as e:
+        kind = "size-limit" if isinstance(e, SizeLimitError) else "internal"
         result = _TaskOut(checks=[Check(
-            sc.id, f"{sc.mode}-internal", False,
+            sc.id, f"{sc.mode}-{kind}", False,
             f"sweep={sweep_val} seed={seed}: {type(e).__name__}: {e}",
         )])
     result.seconds = time.perf_counter() - start
@@ -1272,11 +1260,13 @@ def run_config(
     out = _resolve_out_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    tasks = []
-    for sc in scenarios:
-        for sweep_idx, sweep_val in enumerate(sc.sweep):
-            for seed_idx, seed in enumerate(sc.seeds):
-                tasks.append((sc, sweep_idx, sweep_val, seed_idx, seed))
+    audits = [[_point_audit(sc, k, n) for k, n in enumerate(sc.sweep)] for sc in scenarios]
+    tasks = [
+        (sc, k, n, seed, point[k])
+        for sc, point in zip(scenarios, audits)
+        for k, n in enumerate(sc.sweep)
+        for seed in sc.seeds
+    ]
 
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -1285,27 +1275,20 @@ def run_config(
         results = [_run_task(t) for t in tasks]
 
     reports = []
-    passed = True
-    for sc in scenarios:
-        rows, checks, audits, seconds = [], [], [], 0.0
-        for task, res in zip(tasks, results):
-            if task[0].index != sc.index:
-                continue
-            rows.extend(res.rows)
-            checks.extend(res.checks)
-            seconds += res.seconds
-            if res.audit is not None:
-                audits.append(res.audit)
+    for sc, point in zip(scenarios, audits):
+        mine = [res for task, res in zip(tasks, results) if task[0].index == sc.index]
+        rows = [row for res in mine for row in res.rows]
+        checks = [c for res in mine for c in res.checks]
         entry = _MODES[(sc.setting, sc.mode)]
         checks.extend(entry.scenario_checks(sc, rows))
         csv_path = out / sc.csv
         _write_csv(csv_path, entry.columns, rows)
-        ok = all(c.passed for c in checks)
-        passed = passed and ok
         reports.append(ScenarioReport(
-            id=sc.id, csv_path=str(csv_path), rows=len(rows), passed=ok,
-            checks=checks, audits=audits, seconds=seconds,
+            id=sc.id, csv_path=str(csv_path), rows=len(rows), passed=all(c.passed for c in checks),
+            checks=checks, audits=[a for a in point if isinstance(a, AssumptionAudit)],
+            seconds=sum(res.seconds for res in mine),
         ))
+    passed = all(rep.passed for rep in reports)
 
     summary = {
         "schema_version": SCHEMA_VERSION,

@@ -433,8 +433,8 @@ class GameContext:
         table = self._game.table(profiles, np.full((len(profiles), 1), i), self._supplies)
         return _scan(self._expect(table)[:, 0, : len(self.menu[i])], self._menu_place[i])
 
-    def certify(self, profile, tol: float = GAIN_TOL) -> Certification:
-        """Whether any player gains more than tol by a unilateral switch,
+    def certify(self, profile) -> Certification:
+        """Whether any player gains more than GAIN_TOL by a unilateral switch,
         from one table of every player's menu against ``profile``."""
         profile = tuple(profile)
         table = self._game.table([profile], [np.arange(self.players)], self._supplies)[0]
@@ -445,13 +445,13 @@ class GameContext:
         i, s = np.unravel_index(int(np.argmax(gains)), gains.shape)
         worst_gain, witness = float(gains[i, s]), (int(i), int(s))
         if self.exact:
-            if worst_gain <= tol:
+            if worst_gain <= GAIN_TOL:
                 return Certification("exact-nash", max(worst_gain, 0.0), None)
             return Certification("not-equilibrium", worst_gain, witness)
         diffs = table[i, s, self._ns] - table[i, profile[i], self._ns]
         half = Z99 * float(diffs.std(ddof=1)) / math.sqrt(diffs.size)
         lo, hi = float(diffs.mean() - half), float(diffs.mean() + half)
-        if lo > tol:
+        if lo > GAIN_TOL:
             return Certification("not-equilibrium", worst_gain, witness, (lo, hi))
         return Certification("eps-nash", max(worst_gain, 0.0), witness, (lo, hi))
 
@@ -663,7 +663,6 @@ def check_price_bracket(
     ceiling: float,
     rule="english",
     lam=None,
-    tol: float = 1e-9,
 ) -> LemmaVerdict:
     """Truncated prices under a truthful unilateral switch stay within
     (max_items + 1) * threshold above the as-bid prices, provided the supply
@@ -681,7 +680,7 @@ def check_price_bracket(
     for j in range(oracle.m):
         lhs = min(p_truth[j], ceiling)
         rhs = min(p_bid[j], ceiling) + slackp
-        if lhs > rhs + tol:
+        if lhs > rhs + 1e-9:
             return LemmaVerdict(True, False, f"good {j}: {lhs} > {rhs}")
     return LemmaVerdict(True, True)
 
@@ -696,7 +695,6 @@ def check_smooth_bound(
     ceiling: float,
     rule="english",
     lam=None,
-    tol: float = 1e-9,
 ) -> LemmaVerdict:
     """Utility floor for a truthful unilateral switch: at least the truthful
     optimum's value minus as-bid prices on that bundle, minus the stability
@@ -724,7 +722,7 @@ def check_smooth_bound(
         - bundle_cost
         - overlap * (max_items + 1) * threshold
     )
-    if u_truthful < rhs - tol:
+    if u_truthful < rhs - 1e-9:
         return LemmaVerdict(
             True, False, f"bidder {bidder}: utility {u_truthful} below floor {rhs}"
         )

@@ -132,12 +132,10 @@ def good_pmf(model: MultiplicityModel, j: int) -> np.ndarray:
     return np.array(model.tables[j])
 
 
-def pmf(model: MultiplicityModel, j: int, count: int, others=None) -> float:
-    """Conditional probability that good j has exactly `count` copies.
-
-    Counts are independent across goods for every supported model, so the
-    conditioning vector is accepted and ignored.
-    """
+def pmf(model: MultiplicityModel, j: int, count: int) -> float:
+    """Probability that good j has exactly `count` copies.  Counts are
+    independent across goods for every supported model, so this is also the
+    probability conditioned on the other goods' counts."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     table = good_pmf(model, j)

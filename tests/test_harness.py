@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import marketlab
 from marketlab import fisher, harness, strategic, walrasian
 from marketlab.cli import main
-from marketlab.errors import CheckFailure, ScenarioError
+from marketlab.errors import CheckFailure, ScenarioError, SolverError
 from marketlab.harness import (
     _MODES,
     _enumerated_welfare,
@@ -189,6 +189,17 @@ def test_load_config_reports_json_position(tmp_path):
         load_config("definitely_not_here")
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ScenarioError, match=r"binary\.json: 'utf-8' codec can't decode"):
+        load_config(str(path))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["passed"] is False and "binary.json" in summary["error"]
+
+
 def test_bundled_scenarios_resolve():
     names = bundled_scenarios()
     assert "walrasian_binomial_sweep" in names
@@ -279,26 +290,19 @@ def test_one_good_audit_equals_the_oracle_loop(values):
                 assert rng.random() == ref.random()
 
 
-def test_audit_runs_once_per_sweep_point(tmp_path, monkeypatch):
-    calls = []
-
-    def counted(gen, assumptions, sweep_n, bidders, seq):
-        calls.append(sweep_n)
-        return audit_assumptions(gen, assumptions, sweep_n, bidders, seq)
-
-    monkeypatch.setattr(harness, "audit_assumptions", counted)
-    doc = {
+def small_sweep(sweep=(4, 5), seeds=(0, 1, 2), goods=1):
+    return {
         "schema_version": 1,
         "scenarios": [
             {
                 "id": "sweep",
                 "setting": "walrasian",
                 "mode": "poa_sweep",
-                "sweep": [4, 5],
-                "seeds": [0, 1, 2],
+                "sweep": list(sweep),
+                "seeds": list(seeds),
                 "generator": {
                     "family": "unit",
-                    "goods": 1,
+                    "goods": goods,
                     "bidders": "sweep",
                     "values": {"kind": "uniform", "low": 0.5, "high": 1.0},
                     "supply": {"kind": "binomial", "prob": 0.5},
@@ -308,15 +312,87 @@ def test_audit_runs_once_per_sweep_point(tmp_path, monkeypatch):
             }
         ],
     }
-    cfg = write_config(tmp_path, doc)
-    run_config(cfg, out_dir=str(tmp_path / "serial"))
-    assert calls == [4, 5]
-    summary = json.loads((tmp_path / "serial" / "summary.json").read_text())
-    details = [c["detail"] for c in summary["scenarios"][0]["checks"] if c["name"] == "poa-bound"]
+
+
+def test_audit_runs_once_per_sweep_point(tmp_path, monkeypatch):
+    """The parent audits each sweep point once before the tasks, serial or
+    under --jobs, and no worker audits anything."""
+    log = tmp_path / "audits.log"
+
+    def counted(gen, assumptions, sweep_n, bidders, seq):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()} {sweep_n}\n")
+        return audit_assumptions(gen, assumptions, sweep_n, bidders, seq)
+
+    monkeypatch.setattr(harness, "audit_assumptions", counted)
+    cfg = write_config(tmp_path, small_sweep())
+    summaries = {}
+    for name, jobs in (("serial", 1), ("parallel", 2)):
+        log.write_text("")
+        run_config(cfg, out_dir=str(tmp_path / name), jobs=jobs)
+        assert log.read_text().splitlines() == [f"{os.getpid()} 4", f"{os.getpid()} 5"], name
+        summaries[name] = json.loads((tmp_path / name / "summary.json").read_text())
+    details = [c["detail"] for c in summaries["serial"]["scenarios"][0]["checks"] if c["name"] == "poa-bound"]
     assert len(details) == 6 and all(d.endswith(", search exhaustive") for d in details)
-    run_config(cfg, out_dir=str(tmp_path / "parallel"), jobs=2)
     serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
     assert serial == (tmp_path / "parallel" / "sweep.csv").read_bytes()
+    audits = [sc["audits"] for sc in summaries["serial"]["scenarios"]]
+    assert [[a["sweep"] for a in point] for point in audits] == [[4, 5]]
+    assert audits == [sc["audits"] for sc in summaries["parallel"]["scenarios"]]
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_a_failed_audit_fails_every_seed_of_its_point(tmp_path, monkeypatch, jobs):
+    def failing(gen, assumptions, sweep_n, bidders, seq):
+        if sweep_n == 5:
+            raise SolverError("audit diverged")
+        return audit_assumptions(gen, assumptions, sweep_n, bidders, seq)
+
+    monkeypatch.setattr(harness, "audit_assumptions", failing)
+    with pytest.raises(CheckFailure) as err:
+        run_config(write_config(tmp_path, small_sweep()), out_dir=str(tmp_path / "out"), jobs=jobs)
+    (sc,) = err.value.report.scenarios
+    failed = [(c.name, c.detail) for c in sc.checks if not c.passed]
+    assert failed == [
+        ("poa_sweep-internal", f"sweep=5 seed={seed}: SolverError: audit diverged") for seed in (0, 1, 2)
+    ]
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:3] for row in rows] == [["4", "0"], ["4", "1"], ["4", "2"]]
+    assert [a.sweep for a in sc.audits] == [4]
+
+
+def test_a_failed_first_seed_keeps_its_points_audit(tmp_path, monkeypatch):
+    def diverged(*args, **kwargs):
+        raise SolverError("walks diverged")
+
+    monkeypatch.setattr(harness, "worst_equilibrium", diverged)
+    with pytest.raises(CheckFailure):
+        run_config(write_config(tmp_path, small_sweep(sweep=(4,), seeds=(0,))), out_dir=str(tmp_path / "out"))
+    (sc,) = json.loads((tmp_path / "out" / "summary.json").read_text())["scenarios"]
+    assert [c["name"] for c in sc["checks"]] == ["poa_sweep-internal"]
+    assert [a["sweep"] for a in sc["audits"]] == [4]
+
+
+@pytest.mark.parametrize(
+    "doc, name, matrix",
+    (
+        (
+            tiny_validity(instances=3, seeds=[0, 1], generator={"max_bidders": 60, "max_copies": 60}),
+            "validity-size-limit", "59 x 107",
+        ),
+        (small_sweep(sweep=(64,), seeds=(0, 1), goods=2), "poa_sweep-size-limit", "64 x 71"),
+    ),
+)
+def test_a_size_limit_on_a_valid_config_is_a_failing_check(tmp_path, capsys, doc, name, matrix):
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    (sc,) = json.loads((out / "summary.json").read_text())["scenarios"]
+    hits = [c for c in sc["checks"] if c["name"] == name]
+    assert hits and not any(c["passed"] for c in hits)
+    sweep = doc["scenarios"][0]["sweep"][0]
+    assert hits[0]["detail"].startswith(f"sweep={sweep} seed=0: SizeLimitError: ")
+    assert f"{matrix} matrix" in hits[0]["detail"]
 
 
 # -- end to end ----------------------------------------------------------------

@@ -44,11 +44,6 @@ def test_fixed_counts_pmf_is_point_mass():
     assert pmf(model, 2, 2) == 1.0
 
 
-def test_conditioning_vector_is_ignored():
-    model = BinomialCounts(goods=2, trials=5, prob=0.3)
-    assert pmf(model, 0, 2, others=(4,)) == pmf(model, 0, 2)
-
-
 def test_binomial_pmf_matches_scipy():
     for trials, prob in [(1, 0.5), (6, 0.25), (11, 0.7), (20, 0.5)]:
         model = BinomialCounts(goods=1, trials=trials, prob=prob)
