@@ -27,7 +27,6 @@ import math
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -466,6 +465,13 @@ class AssumptionAudit:
     suppress_bounds: bool
 
 
+def _within_slack(estimate: float, cap: float, slack: float) -> bool:
+    """``estimate <= cap + slack``, and false when the estimate or the slack
+    is not finite: draws that overflow give an infinite standard error, and
+    an infinite slack bounds nothing."""
+    return math.isfinite(estimate) and math.isfinite(slack) and estimate <= cap + slack
+
+
 def audit_assumptions(gen: dict, assumptions: dict, sweep_n: int, bidders: int, seq) -> AssumptionAudit:
     """Estimate the assumption constants for one generator at one sweep point."""
     rng = np.random.default_rng(seq)
@@ -479,13 +485,13 @@ def audit_assumptions(gen: dict, assumptions: dict, sweep_n: int, bidders: int, 
     per_item_se = draws.std(axis=0, ddof=1) / math.sqrt(samples)
     zeta_hat = float(per_item.max())
     slack = 3.0 * float(per_item_se.max())
-    bounded_value_ok = zeta_hat <= zeta + slack
+    bounded_value_ok = _within_slack(zeta_hat, zeta, slack)
     best_item_hat = zeta_hat
     value_floor_ok = best_item_hat >= rho_prime - slack
     best_draw = draws.max(axis=1)
     cap_hat = float(best_draw.mean())
     cap_se = float(best_draw.std(ddof=1) / math.sqrt(samples))
-    item_expectation_cap_ok = cap_hat <= goods * zeta + 3.0 * cap_se
+    item_expectation_cap_ok = _within_slack(cap_hat, goods * zeta, 3.0 * cap_se)
 
     model = _build_model(gen, sweep_n)
     mu = mean_counts(model)
@@ -1269,7 +1275,11 @@ def run_config(
     ]
 
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Imported here because it loads multiprocessing.  The pool starts
+        # every worker at its first submit, so it gets one per task at most.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_run_task, tasks, chunksize=1))
     else:
         results = [_run_task(t) for t in tasks]

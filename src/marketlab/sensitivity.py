@@ -85,10 +85,35 @@ def is_unstable(
 ) -> bool:
     """True when one extra copy of `good` moves truncated low-end prices by
     more than `threshold` in L1."""
-    supply = tuple(int(c) for c in supply)
-    bumped = tuple(c + 1 if j == good else c for j, c in enumerate(supply))
-    move = truncated_distance(oracle.english(supply), oracle.english(bumped), ceiling)
-    return move > threshold
+    return _Probe(oracle, threshold, ceiling).unstable(tuple(int(c) for c in supply), good)
+
+
+class _Probe:
+    """`is_unstable` on one oracle, threshold and ceiling, computing each
+    supply's prices and each (supply, good) verdict once: the scans along a
+    slice and over a support revisit the same vectors many times."""
+
+    def __init__(self, oracle: WelfareOracle, threshold: float, ceiling: float):
+        self.oracle, self.threshold, self.ceiling = oracle, threshold, ceiling
+        self._prices: dict = {}
+        self._verdicts: dict = {}
+
+    def _english(self, supply: tuple[int, ...]) -> np.ndarray:
+        got = self._prices.get(supply)
+        if got is None:
+            got = self._prices[supply] = self.oracle.english(supply)
+        return got
+
+    def unstable(self, supply: tuple[int, ...], good: int) -> bool:
+        got = self._verdicts.get((supply, good))
+        if got is None:
+            bumped = tuple(c + 1 if j == good else c for j, c in enumerate(supply))
+            move = truncated_distance(self._english(supply), self._english(bumped), self.ceiling)
+            got = self._verdicts[supply, good] = move > self.threshold
+        return got
+
+    def within(self, supply, good: int, slack: int) -> bool:
+        return any(self.unstable(below, good) for below in deficit_vectors(supply, slack))
 
 
 def deficit_vectors(supply, slack: int) -> Iterator[tuple[int, ...]]:
@@ -105,10 +130,7 @@ def is_unstable_within(
 ) -> bool:
     """True when some vector within total deficit `slack` of `supply` is
     unstable for `good`."""
-    return any(
-        is_unstable(oracle, below, good, threshold, ceiling)
-        for below in deficit_vectors(supply, slack)
-    )
+    return _Probe(oracle, threshold, ceiling).within(supply, good, slack)
 
 
 def count_unstable_slice(
@@ -128,15 +150,14 @@ def count_unstable_slice(
     def at(nj: int) -> tuple[int, ...]:
         return rest[:good] + (nj,) + rest[good:]
 
+    probe = _Probe(oracle, params.threshold, params.ceiling)
     plain = 0
     within = 0
     for nj in range(params.search_box + 1):
         supply = at(nj)
-        if is_unstable(oracle, supply, good, params.threshold, params.ceiling):
+        if probe.unstable(supply, good):
             plain += 1
-        if is_unstable_within(
-            oracle, supply, good, params.slack, params.threshold, params.ceiling
-        ):
+        if probe.within(supply, good, params.slack):
             within += 1
 
     m = oracle.m
@@ -209,15 +230,12 @@ def unstable_event_probability(
     if model.goods != oracle.m:
         raise ValueError("model and bids disagree on the number of goods")
 
+    probe = _Probe(oracle, params.threshold, params.ceiling)
+
     def hit(counts) -> bool:
         if min(counts) <= params.slack:
             return True
-        return any(
-            is_unstable_within(
-                oracle, counts, j, params.slack, params.threshold, params.ceiling
-            )
-            for j in range(oracle.m)
-        )
+        return any(probe.within(counts, j, params.slack) for j in range(oracle.m))
 
     bound = event_probability_bound(oracle.m, max_point_mass(model), params)
     if support_size(model) <= exact_limit:

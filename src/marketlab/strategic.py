@@ -779,7 +779,8 @@ class _Hedge:
 
     def __init__(self, sizes, rounds: int, expected: bool = True):
         self.sizes = np.asarray(sizes)
-        self.groups = [(np.flatnonzero(self.sizes == k), int(k)) for k in np.unique(self.sizes)]
+        menus = sorted(set(self.sizes.tolist()))  # not np.unique, which imports numpy.ma
+        self.groups = [(np.flatnonzero(self.sizes == k), k) for k in menus]
         self.etas = np.array(
             [math.sqrt(8.0 * math.log(k) / rounds) if k > 1 else 0.0 for k in self.sizes]
         )[:, None]

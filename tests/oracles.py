@@ -43,6 +43,11 @@ one size it must be matched exactly.  ``ScipyWelfareOracle`` is
 ``WelfareOracle`` with its assignments solved by scipy's
 ``linear_sum_assignment``, as the package did before it ported the solver;
 prices, allocations and welfare must be matched exactly.
+``reference_slice_counts`` and ``reference_event_probability`` are the
+package's instability probes as they were before a probe computed each
+supply's prices and each verdict once: every supply and good recomputed
+through ``WelfareOracle.english``; counts and probabilities must be matched
+exactly.
 ``demand_set``, ``is_monotone_table``, ``check_gross_substitutes`` and
 ``assert_valid_outcome`` are test helpers built on the package's own
 ``value`` and ``validate_outcome``.
@@ -59,7 +64,7 @@ from scipy.optimize import linear_sum_assignment
 from marketlab import fisher, harness
 from marketlab.errors import InternalCheckError, ScenarioError, SolverError
 from marketlab.harness import SCHEMA_VERSION, Scenario
-from marketlab.sensitivity import Z99
+from marketlab.sensitivity import Z99, ProbeParams, deficit_vectors
 from marketlab.strategic import (
     GAIN_TOL,
     Certification,
@@ -97,7 +102,7 @@ from marketlab.valuations import (
     utility,
     value,
 )
-from marketlab.walrasian import WelfareOracle, run_mechanism, validate_outcome
+from marketlab.walrasian import WelfareOracle, run_mechanism, truncated_distance, validate_outcome
 
 
 def oracle_value(v, bundle):
@@ -1256,3 +1261,43 @@ def reference_parse_config(cfg) -> list[Scenario]:
             _fail(f"config.scenarios[{i}].id", f"duplicate id '{sc.id}' (also scenarios[{seen[sc.id]}])")
         seen[sc.id] = i
     return scenarios
+
+
+def _reference_unstable(oracle, supply, good, threshold, ceiling) -> bool:
+    bumped = tuple(c + 1 if j == good else c for j, c in enumerate(supply))
+    return truncated_distance(oracle.english(supply), oracle.english(bumped), ceiling) > threshold
+
+
+def _reference_unstable_within(oracle, supply, good, params: ProbeParams) -> bool:
+    return any(
+        _reference_unstable(oracle, below, good, params.threshold, params.ceiling)
+        for below in deficit_vectors(supply, params.slack)
+    )
+
+
+def reference_slice_counts(oracle, rest, good, params: ProbeParams) -> tuple[int, int]:
+    """``sensitivity.count_unstable_slice``'s (unstable, within-slack) counts,
+    every probe recomputed, without the bound checks."""
+    plain = within = 0
+    for nj in range(params.search_box + 1):
+        supply = tuple(rest[:good]) + (nj,) + tuple(rest[good:])
+        plain += _reference_unstable(oracle, supply, good, params.threshold, params.ceiling)
+        within += _reference_unstable_within(oracle, supply, good, params)
+    return plain, within
+
+
+def reference_event_probability(
+    bids, model: MultiplicityModel, params: ProbeParams, rng=None, draws=2000, exact_limit=20_000
+) -> float:
+    """``sensitivity.unstable_event_probability``'s probability, every probe
+    recomputed: exact over the support, or the hit frequency of ``draws``."""
+    oracle = WelfareOracle(bids)
+
+    def hit(counts) -> bool:
+        return min(counts) <= params.slack or any(
+            _reference_unstable_within(oracle, counts, j, params) for j in range(oracle.m)
+        )
+
+    if support_size(model) <= exact_limit:
+        return math.fsum(p for counts, p in iter_support(model) if hit(counts))
+    return sum(hit(sample(model, rng)) for _ in range(draws)) / draws

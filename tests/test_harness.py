@@ -395,6 +395,21 @@ def test_a_size_limit_on_a_valid_config_is_a_failing_check(tmp_path, capsys, doc
     assert f"{matrix} matrix" in hits[0]["detail"]
 
 
+def test_an_overflowing_audit_estimate_is_not_bounded(tmp_path):
+    """Pareto draws near 1e300 overflow the standard error to inf: a 3-SE
+    slack that large bounds nothing, so neither upper-bound flag passes."""
+    doc = small_sweep(sweep=(1,), seeds=(0,))
+    doc["scenarios"][0]["generator"]["values"] = {"kind": "pareto", "shape": 1.01, "scale": 1e300}
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        run_config(write_config(tmp_path, doc), out_dir=str(out))
+    (sc,) = json.loads((out / "summary.json").read_text())["scenarios"]
+    (audit,) = sc["audits"]
+    assert audit["zeta_hat"] > 1e300 and audit["zeta"] == 1.0
+    assert not audit["bounded_value_ok"] and not audit["item_expectation_cap_ok"]
+    assert audit["suppress_bounds"]
+
+
 # -- end to end ----------------------------------------------------------------
 
 
@@ -466,6 +481,38 @@ def test_summary_times_the_run_and_its_tasks(tmp_path):
 
     # The timings are the only fields allowed to differ.
     assert untimed(serial) == untimed(parallel)
+
+
+def test_jobs_start_at_most_one_worker_per_task(tmp_path, monkeypatch):
+    """The pool forks every worker at its first submit, so --jobs 64 on two
+    tasks must ask for two; a fake pool records the request and maps serially."""
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # Also under the harness's own name, so that a module-level import there
+    # fails this test without forking 64 real workers.
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool, raising=False)
+    cfg = write_config(tmp_path, tiny_validity(seeds=[0, 1]))
+    run_config(cfg, out_dir=str(tmp_path / "serial"))
+    run_config(cfg, out_dir=str(tmp_path / "pooled"), jobs=64)
+    assert asked == [2]
+    csv = (tmp_path / "serial" / "tiny_validity.csv").read_bytes()
+    assert csv == (tmp_path / "pooled" / "tiny_validity.csv").read_bytes()
 
 
 def test_seed_override_and_filter(tmp_path):

@@ -24,7 +24,12 @@ from marketlab.sensitivity import (
 from marketlab.supply import BinomialCounts, FixedCounts, iter_support, max_point_mass
 from marketlab.valuations import UnitDemand
 from marketlab.walrasian import WelfareOracle, truncated_distance
-from oracles import oracle_best_allocation, random_market
+from oracles import (
+    oracle_best_allocation,
+    random_market,
+    reference_event_probability,
+    reference_slice_counts,
+)
 
 THREE_UNIT_BIDDERS = (UnitDemand((5.0,)), UnitDemand((3.0,)), UnitDemand((2.0,)))
 
@@ -126,6 +131,37 @@ def test_slice_bounds_hold_on_random_corpus():
             rest = tuple(int(rng.integers(0, 3)) for _ in range(m - 1))
             plain, within = count_unstable_slice(oracle, rest, j, params)
             assert plain <= within
+
+
+def test_probes_match_the_unmemoized_reference_on_random_markets():
+    """Each probe computes a supply's prices and a (supply, good) verdict once
+    per call; the counts and probabilities are those of recomputing every one."""
+    rng = np.random.default_rng(2311)
+    for _ in range(20):
+        bids, _ = random_market(rng, max_bidders=4, max_goods=2, max_copies=3)
+        oracle = WelfareOracle(bids)
+        m = oracle.m
+        params = ProbeParams(
+            threshold=float(rng.uniform(0.05, 1.0)),
+            ceiling=float(rng.uniform(1.0, 5.0)),
+            slack=int(rng.integers(0, 3)),
+            search_box=default_search_box(bids, 2),
+        )
+        for j in range(m):
+            rest = tuple(int(rng.integers(0, 4)) for _ in range(m - 1))
+            want = reference_slice_counts(WelfareOracle(bids), rest, j, params)
+            assert count_unstable_slice(oracle, rest, j, params) == want
+        model = BinomialCounts(goods=m, trials=int(rng.integers(2, 7)), prob=0.5)
+        report = unstable_event_probability(bids, model, params)
+        assert report.mode == "exact"
+        assert report.probability == reference_event_probability(bids, model, params)
+        sampled = unstable_event_probability(
+            bids, model, params, rng=np.random.default_rng(5), draws=200, exact_limit=0
+        )
+        want = reference_event_probability(
+            bids, model, params, rng=np.random.default_rng(5), draws=200, exact_limit=0
+        )
+        assert sampled.mode == "monte-carlo" and sampled.probability == want
 
 
 def test_within_slack_grows_with_slack():
