@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import os
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
@@ -141,6 +142,9 @@ def _typed(val, path: str, kinds, check):
         ok = isinstance(val, int) and not isinstance(val, bool)
     elif kinds is float:
         ok = isinstance(val, (int, float)) and not isinstance(val, bool)
+        # JSON reads Infinity and NaN, and ints past the float range.
+        if ok and not -sys.float_info.max <= val <= sys.float_info.max:
+            _fail(path, f"must be a finite number, got {val}")
         val = float(val) if ok else val
     else:
         ok = isinstance(val, kinds)
@@ -320,6 +324,12 @@ def _budgets_fix_the_market(spec: dict, path: str, sweep: tuple):
 _COMMON_KEYS = ("id", "setting", "mode", "sweep", "seeds", "csv")
 
 
+def _plain_file_name(name):
+    """A CSV is written in the output directory, beside summary.json."""
+    if name in ("", ".", "..", "summary.json") or "/" in name or "\0" in name:
+        return "must be a plain file name other than summary.json"
+
+
 def _validate_scenario(raw: dict, path: str, index: int) -> Scenario:
     _typed(raw, path, dict, None)
     sid = _need(raw, path, "id", str, lambda s: None if s and all(c.isalnum() or c == "_" for c in s) else "must be non-empty [a-z0-9_]")
@@ -328,7 +338,7 @@ def _validate_scenario(raw: dict, path: str, index: int) -> Scenario:
     mode = _need(raw, path, "mode", str, lambda m: None if m in modes else f"must be one of {modes} for setting '{setting}'")
     sweep = _int_list(raw, path, "sweep", 1)
     seeds = _int_list(raw, path, "seeds", 0)
-    csv_name = _typed(raw.get("csv", sid + ".csv"), f"{path}.csv", str, None)
+    csv_name = _typed(raw.get("csv", sid + ".csv"), f"{path}.csv", str, _plain_file_name)
 
     entry = _MODES[(setting, mode)]
     spec = {k: v for k, v in raw.items() if k not in _COMMON_KEYS}
@@ -352,11 +362,13 @@ def parse_config(cfg) -> list[Scenario]:
     scenarios = [
         _validate_scenario(entry, f"config.scenarios[{i}]", i) for i, entry in enumerate(raw)
     ]
-    seen = {}
-    for i, sc in enumerate(scenarios):
-        if sc.id in seen:
-            _fail(f"config.scenarios[{i}].id", f"duplicate id '{sc.id}' (also scenarios[{seen[sc.id]}])")
-        seen[sc.id] = i
+    for key in ("id", "csv"):
+        seen = {}
+        for i, sc in enumerate(scenarios):
+            name = getattr(sc, key)
+            if name in seen:
+                _fail(f"config.scenarios[{i}].{key}", f"duplicate {key} '{name}' (also scenarios[{seen[name]}])")
+            seen[name] = i
     return scenarios
 
 
@@ -821,9 +833,8 @@ def _enumerated_welfare(bids, supply) -> float:
     m = len(supply)
     menus = []
     for b in bids:
-        cap = getattr(b, "cap", 1)
         menus.append([
-            (w, value(b, w)) for w in bundles_upto(m, cap) if all(x <= s for x, s in zip(w, supply))
+            (w, value(b, w)) for w in bundles_upto(m, b.cap) if all(x <= s for x, s in zip(w, supply))
         ])
     best = 0.0
 

@@ -68,7 +68,7 @@ def default_search_box(bids, slack: int) -> int:
     are worthless and prices are pinned at zero, so scanning further cannot
     find instability.
     """
-    slots = sum(getattr(b, "cap", 1) for b in bids)
+    slots = sum(b.cap for b in bids)
     return slots + slack + 1
 
 

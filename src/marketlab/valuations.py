@@ -1,10 +1,10 @@
 """Valuation families for multi-unit markets.
 
 Two settings share this module. Auction bidders value integer bundles of
-indivisible goods: ``UnitDemand`` (best single item), ``KDemand`` (sum of the
-top-k item weights), and ``Explicit`` (a bundle table with monotone closure).
-Fisher market buyers value divisible allocations: ``Linear``, ``CobbDouglas``,
-and ``CES``.
+indivisible goods: ``UnitDemand`` (best single item) and ``KDemand`` (sum of
+the top-k item weights), both gross substitutes, as the Walrasian mechanism
+and its checks need. Fisher market buyers value divisible allocations:
+``Linear``, ``CobbDouglas``, and ``CES``.
 
 Bundles are tuples of nonnegative ints indexed by good; divisible allocations
 are numpy arrays. All valuation objects are frozen and hashable so downstream
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,40 +70,7 @@ class KDemand:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class Explicit:
-    """Bundle-table valuation with monotone closure.
-
-    ``entries`` maps bundles with at most ``cap`` items to raw values. The
-    value of an arbitrary bundle is the best raw value among its sub-bundles
-    within the cap, so the valuation is monotone by construction and never
-    rewards more than ``cap`` items.
-    """
-
-    m: int
-    cap: int
-    entries: tuple[tuple[Bundle, float], ...]
-    _table: dict = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.m < 1 or self.cap < 0:
-            raise ValueError("need m >= 1 and cap >= 0")
-        norm = []
-        for bundle, val in self.entries:
-            bundle = tuple(int(c) for c in bundle)
-            if len(bundle) != self.m or any(c < 0 for c in bundle):
-                raise ValueError(f"bundle {bundle} does not fit m={self.m}")
-            if sum(bundle) > self.cap:
-                raise ValueError(f"bundle {bundle} exceeds cap {self.cap}")
-            if val < 0:
-                raise ValueError("bundle values must be nonnegative")
-            norm.append((bundle, float(val)))
-        norm.sort()
-        object.__setattr__(self, "entries", tuple(norm))
-        object.__setattr__(self, "_table", dict(norm))
-
-
-AuctionValuation = UnitDemand | KDemand | Explicit
+AuctionValuation = UnitDemand | KDemand
 
 
 def value(v: AuctionValuation, bundle) -> float:
@@ -122,17 +89,11 @@ def _value(v: AuctionValuation, bundle) -> float:
     if isinstance(v, UnitDemand):
         picked = [w for w, c in zip(v.weights, bundle) if c > 0]
         return max(picked, default=0.0)
-    if isinstance(v, KDemand):
-        items = []
-        for w, c in zip(v.weights, bundle):
-            items.extend([w] * c)
-        items.sort(reverse=True)
-        return float(sum(items[: v.cap]))
-    # Explicit: monotone closure over in-cap sub-bundles.
-    best = 0.0
-    for sub in _sub_bundles(bundle, v.cap):
-        best = max(best, v._table.get(sub, 0.0))
-    return best
+    items = []
+    for w, c in zip(v.weights, bundle):
+        items.extend([w] * c)
+    items.sort(reverse=True)
+    return float(sum(items[: v.cap]))
 
 
 def _sub_bundles(bundle: Bundle, cap: int):
@@ -203,18 +164,13 @@ def minimal_equivalent_bundle(v: AuctionValuation, bundle) -> Bundle:
 def scale_bid(v: AuctionValuation, gamma: float, offset: float = 0.0):
     """Bid obtained by scaling item weights by gamma and adding an offset.
 
-    The offset applies per item weight and must be nonnegative; Explicit
-    tables only support pure scaling.
+    The offset applies per item weight and must be nonnegative.
     """
     if gamma < 0 or offset < 0:
         raise ValueError("need gamma >= 0 and offset >= 0")
     if isinstance(v, UnitDemand):
         return UnitDemand(tuple(gamma * w + offset for w in v.weights))
-    if isinstance(v, KDemand):
-        return KDemand(tuple(gamma * w + offset for w in v.weights), v.cap)
-    if offset:
-        raise ValueError("Explicit bids support scaling only")
-    return Explicit(v.m, v.cap, tuple((b, gamma * val) for b, val in v.entries))
+    return KDemand(tuple(gamma * w + offset for w in v.weights), v.cap)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ the low end of the equilibrium price range) or the welfare loss from one
 fewer copy ("dutch", the high end; infinite when the good has no copies).
 Any convex mix of the two is also supported.
 
-Welfare maximization runs on one of three exact paths chosen by profile
-shape: a sorted-slots table for single-good matroid profiles, a maximum
-weight assignment for multi-good matroid profiles, and memoized exhaustive
-search when explicit bundle tables are present. Allocation ties break
-lexicographically by bidder index, then bundle counts.
+Bids are ``UnitDemand`` or ``KDemand``: gross substitutes, whose marginal
+welfare prices clear the market (Gul & Stacchetti, JET 1999).  Welfare
+maximization runs on one of two exact paths chosen by the number of goods:
+a sorted-slots table for one good and a maximum weight assignment for
+several.  Allocation ties break lexicographically by bidder index, then
+bundle counts.
 
 The assignment path solves each maximum-weight assignment with
 ``_max_assignment``, a port of the rectangular shortest augmenting path
@@ -20,8 +21,7 @@ IEEE TAES 2016) as scipy's ``linear_sum_assignment`` runs it: the same
 scan order, tie breaks and dual updates, so it returns the same rows and
 columns, and welfare sums the same floats in the same order.  The port
 runs in Python, so a solve costs about rows² × columns interpreted steps;
-matrices beyond ``_ASSIGNMENT_CELL_LIMIT`` cells raise ``SizeLimitError``,
-as the exhaustive path does past its state budget.
+matrices beyond ``_ASSIGNMENT_CELL_LIMIT`` cells raise ``SizeLimitError``.
 
 Public queries validate their supply once; everything inside an oracle runs
 on private helpers over tuples it built itself.
@@ -51,7 +51,6 @@ RULES = ("english", "dutch", "mix")
 # Welfare/price ties narrower than this are treated as exact ties.
 TIE_TOL = 1e-9
 
-_DP_STATE_LIMIT = 200_000
 # The assignment solver runs in Python: from about 64 rows up it is some 20
 # times slower than scipy's C loop, and a two-good mechanism run at 100
 # unit-demand bidders takes seconds.
@@ -72,10 +71,6 @@ def _check_rule(rule, lam):
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
     if rule == "mix" and (lam is None or not 0.0 <= lam <= 1.0):
         raise ValueError("mix rule needs a blend weight in [0, 1]")
-
-
-def _caps(bid):
-    return bid.cap
 
 
 def _max_assignment(gain):
@@ -172,28 +167,28 @@ class WelfareOracle:
         bids = tuple(bids)
         if not bids:
             raise ValueError("need at least one bidder")
+        for b in bids:
+            if not isinstance(b, (UnitDemand, KDemand)):
+                raise TypeError(f"bids must be UnitDemand or KDemand, not {type(b).__name__}")
         m = bids[0].m
         if any(b.m != m for b in bids):
             raise ValueError("bidders disagree on the number of goods")
         self.bids = bids
         self.m = m
         self.n_bidders = len(bids)
-        self.total_slots = sum(_caps(b) for b in bids)
-        matroid = all(isinstance(b, (UnitDemand, KDemand)) for b in bids)
-        if matroid and m == 1:
+        self.total_slots = sum(b.cap for b in bids)
+        if m == 1:
             self._mode = "slots"
             self._init_slots()
-        elif matroid:
+        else:
             self._mode = "assignment"
             self._init_assignment()
-        else:
-            self._mode = "dp"
         self._welfare_cache: dict = {}
         self._alloc_cache: dict = {}
         self._suffix_cache: dict = {}
         self._menus = None
 
-    # -- slots path: one good, matroid bids --------------------------------
+    # -- slots path: one good ----------------------------------------------
 
     def _init_slots(self):
         # One slot per copy a bidder can use, sorted by weight descending;
@@ -205,7 +200,7 @@ class WelfareOracle:
                 (b.weights[0], i)
                 for i, b in enumerate(self.bids)
                 if b.weights[0] > 0
-                for _ in range(_caps(b))
+                for _ in range(b.cap)
             ),
             reverse=True,
         )
@@ -214,12 +209,12 @@ class WelfareOracle:
         # Prefix sums, added left to right.
         self._slot_prefix = list(itertools.accumulate(self._slot_weights, initial=0.0))
 
-    # -- assignment path: several goods, matroid bids -----------------------
+    # -- assignment path: several goods --------------------------------------
 
     def _init_assignment(self):
         owners = []
         for i, b in enumerate(self.bids):
-            owners.extend([i] * _caps(b))
+            owners.extend([i] * b.cap)
         self._slot_owner_rows = np.asarray(owners, dtype=int)
         weight_rows = np.asarray([b.weights for b in self.bids], dtype=float)
         if not np.isfinite(weight_rows).all():
@@ -230,44 +225,14 @@ class WelfareOracle:
         goods = np.repeat(np.arange(self.m), supply)
         return _assigned_sum(self._slot_weight_matrix[:, goods])  # S x T
 
-    # -- explicit tables, and the greedy allocation off the slots path -------
-
     def _bundle_menus(self):
         """Per bidder, every bundle within its cap in lex order, with its value."""
         if self._menus is None:
             self._menus = [
-                tuple((b, _value(bid, b)) for b in bundles_upto(self.m, _caps(bid)))
+                tuple((b, _value(bid, b)) for b in bundles_upto(self.m, bid.cap))
                 for bid in self.bids
             ]
         return self._menus
-
-    def _dp_value(self, supply, start=0):
-        states = 1
-        for c in supply:
-            states *= c + 1
-        if states > _DP_STATE_LIMIT:
-            raise SizeLimitError(
-                f"explicit welfare path would visit up to {states} supply states "
-                f"(limit {_DP_STATE_LIMIT}); shrink the supply box or caps"
-            )
-        memo = self._suffix_cache
-        menus = self._bundle_menus()
-
-        def rec(i, rem):
-            if i == self.n_bidders:
-                return 0.0
-            key = (i, rem)
-            if key in memo:
-                return memo[key]
-            best = -math.inf
-            for b, worth in menus[i]:
-                if all(c <= r for c, r in zip(b, rem)):
-                    rest = tuple(r - c for r, c in zip(rem, b))
-                    best = max(best, worth + rec(i + 1, rest))
-            memo[key] = best
-            return best
-
-        return rec(start, supply)
 
     # -- queries -------------------------------------------------------------
 
@@ -287,10 +252,7 @@ class WelfareOracle:
             key = self._clip(supply)
             got = self._welfare_cache.get(key)
             if got is None:
-                if self._mode == "assignment":
-                    got = self._assignment_value(key)
-                else:
-                    got = self._dp_value(key)
+                got = self._assignment_value(key)
                 self._welfare_cache[key] = got
             self._welfare_cache[supply] = got
         return got
@@ -301,8 +263,6 @@ class WelfareOracle:
             return self._welfare(supply)
         if start == self.n_bidders:
             return 0.0
-        if self._mode == "dp":
-            return self._dp_value(supply, start)
         key = (start, supply)
         got = self._suffix_cache.get(key)
         if got is None:

@@ -18,8 +18,9 @@ one-good markets were valued on arrays, one ``WelfareOracle`` per drawn
 market (``reference_welfare_draws``); every field and every draw must be
 matched exactly.
 ``reference_parse_config`` is the package's scenario schema as it was before
-the harness kept one registry entry per mode; the registry must give the same
-errors and the same values.  ``reference_best_response_dynamics`` runs the
+the harness kept one registry entry per mode, refusing non-finite numbers as
+the package now does; the registry must give the same errors and the same
+values.  ``reference_best_response_dynamics`` runs the
 best-reply walks one after another, one ``best_response`` call per step, as
 the package did before it ran them in lockstep; ``reference_draw_bidders``
 draws one bidder's weights at a time, as the harness did before it drew them
@@ -48,14 +49,16 @@ package's instability probes as they were before a probe computed each
 supply's prices and each verdict once: every supply and good recomputed
 through ``WelfareOracle.english``; counts and probabilities must be matched
 exactly.
-``demand_set``, ``is_monotone_table``, ``check_gross_substitutes`` and
-``assert_valid_outcome`` are test helpers built on the package's own
-``value`` and ``validate_outcome``.
+``demand_set``, ``check_gross_substitutes`` and ``assert_valid_outcome``
+are test helpers built on the package's own ``value`` and
+``validate_outcome``; ``SingleMinded`` is a complements bid, valued here,
+that the package does not serve and ``demand_set`` also reads.
 """
 
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -88,10 +91,8 @@ from marketlab.supply import (
 )
 from marketlab.valuations import (
     CES,
-    AuctionValuation,
     Bundle,
     CobbDouglas,
-    Explicit,
     KDemand,
     Linear,
     UnitDemand,
@@ -106,25 +107,18 @@ from marketlab.walrasian import WelfareOracle, run_mechanism, truncated_distance
 
 
 def oracle_value(v, bundle):
-    """Bundle value by direct multiset expansion / table closure."""
+    """Bundle value by direct multiset expansion."""
     if isinstance(v, UnitDemand):
         best = 0.0
         for j, c in enumerate(bundle):
             if c > 0:
                 best = max(best, v.weights[j])
         return best
-    if isinstance(v, KDemand):
-        items = []
-        for j, c in enumerate(bundle):
-            items.extend([v.weights[j]] * c)
-        return float(sum(heapq.nlargest(v.cap, items)))
-    assert isinstance(v, Explicit)
-    table = dict(v.entries)
-    best = 0.0
-    for sub in itertools.product(*[range(c + 1) for c in bundle]):
-        if sum(sub) <= v.cap:
-            best = max(best, table.get(sub, 0.0))
-    return best
+    assert isinstance(v, KDemand)
+    items = []
+    for j, c in enumerate(bundle):
+        items.extend([v.weights[j]] * c)
+    return float(sum(heapq.nlargest(v.cap, items)))
 
 
 def oracle_demand(v, prices):
@@ -516,8 +510,6 @@ class ScipyWelfareOracle(WelfareOracle):
             return self.welfare(supply)
         if start == self.n_bidders:
             return 0.0
-        if self._mode == "dp":
-            return self._dp_value(supply, start)
         key = (start, supply)
         got = self._suffix_cache.get(key)
         if got is None:
@@ -898,7 +890,28 @@ def reference_audit(
     )
 
 
-def demand_set(v: AuctionValuation, prices, tol: float = 0.0) -> tuple[Bundle, ...]:
+@dataclass(frozen=True)
+class SingleMinded:
+    """A bidder who values every bundle holding ``want`` at ``worth`` and
+    any other bundle at 0.  The goods of ``want`` are complements, so the
+    valuation is not gross substitutes."""
+
+    want: Bundle
+    worth: float
+
+    @property
+    def m(self) -> int:
+        return len(self.want)
+
+    @property
+    def cap(self) -> int:
+        return sum(self.want)
+
+    def value(self, bundle) -> float:
+        return self.worth if all(c >= w for c, w in zip(bundle, self.want)) else 0.0
+
+
+def demand_set(v, prices, tol: float = 0.0) -> tuple[Bundle, ...]:
     """All quasi-linear-utility-maximizing bundles at ``prices``.
 
     Enumerates bundles with at most ``v.cap`` items, which is sufficient
@@ -910,18 +923,14 @@ def demand_set(v: AuctionValuation, prices, tol: float = 0.0) -> tuple[Bundle, .
     best = -math.inf
     utilities = []
     for b in bundles_upto(v.m, v.cap):
-        u = _value(v, b) - bundle_cost(b, prices)
+        worth = v.value(b) if isinstance(v, SingleMinded) else _value(v, b)
+        u = worth - bundle_cost(b, prices)
         utilities.append((b, u))
         best = max(best, u)
     return tuple(b for b, u in utilities if u >= best - tol)
 
 
-def is_monotone_table(v: Explicit) -> bool:
-    """Whether the raw table already agrees with its monotone closure."""
-    return all(abs(v._table[b] - value(v, b)) <= 1e-12 for b, _ in v.entries)
-
-
-def check_gross_substitutes(v: AuctionValuation, axes):
+def check_gross_substitutes(v, axes):
     """Test the substitutes property of demand on a finite price grid.
 
     ``axes`` gives candidate prices per good; the grid is their product. For
@@ -1001,12 +1010,15 @@ def _typed(val, path: str, kinds, check):
         ok = isinstance(val, int) and not isinstance(val, bool)
     elif kinds is float:
         ok = isinstance(val, (int, float)) and not isinstance(val, bool)
-        val = float(val) if ok else val
     else:
         ok = isinstance(val, kinds)
     if not ok:
         name = kinds.__name__ if hasattr(kinds, "__name__") else str(kinds)
         _fail(path, f"expected {name}, got {type(val).__name__}")
+    if kinds is float:
+        if not math.isfinite(val):
+            _fail(path, f"must be a finite number, got {val}")
+        val = float(val)
     if check is not None:
         err = check(val)
         if err:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -748,7 +749,7 @@ def _mutate(data, sc):
     elif isinstance(parent[path[-1]], str):
         parent[path[-1]] = "bogus"
     else:
-        parent[path[-1]] = data.draw(st.sampled_from((-1, 0, -0.5, 1.5)))
+        parent[path[-1]] = data.draw(st.sampled_from((-1, 0, -0.5, 1.5, math.inf, -math.inf, math.nan)))
 
 
 def _at(obj, path):
@@ -862,6 +863,75 @@ def test_large_binomial_sweep_runs_through_the_cli(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert summary["scenarios"][0]["rows"] == 1
+
+
+def _regret_doc(values=None, grid=None):
+    sc = {
+        "id": "bad",
+        "setting": "walrasian",
+        "mode": "regret",
+        "sweep": [4],
+        "seeds": [0],
+        "players": 2,
+        "rounds": 10,
+        "generator": {**_AUCTION, "values": values or _AUCTION["values"]},
+        "grid": grid or {"scales": [1.0]},
+        **_BOUNDS,
+    }
+    return {"schema_version": 1, "scenarios": [sc]}
+
+
+def _fisher_doc(weight_high):
+    generator = {"goods": 2, "family": "linear", "weight_high": weight_high}
+    sc = {"id": "bad", "setting": "fisher", "mode": "poa", "sweep": [2], "seeds": [0], "generator": generator}
+    return {"schema_version": 1, "scenarios": [sc]}
+
+
+def _two_validity_scenarios(first, second):
+    scenarios = [tiny_validity(2, **extra)["scenarios"][0] for extra in (first, second)]
+    return {"schema_version": 1, "scenarios": scenarios}
+
+
+_BAD_CSV = "scenarios[0].csv: must be a plain file name other than summary.json"
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    (
+        (_regret_doc(values={"kind": "uniform", "low": 0.5, "high": math.inf}),
+         "scenarios[0].generator.values.high: must be a finite number, got inf"),
+        (_regret_doc(grid={"scales": [1.0, math.inf]}), "scenarios[0].grid.scales[1]: must be a finite number, got inf"),
+        (_regret_doc(grid={"scales": [1.0, math.nan]}), "scenarios[0].grid.scales[1]: must be a finite number, got nan"),
+        (_fisher_doc(math.inf), "scenarios[0].generator.weight_high: must be a finite number, got inf"),
+        (_fisher_doc(10**400), "scenarios[0].generator.weight_high: must be a finite number"),
+        (tiny_validity(instances=2, csv=""), _BAD_CSV),
+        (tiny_validity(instances=2, csv="nodir/x.csv"), _BAD_CSV),
+        (tiny_validity(instances=2, csv=".."), _BAD_CSV),
+        (tiny_validity(instances=2, csv="summary.json"), _BAD_CSV),
+        (_two_validity_scenarios({"csv": "x.csv"}, {"id": "other", "csv": "x.csv"}),
+         "scenarios[1].csv: duplicate csv 'x.csv' (also scenarios[0])"),
+        # The second scenario's default name is its id.
+        (_two_validity_scenarios({"csv": "other.csv"}, {"id": "other"}),
+         "scenarios[1].csv: duplicate csv 'other.csv' (also scenarios[0])"),
+    ),
+)
+def test_cli_rejects_non_finite_numbers_and_bad_csv_names(tmp_path, capsys, doc, error):
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config." + error in err
+    assert "Traceback" not in err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is False and error in summary["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
+def test_cli_keeps_csv_files_inside_the_output_directory(tmp_path, capsys):
+    outside = tmp_path / "outside.csv"
+    doc = tiny_validity(instances=2, csv=str(outside))
+    assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+    assert _BAD_CSV in capsys.readouterr().err
+    assert not outside.exists()
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from marketlab.valuations import (
     CES,
     CobbDouglas,
-    Explicit,
     KDemand,
     Linear,
     UnitDemand,
@@ -24,15 +23,13 @@ from marketlab.valuations import (
     value,
 )
 from oracles import (
+    SingleMinded,
     check_gross_substitutes,
     demand_set,
-    is_monotone_table,
     oracle_demand,
     oracle_single_buyer_optimum,
     oracle_value,
 )
-
-SINGLE_MINDED_PAIR = Explicit(2, 2, (((1, 1), 10.0),))
 
 
 def random_matroid_valuation(rng, m=None):
@@ -57,31 +54,12 @@ def test_value_unit_demand_is_best_single_item():
     assert value(UnitDemand((2.0, 7.0)), (1, 1)) == 7.0
 
 
-def test_value_explicit_monotone_closure():
-    v = SINGLE_MINDED_PAIR
-    assert value(v, (2, 0)) == 0.0
-    assert value(v, (1, 1)) == 10.0
-    assert value(v, (3, 2)) == 10.0  # closure over sub-bundles
-    assert is_monotone_table(v)
-
-
 def test_value_rejects_malformed_bundles():
     v = UnitDemand((1.0, 2.0))
     with pytest.raises(ValueError):
         value(v, (1,))
     with pytest.raises(ValueError):
         value(v, (1, -1))
-
-
-def test_explicit_rejects_bundles_beyond_cap():
-    with pytest.raises(ValueError):
-        Explicit(2, 1, (((1, 1), 3.0),))
-
-
-def test_non_monotone_table_detected():
-    v = Explicit(1, 2, (((1,), 5.0), ((2,), 3.0)))
-    assert not is_monotone_table(v)
-    assert value(v, (2,)) == 5.0  # closure repairs the dip
 
 
 def test_value_random_matches_oracle():
@@ -160,7 +138,7 @@ def test_gross_substitutes_k_demand():
 
 
 def test_gross_substitutes_fails_on_complements():
-    ok, witness = check_gross_substitutes(SINGLE_MINDED_PAIR, [range(7), range(7)])
+    ok, witness = check_gross_substitutes(SingleMinded((1, 1), 10.0), [range(7), range(7)])
     assert not ok
     p, x, j, q = witness
     assert x[1 - j] >= 1  # the partner good got dropped after the raise
@@ -180,14 +158,12 @@ def test_scale_bid_scales_item_weights():
     assert b2.weights == (5.25, 3.25)
     with pytest.raises(ValueError):
         scale_bid(v, -1.0)
-    with pytest.raises(ValueError):
-        scale_bid(SINGLE_MINDED_PAIR, 1.0, offset=1.0)
 
 
 def test_item_values_and_max():
     v = KDemand((5.0, 3.0), cap=2)
     assert item_values(v) == (5.0, 3.0)
-    assert max_item_value(SINGLE_MINDED_PAIR) == 0.0
+    assert max_item_value(v) == 5.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from marketlab import walrasian
 from marketlab.errors import InternalCheckError, SizeLimitError
-from marketlab.valuations import Explicit, KDemand, UnitDemand, value
+from marketlab.valuations import KDemand, UnitDemand, value
 from marketlab.walrasian import (
     Outcome,
     WelfareOracle,
@@ -21,6 +21,7 @@ from marketlab.walrasian import (
 )
 from oracles import (
     ScipyWelfareOracle,
+    SingleMinded,
     assert_valid_outcome,
     oracle_best_allocation,
     random_market,
@@ -111,23 +112,13 @@ def test_welfare_and_allocation_match_oracle_random():
         assert alloc == oalloc
 
 
-def test_explicit_profile_uses_exhaustive_path():
-    bids = (
-        Explicit(2, 2, (((1, 1), 10.0),)),
-        UnitDemand((4.0, 1.0)),
-    )
-    val, alloc = max_welfare(bids, (1, 1))
-    oval, oalloc = oracle_best_allocation(bids, (1, 1))
-    assert val == pytest.approx(oval) == 10.0
-    assert alloc == oalloc == ((1, 1), (0, 0))
-
-
-def test_explicit_path_size_guard():
-    # Per-good supply clips at the profile's total demand, so the guard needs
-    # enough aggregate cap to leave a huge state space.
-    bids = tuple(Explicit(4, 6, (((1, 0, 0, 0), 1.0),)) for _ in range(5))
-    with pytest.raises(SizeLimitError):
-        max_welfare(bids, (25, 25, 25, 25))
+@pytest.mark.parametrize("goods", (1, 2))
+def test_oracle_and_mechanism_refuse_bids_that_are_not_gross_substitutes(goods):
+    bids = (SingleMinded((1,) * goods, 10.0), UnitDemand((4.0,) * goods))
+    with pytest.raises(TypeError, match="not SingleMinded"):
+        WelfareOracle(bids)
+    with pytest.raises(TypeError, match="not SingleMinded"):
+        run_mechanism(bids, (1,) * goods)
 
 
 def test_run_mechanism_low_value_winner_at_zero_price():
