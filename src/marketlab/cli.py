@@ -1,9 +1,10 @@
 """Command line entry point.
 
 Exit codes: 0 on success, 1 when a theorem/lemma check fails (the failing
-record is printed), 2 on a config schema violation.  Every exit leaves a
-``summary.json`` in the output directory; after a config error it holds
-``"passed": false`` and the error text.
+record is printed), 2 on a config schema violation or an output directory
+that cannot be made.  Every other exit leaves a ``summary.json`` in the
+output directory; after a config error it holds ``"passed": false`` and the
+error text.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import sys
 
 from .errors import CheckFailure, ScenarioError
-from .harness import OUT_ENV, bundled_scenarios, run_config, write_error_summary
+from .harness import OUT_ENV, bundled_scenarios, make_out_dir, run_config, write_error_summary
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,10 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_error(out_dir, msg: str) -> int:
+def _config_error(out, msg: str) -> int:
+    """Exit 2, with a failed ``summary.json`` in the output directory
+    ``out``; None when the output directory is itself what is wrong."""
     print(f"scenario error: {msg}", file=sys.stderr)
+    if out is None:
+        return 2
     try:
-        path = write_error_summary(out_dir, msg)
+        path = write_error_summary(out, msg)
     except OSError as e:
         print(f"cannot write summary.json: {e}", file=sys.stderr)
     else:
@@ -64,18 +69,22 @@ def _config_error(out_dir, msg: str) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        out = make_out_dir(args.out)
+    except ScenarioError as e:
+        return _config_error(None, str(e))
     if args.jobs < 1:
-        return _config_error(args.out, "--jobs: must be >= 1")
+        return _config_error(out, "--jobs: must be >= 1")
     try:
         report = run_config(
             args.config,
-            out_dir=args.out,
+            out_dir=str(out),
             seed_override=args.seed_override,
             jobs=args.jobs,
             only=args.filter,
         )
     except ScenarioError as e:
-        return _config_error(args.out, str(e))
+        return _config_error(out, str(e))
     except CheckFailure as e:
         report = e.report
         for sc in report.scenarios:

@@ -47,13 +47,13 @@ count and error of a lone solve.
 ``poa_search`` is the one search for a worst reporting equilibrium, with or
 without reserve prices: the market's reserves pick the floor, and the
 outcome's ``holds`` is the one verdict on it.  Its walks follow the search
-rules of ``strategic``, from the truthful profile first and on equal ranks;
+rules of ``dynamics``, from the truthful profile first and on equal ranks;
 as every profile keeps the bits of a lone solve, they find the equilibria of
 walks run one at a time, in their order.
 
-``run_market_learning`` drives ``strategic._Hedge``, the learner of the
-auction game's loop, and reads each round's payoffs of every buyer's whole
-menu from one table call.  Its draw is the inverse-CDF count that
+``run_market_learning`` drives ``dynamics._Hedge``, the learner it shares
+with the auction game's loop, and reads each round's payoffs of every
+buyer's whole menu from one table call.  Its draw is the inverse-CDF count that
 ``rng.choice(k, p=sigma)`` makes (cumulative weights divided by their total,
 counted at or below one uniform per buyer), so it consumes the random stream
 of a per-buyer loop and draws the same actions; the uniforms of a block of
@@ -73,7 +73,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalCheckError, SolverError
-from .strategic import GAIN_TOL, _Hedge, _scan, _switch_gains, _walk_starts, lockstep_walks
+from .dynamics import GAIN_TOL, _Hedge, _scan, _switch_gains, _walk_starts, lockstep_walks
 from .valuations import CES, CobbDouglas, FisherUtility, Linear
 
 __all__ = [
@@ -909,14 +909,14 @@ class _ReportGame:
         self._row_util = _stored(self._rows, self._row_util, keys, util)
 
     def best_responses(self, profiles, i) -> np.ndarray:
-        """Buyer i's ``strategic._scan`` reply, on equal ranks, to every row
+        """Buyer i's ``dynamics._scan`` reply, on equal ranks, to every row
         of a profile stack, from one table call."""
         utils = self.table(profiles, np.full((len(profiles), 1), i))[:, 0, : self.sizes[i]]
         return _scan(utils, np.zeros(utils.shape[1]))[0]
 
     def is_nash(self, profile) -> tuple[bool, float]:
         """Whether no buyer gains over GAIN_TOL by switching alone, off one
-        ``strategic._switch_gains`` table, and the gain: the first over
+        ``dynamics._switch_gains`` table, and the gain: the first over
         GAIN_TOL in (buyer, entry) order, else the largest, at least 0."""
         gains = _switch_gains(self.table([profile], [self._buyers])[0], profile, self._cells)
         above = np.flatnonzero(gains > GAIN_TOL)

@@ -64,12 +64,12 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from marketlab import fisher, harness
+from marketlab import fisher, walrasian_modes
+from marketlab.dynamics import GAIN_TOL
 from marketlab.errors import InternalCheckError, ScenarioError, SolverError
 from marketlab.harness import SCHEMA_VERSION, Scenario
 from marketlab.sensitivity import Z99, ProbeParams, deficit_vectors
 from marketlab.strategic import (
-    GAIN_TOL,
     Certification,
     EquilibriumReport,
     GameContext,
@@ -818,7 +818,7 @@ def reference_welfare_draws(rng, gen: dict, model, bidders: int, draws: int) -> 
     """The audit's optimal welfare draws, one ``WelfareOracle`` per market."""
     sw_draws = []
     for _ in range(draws):
-        vals = harness._draw_bidders(rng, gen, bidders)
+        vals = walrasian_modes._draw_bidders(rng, gen, bidders)
         counts = sample(model, rng)
         sw_draws.append(WelfareOracle(vals).welfare(counts))
     return sw_draws
@@ -826,15 +826,15 @@ def reference_welfare_draws(rng, gen: dict, model, bidders: int, draws: int) -> 
 
 def reference_audit(
     gen: dict, assumptions: dict, sweep_n: int, bidders: int, seq, samples: int = 400
-) -> harness.AssumptionAudit:
-    """``harness.audit_assumptions`` as it was before one-good markets were
+) -> walrasian_modes.AssumptionAudit:
+    """``walrasian_modes.audit_assumptions`` as it was before one-good markets were
     valued on arrays: one ``WelfareOracle`` per drawn market."""
     rng = np.random.default_rng(seq)
     zeta = assumptions["zeta"]
     rho_prime = assumptions["rho_prime"]
     goods = gen["goods"]
 
-    draws = harness._draw_item_weights(rng, gen["values"], (samples, goods))
+    draws = walrasian_modes._draw_item_weights(rng, gen["values"], (samples, goods))
     per_item = draws.mean(axis=0)
     per_item_se = draws.std(axis=0, ddof=1) / math.sqrt(samples)
     zeta_hat = float(per_item.max())
@@ -847,7 +847,7 @@ def reference_audit(
     cap_se = float(best_draw.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     item_expectation_cap_ok = cap_hat <= goods * zeta + 3.0 * cap_se
 
-    model = harness._build_model(gen, sweep_n)
+    model = walrasian_modes._build_model(gen, sweep_n)
     mu = mean_counts(model)
     sd = std_counts(model)
     if np.any(mu <= 0):
@@ -869,7 +869,7 @@ def reference_audit(
     peak = max_point_mass(model)
     flag = peak >= 1.0 - 1e-12
     suppress = (not bounded_value_ok) or (not welfare_ok) or flag
-    return harness.AssumptionAudit(
+    return walrasian_modes.AssumptionAudit(
         sweep=sweep_n,
         zeta=zeta,
         zeta_hat=zeta_hat,

@@ -27,7 +27,7 @@ from marketlab.fisher import (
     verify_price_shift,
     verify_utility_floor,
 )
-from marketlab.strategic import _Hedge
+from marketlab.dynamics import _Hedge
 from marketlab.valuations import CES, CobbDouglas, Linear, fisher_demand, utility
 
 from oracles import (

@@ -1,5 +1,7 @@
 """A serial run loads only what it executes: the process pool and numpy.ma
-add megabytes to every run's peak memory, and only ``--jobs`` needs the pool."""
+add megabytes to every run's peak memory, and only ``--jobs`` needs the pool.
+A run loads only the code of the settings its config names: a Walrasian run
+leaves ``fisher`` out, and a Fisher run the auction stack."""
 
 import json
 import os
@@ -32,13 +34,45 @@ print(json.dumps([at_import, after_auction, loaded()]))
 """
 
 
-def test_a_serial_run_loads_neither_the_pool_nor_numpy_ma():
+RUN_SCRIPT = """
+import json, sys
+
+import marketlab.harness as harness
+
+harness.run_config(sys.argv[1], out_dir=sys.argv[2])
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("marketlab."))))
+"""
+
+AUCTION_STACK = ("marketlab.strategic", "marketlab.sensitivity", "marketlab.walrasian", "marketlab.supply")
+
+
+def _run(script, *args):
     src = str(Path(marketlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True
     )
-    at_import, after_auction, after_fisher = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_a_serial_run_loads_neither_the_pool_nor_numpy_ma():
+    at_import, after_auction, after_fisher = _run(SCRIPT)
     assert at_import == []
     assert after_auction == []
     assert after_fisher == []
+
+
+def test_a_walrasian_run_leaves_out_fisher(tmp_path):
+    loaded = _run(RUN_SCRIPT, "walrasian_bullying", str(tmp_path / "out"))
+    assert "marketlab.fisher" not in loaded and "marketlab.fisher_modes" not in loaded
+    assert "marketlab.walrasian_modes" in loaded
+
+
+def test_a_fisher_run_leaves_out_the_auction_stack(tmp_path):
+    sc = {"id": "tiny", "setting": "fisher", "mode": "poa", "sweep": [2], "seeds": [0],
+          "restarts": 1, "generator": {"goods": 2, "family": "linear"}}
+    config = tmp_path / "fisher.json"
+    config.write_text(json.dumps({"schema_version": 1, "scenarios": [sc]}))
+    loaded = _run(RUN_SCRIPT, str(config), str(tmp_path / "out"))
+    assert [name for name in AUCTION_STACK + ("marketlab.walrasian_modes",) if name in loaded] == []
+    assert "marketlab.fisher" in loaded

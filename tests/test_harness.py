@@ -17,21 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marketlab
-from marketlab import fisher, harness, strategic, walrasian
+from marketlab import fisher, fisher_modes, harness, strategic, walrasian, walrasian_modes
 from marketlab.cli import main
 from marketlab.errors import CheckFailure, ScenarioError, SolverError
 from marketlab.harness import (
-    _MODES,
-    _enumerated_welfare,
     _fmt,
-    _random_gs_market,
-    audit_assumptions,
     bundled_scenarios,
     load_config,
     parse_config,
     run_config,
 )
 from marketlab.walrasian import max_welfare
+from marketlab.walrasian_modes import _enumerated_welfare, _random_gs_market, audit_assumptions
 from oracles import (
     reference_audit,
     reference_draw_bidders,
@@ -209,7 +206,7 @@ def test_bundled_scenarios_resolve():
     scenarios = parse_config(cfg)
     assert scenarios[0].mode == "bullying"
     for sc in scenarios:
-        assert (sc.setting, sc.mode) in _MODES
+        assert sc.mode in harness._setting(sc.setting).MODES
 
 
 # -- helpers -------------------------------------------------------------------
@@ -284,9 +281,9 @@ def test_one_good_audit_equals_the_oracle_loop(values):
                 want = reference_audit(gen, assumptions, n, bidders, seq)
                 assert dataclasses.asdict(got) == dataclasses.asdict(want), (gen, n, bidders)
                 # Each draw to the bit, and the generator left where the loop leaves it.
-                model = harness._build_model(gen, n)
+                model = walrasian_modes._build_model(gen, n)
                 rng, ref = np.random.default_rng(seq), np.random.default_rng(seq)
-                draws = harness._optimal_welfare_draws(rng, gen, model, bidders, 200)
+                draws = walrasian_modes._optimal_welfare_draws(rng, gen, model, bidders, 200)
                 assert draws.tolist() == reference_welfare_draws(ref, gen, model, bidders, 200)
                 assert rng.random() == ref.random()
 
@@ -325,7 +322,7 @@ def test_audit_runs_once_per_sweep_point(tmp_path, monkeypatch):
             f.write(f"{os.getpid()} {sweep_n}\n")
         return audit_assumptions(gen, assumptions, sweep_n, bidders, seq)
 
-    monkeypatch.setattr(harness, "audit_assumptions", counted)
+    monkeypatch.setattr(walrasian_modes, "audit_assumptions", counted)
     cfg = write_config(tmp_path, small_sweep())
     summaries = {}
     for name, jobs in (("serial", 1), ("parallel", 2)):
@@ -349,7 +346,7 @@ def test_a_failed_audit_fails_every_seed_of_its_point(tmp_path, monkeypatch, job
             raise SolverError("audit diverged")
         return audit_assumptions(gen, assumptions, sweep_n, bidders, seq)
 
-    monkeypatch.setattr(harness, "audit_assumptions", failing)
+    monkeypatch.setattr(walrasian_modes, "audit_assumptions", failing)
     with pytest.raises(CheckFailure) as err:
         run_config(write_config(tmp_path, small_sweep()), out_dir=str(tmp_path / "out"), jobs=jobs)
     (sc,) = err.value.report.scenarios
@@ -366,7 +363,7 @@ def test_a_failed_first_seed_keeps_its_points_audit(tmp_path, monkeypatch):
     def diverged(*args, **kwargs):
         raise SolverError("walks diverged")
 
-    monkeypatch.setattr(harness, "worst_equilibrium", diverged)
+    monkeypatch.setattr(walrasian_modes, "worst_equilibrium", diverged)
     with pytest.raises(CheckFailure):
         run_config(write_config(tmp_path, small_sweep(sweep=(4,), seeds=(0,))), out_dir=str(tmp_path / "out"))
     (sc,) = json.loads((tmp_path / "out" / "summary.json").read_text())["scenarios"]
@@ -831,7 +828,7 @@ def _corpus(bidders, goods, copies, low):
          {**_FILLED_AUCTION, **_BOUNDS, "restarts": 32, "trend_check": False}),
         ("walrasian", "validity", {}, {"generator": _corpus(5, 3, 4, 0.1), "mix_weight": 0.5}),
         ("walrasian", "lemmas", {},
-         {"generator": _corpus(5, 2, 8, 0.3), "lemmas": list(harness._LEMMAS), "min_applied": 0}),
+         {"generator": _corpus(5, 2, 8, 0.3), "lemmas": list(walrasian_modes._LEMMAS), "min_applied": 0}),
         ("walrasian", "bullying", {}, {}),
         ("walrasian", "regret",
          {"generator": _AUCTION, "grid": {"scales": [1.0]}, "players": 2, "rounds": 5, **_BOUNDS},
@@ -913,6 +910,11 @@ _BAD_CSV = "scenarios[0].csv: must be a plain file name other than summary.json"
         # The second scenario's default name is its id.
         (_two_validity_scenarios({"csv": "other.csv"}, {"id": "other"}),
          "scenarios[1].csv: duplicate csv 'other.csv' (also scenarios[0])"),
+        # 130 two-byte letters: 264 bytes, past the 255 a file name may take.
+        (tiny_validity(instances=2, csv="é" * 130 + ".csv"),
+         "scenarios[0].csv: must be a file name of at most 255 bytes in UTF-8"),
+        (_two_validity_scenarios({}, {"id": "é" * 126}),
+         "scenarios[1].id: names the CSV '" + "é" * 126 + ".csv', over 255 bytes in UTF-8"),
     ),
 )
 def test_cli_rejects_non_finite_numbers_and_bad_csv_names(tmp_path, capsys, doc, error):
@@ -924,6 +926,26 @@ def test_cli_rejects_non_finite_numbers_and_bad_csv_names(tmp_path, capsys, doc,
     summary = json.loads((out / "summary.json").read_text())
     assert summary["passed"] is False and error in summary["error"]
     assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
+def test_a_file_name_of_255_bytes_is_written(tmp_path):
+    doc = tiny_validity(instances=2)
+    doc["scenarios"][0]["id"] = "a" * 251
+    run_config(write_config(tmp_path, doc), out_dir=str(tmp_path / "o"))
+    assert (tmp_path / "o" / ("a" * 251 + ".csv")).is_file()
+
+
+@pytest.mark.parametrize("where", ("file", "under_file"))
+def test_cli_rejects_an_output_directory_it_cannot_make(tmp_path, capsys, where):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken if where == "file" else taken / "out"
+    assert main(["run", "walrasian_bullying", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"scenario error: output directory '{out}': ")
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_cli_keeps_csv_files_inside_the_output_directory(tmp_path, capsys):
@@ -943,17 +965,17 @@ def test_cli_keeps_csv_files_inside_the_output_directory(tmp_path, capsys):
 def test_bidders_drawn_in_one_call_match_one_draw_per_bidder(values, goods, family, cap):
     gen = {"family": family, "goods": goods, "cap": cap, "values": values}
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    assert harness._draw_bidders(rng, gen, 7) == reference_draw_bidders(ref, gen, 7)
+    assert walrasian_modes._draw_bidders(rng, gen, 7) == reference_draw_bidders(ref, gen, 7)
     assert rng.random() == ref.random()
 
 
 def test_regret_budget_fails_when_regret_exceeds_the_budget(tmp_path, monkeypatch, capsys):
     doc = tiny_config("walrasian_regret")
     doc["scenarios"][0]["feedback"] = "bandit"
-    learning_config = harness.LearningConfig
+    learning_config = walrasian_modes.LearningConfig
     # Budgets a billionth of the real ones, below any measured regret.
     monkeypatch.setattr(
-        harness, "LearningConfig", lambda **kw: learning_config(**kw, regret_scale=2e-9)
+        walrasian_modes, "LearningConfig", lambda **kw: learning_config(**kw, regret_scale=2e-9)
     )
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 1
@@ -1016,16 +1038,16 @@ def test_regret_display_fails_below_a_positive_floor(tmp_path, monkeypatch, caps
     # it, and a hundredth of it falls below it.
     doc = tiny_config("walrasian_regret")
     doc["scenarios"][0]["rounds"] = 1000
-    monkeypatch.setattr(harness, "ratio_bound_log", lambda *args: 0.99)
+    monkeypatch.setattr(walrasian_modes, "ratio_bound_log", lambda *args: 0.99)
     config = write_config(tmp_path, doc)
     assert main(["run", config, "--out", str(tmp_path / "learned")]) == 0
-    learn = harness.run_learning
+    learn = walrasian_modes.run_learning
 
     def thinned(*args, **kwargs):
         learned = learn(*args, **kwargs)
         return dataclasses.replace(learned, average_welfare=learned.average_welfare / 100.0)
 
-    monkeypatch.setattr(harness, "run_learning", thinned)
+    monkeypatch.setattr(walrasian_modes, "run_learning", thinned)
     out = tmp_path / "out"
     assert main(["run", config, "--out", str(out)]) == 1
     assert "Traceback" not in capsys.readouterr().err
@@ -1088,17 +1110,17 @@ _NO_FISHER_EQUILIBRIUM = (
 )
 
 # A poa-bound floor the unbroken program clears at every tiny sweep point.
-_POSITIVE_FLOOR = (harness, "ratio_bound_sqrt", lambda _: lambda *args: 0.99)
+_POSITIVE_FLOOR = (walrasian_modes, "ratio_bound_sqrt", lambda _: lambda *args: 0.99)
 
 
 @pytest.mark.parametrize(
     "config, check, patches",
     (
-        ("walrasian_oracle", "oracle-equivalence", [(harness, "max_welfare", _welfare_off_by_one)]),
-        ("fisher_reserve", "compressed-prices", [(harness, "compress_prices", _shifted_prices)]),
+        ("walrasian_oracle", "oracle-equivalence", [(walrasian_modes, "max_welfare", _welfare_off_by_one)]),
+        ("fisher_reserve", "compressed-prices", [(fisher_modes, "compress_prices", _shifted_prices)]),
         (
             "walrasian_binomial_sweep", "certified-equilibrium",
-            [(harness, "worst_equilibrium", lambda _: lambda *args, **kw: (None, [], True, 0))],
+            [(walrasian_modes, "worst_equilibrium", lambda _: lambda *args, **kw: (None, [], True, 0))],
         ),
         (
             "walrasian_bullying", "bullying-nash",
@@ -1154,8 +1176,8 @@ def test_ratio_trend_fails_when_the_worst_ratio_stays_low(tmp_path, monkeypatch,
         worst, reports, complete, dropped = real(*args, **kw)
         return dataclasses.replace(worst, ratio=0.5), reports, complete, dropped
 
-    real = harness.worst_equilibrium
-    monkeypatch.setattr(harness, "worst_equilibrium", mutant)
+    real = walrasian_modes.worst_equilibrium
+    monkeypatch.setattr(walrasian_modes, "worst_equilibrium", mutant)
     out = tmp_path / "out"
     doc = tiny_config("walrasian_binomial_sweep")
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 1
@@ -1315,7 +1337,7 @@ def test_vacuous_floors_are_marked_in_the_summary(tmp_path, monkeypatch, capsys)
     assert sc["vacuous_checks"] == len(bounds)
     assert not any("vacuous" in c for c in sc["checks"] if c["name"] != "poa-bound")
     # A positive floor is a real test, and the mark goes.
-    monkeypatch.setattr(harness, "ratio_bound_sqrt", lambda *args: 0.5)
+    monkeypatch.setattr(walrasian_modes, "ratio_bound_sqrt", lambda *args: 0.5)
     floored = tmp_path / "floored"
     assert main(["run", "walrasian_binomial_sweep", "--out", str(floored)]) == 0
     assert "Traceback" not in capsys.readouterr().err

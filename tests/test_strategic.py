@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketlab import strategic
+from marketlab import dynamics, strategic
+from marketlab.dynamics import GAIN_TOL, _Hedge
 from marketlab.errors import InternalCheckError
 from marketlab.strategic import (
-    GAIN_TOL,
     Certification,
     EquilibriumReport,
     GameContext,
@@ -17,7 +17,6 @@ from marketlab.strategic import (
     LearningResult,
     ScalingGrid,
     _Engine,
-    _Hedge,
     _SingleGood,
     best_response_dynamics,
     check_price_bracket,
@@ -481,11 +480,11 @@ def test_scan_takes_a_gain_over_the_tolerance_or_a_higher_ranked_tie():
         [0.0, 2 * tol, 0.0],  # a gain over GAIN_TOL, then a fall
         [0.0, -tol, 3 * tol],  # a tie below the best, then a gain over both
     ])
-    best_s, best_u = strategic._scan(utils, np.zeros(3))
+    best_s, best_u = dynamics._scan(utils, np.zeros(3))
     assert best_s.tolist() == [0, 0, 0, 1, 2]
     assert best_u.tolist() == [1.0, 0.0, 0.0, 2 * tol, 3 * tol]
-    assert strategic._scan(utils, np.array([2, 1, 0]))[0].tolist() == [0, 0, 0, 1, 2]
-    best_s, best_u = strategic._scan(utils, np.array([0, 1, 2]))
+    assert dynamics._scan(utils, np.array([2, 1, 0]))[0].tolist() == [0, 0, 0, 1, 2]
+    best_s, best_u = dynamics._scan(utils, np.array([0, 1, 2]))
     assert best_s.tolist() == [2, 1, 2, 1, 2]
     assert best_u.tolist() == [1.0, tol, tol / 2, 2 * tol, 3 * tol]
 
@@ -503,7 +502,7 @@ def test_walk_starts_draw_both_games_streams(restarts):
     fisher = [
         tuple(int(fisher_rng.integers(0, len(m))) for m in menus) for _ in range(restarts)
     ]
-    got = strategic._walk_starts(rng, np.array([len(m) for m in menus]), restarts)
+    got = dynamics._walk_starts(rng, np.array([len(m) for m in menus]), restarts)
     assert got.shape == auction.shape and got.dtype == auction.dtype
     assert got.tolist() == auction.tolist() == [list(p) for p in fisher]
     assert rng.random() == auction_rng.random() == fisher_rng.random()
@@ -512,7 +511,7 @@ def test_walk_starts_draw_both_games_streams(restarts):
 def test_switch_gains_are_minus_inf_at_own_entries_and_past_menus():
     utils = np.array([[1.0, 3.0, 0.0], [2.0, 0.0, 0.0], [5.0, 4.0, 7.0]])
     cells = np.array([[True, True, False], [True, False, False], [True, True, True]])
-    gains = strategic._switch_gains(utils, (1, 0, 2), cells)
+    gains = dynamics._switch_gains(utils, (1, 0, 2), cells)
     ninf = -math.inf
     assert gains.tolist() == [[-2.0, ninf, ninf], [ninf, ninf, ninf], [-2.0, -3.0, ninf]]
 
@@ -528,7 +527,7 @@ def test_certify_matches_the_per_entry_reference(game, data):
         [data.draw(st.integers(0, len(m) - 1)) for m in ctx.menu]
         for _ in range(data.draw(st.integers(1, 4)))
     ])
-    ends, _ = strategic.lockstep_walks(stack, ctx.best_responses, max_sweeps)
+    ends, _ = dynamics.lockstep_walks(stack, ctx.best_responses, max_sweeps)
     for profile in [*map(tuple, stack.tolist()), *ends]:
         got, want = ctx.certify(profile), reference_certify(ctx, profile)
         if ctx.players == 1:
