@@ -82,8 +82,6 @@ __all__ = [
     "solve_market",
     "strategic_outcome",
     "strategic_outcomes",
-    "ScalingAudit",
-    "audit_scaling",
     "rescale_to_unit",
     "perturbed_reports",
     "PoAOutcome",
@@ -727,22 +725,6 @@ def strategic_outcome(
 
 # ---------------------------------------------------------------------------
 # Consistent scaling.
-
-
-@dataclass(frozen=True)
-class ScalingAudit:
-    t: float
-    ratios: tuple[float, ...]
-    consistent: bool
-
-
-def audit_scaling(market: FisherMarket) -> ScalingAudit:
-    """Truthful utility per unit budget; consistent when all buyers match."""
-    eq = solve_market(market)
-    ratios = tuple(u / e for u, e in zip(eq.utilities, market.budgets))
-    t = sum(u for u in eq.utilities) / sum(market.budgets)
-    consistent = all(abs(x - t) <= 1e-6 * max(1.0, abs(t)) for x in ratios)
-    return ScalingAudit(t, ratios, consistent)
 
 
 def rescale_to_unit(market: FisherMarket) -> FisherMarket:

@@ -145,7 +145,7 @@ def _plain_file_name(name):
 
 def _validate_scenario(raw: dict, path: str, index: int) -> Scenario:
     _typed(raw, path, dict, None)
-    sid = _need(raw, path, "id", str, lambda s: None if s and all(c.isalnum() or c == "_" for c in s) else "must be non-empty [a-z0-9_]")
+    sid = _need(raw, path, "id", str, lambda s: None if s and s.isascii() and all(c.isalnum() or c == "_" for c in s) else "must match [A-Za-z0-9_]+")
     setting = _need(raw, path, "setting", str, lambda s: None if s in SETTINGS else "must be 'walrasian' or 'fisher'")
     modes = _setting(setting).MODES
     mode = _need(raw, path, "mode", str, lambda m: None if m in modes else f"must be one of {tuple(modes)} for setting '{setting}'")

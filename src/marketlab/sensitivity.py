@@ -24,7 +24,6 @@ from .walrasian import WelfareOracle, truncated_distance
 __all__ = [
     "ProbeParams",
     "ProbeReport",
-    "default_search_box",
     "default_threshold",
     "is_unstable",
     "is_unstable_within",
@@ -34,7 +33,6 @@ __all__ = [
     "event_probability_bound",
     "deficit_ball_bound",
     "instability_mass",
-    "halving_steps",
     "comb_ext",
     "check_counting_identities",
 ]
@@ -59,17 +57,6 @@ class ProbeParams:
             raise ValueError("threshold and ceiling must be positive")
         if self.slack < 0 or self.search_box < 0:
             raise ValueError("slack and search_box must be nonnegative")
-
-
-def default_search_box(bids, slack: int) -> int:
-    """Smallest per-good scan box that provably misses no unstable vector.
-
-    Past the point where every bidder's demand is saturated, marginal copies
-    are worthless and prices are pinned at zero, so scanning further cannot
-    find instability.
-    """
-    slots = sum(b.cap for b in bids)
-    return slots + slack + 1
 
 
 def default_threshold(goods: int, peak: float, slack: int, ceiling: float) -> tuple[float, float]:
@@ -182,14 +169,6 @@ def deficit_ball_bound(goods: int, slack: int) -> int:
 def instability_mass(goods: int, slack: int, peak: float) -> float:
     """Aggregate instability weight 2 * goods^2 * peak * C(slack+1+goods, goods)."""
     return 2.0 * goods * goods * peak * math.comb(slack + 1 + goods, goods)
-
-
-def halving_steps(mass: float) -> int:
-    """Depth of the geometric threshold schedule for a mass below 1."""
-    if not 0.0 < mass < 1.0:
-        raise ValueError("schedule depth is defined for mass in (0, 1)")
-    outer = math.log2(1.0 / mass)
-    return math.ceil(outer - math.log2(outer))
 
 
 def event_probability_bound(goods: int, peak: float, params: ProbeParams) -> float:

@@ -1,4 +1,4 @@
-"""Random copy-count models and the large-auction assumption constants.
+"""Random copy-count models and the welfare-floor rate they imply.
 
 A multiplicity model describes how many copies of each good arrive, one
 independent integer count per good.  The quantity the rest of the library
@@ -20,23 +20,16 @@ import numpy as np
 __all__ = [
     "BinomialCounts",
     "FixedCounts",
-    "TabularCounts",
     "MultiplicityModel",
     "good_pmf",
-    "pmf",
     "max_point_mass",
     "mean_counts",
     "std_counts",
     "sample",
     "support_size",
     "iter_support",
-    "MarketAssumptions",
     "floor_rate",
-    "welfare_floor",
-    "binomial_market_assumptions",
 ]
-
-PMF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,29 +61,7 @@ class FixedCounts:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
-class TabularCounts:
-    """Independent per-good pmf tables; table index is the copy count."""
-
-    tables: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        tables = tuple(tuple(float(p) for p in t) for t in self.tables)
-        object.__setattr__(self, "tables", tables)
-        if not tables:
-            raise ValueError("need at least one good")
-        for j, t in enumerate(tables):
-            if not t or any(p < 0 for p in t):
-                raise ValueError(f"good {j}: pmf entries must be nonnegative")
-            if abs(math.fsum(t) - 1.0) > PMF_TOL:
-                raise ValueError(f"good {j}: pmf must sum to 1 within {PMF_TOL}")
-
-    @property
-    def goods(self) -> int:
-        return len(self.tables)
-
-
-MultiplicityModel = Union[BinomialCounts, FixedCounts, TabularCounts]
+MultiplicityModel = Union[BinomialCounts, FixedCounts]
 
 
 # log(DBL_MAX): comb(n, i) converts to a float when its log is below.
@@ -125,23 +96,9 @@ def good_pmf(model: MultiplicityModel, j: int) -> np.ndarray:
     if isinstance(model, BinomialCounts):
         n, p = model.trials, model.prob
         return np.array([_binomial_term(n, i, p) for i in range(n + 1)])
-    if isinstance(model, FixedCounts):
-        out = np.zeros(model.counts[j] + 1)
-        out[model.counts[j]] = 1.0
-        return out
-    return np.array(model.tables[j])
-
-
-def pmf(model: MultiplicityModel, j: int, count: int) -> float:
-    """Probability that good j has exactly `count` copies.  Counts are
-    independent across goods for every supported model, so this is also the
-    probability conditioned on the other goods' counts."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    table = good_pmf(model, j)
-    if count >= table.size:
-        return 0.0
-    return float(table[count])
+    out = np.zeros(model.counts[j] + 1)
+    out[model.counts[j]] = 1.0
+    return out
 
 
 def max_point_mass(model: MultiplicityModel) -> float:
@@ -156,11 +113,7 @@ def max_point_mass(model: MultiplicityModel) -> float:
 def mean_counts(model: MultiplicityModel) -> np.ndarray:
     if isinstance(model, BinomialCounts):
         return np.full(model.goods, model.trials * model.prob)
-    if isinstance(model, FixedCounts):
-        return np.array(model.counts, dtype=float)
-    return np.array(
-        [np.dot(good_pmf(model, j), np.arange(len(model.tables[j]))) for j in range(model.goods)]
-    )
+    return np.array(model.counts, dtype=float)
 
 
 def std_counts(model: MultiplicityModel) -> np.ndarray:
@@ -168,27 +121,14 @@ def std_counts(model: MultiplicityModel) -> np.ndarray:
         return np.full(
             model.goods, math.sqrt(model.trials * model.prob * (1.0 - model.prob))
         )
-    if isinstance(model, FixedCounts):
-        return np.zeros(model.goods)
-    out = []
-    for j in range(model.goods):
-        t = good_pmf(model, j)
-        ks = np.arange(t.size)
-        mu = float(np.dot(t, ks))
-        out.append(math.sqrt(max(float(np.dot(t, (ks - mu) ** 2)), 0.0)))
-    return np.array(out)
+    return np.zeros(model.goods)
 
 
 def sample(model: MultiplicityModel, rng: np.random.Generator) -> tuple[int, ...]:
     """One draw of the copy-count vector from an explicit generator."""
     if isinstance(model, BinomialCounts):
         return tuple(rng.binomial(model.trials, model.prob, size=model.goods).tolist())
-    if isinstance(model, FixedCounts):
-        return model.counts
-    return tuple(
-        int(rng.choice(len(model.tables[j]), p=good_pmf(model, j)))
-        for j in range(model.goods)
-    )
+    return model.counts
 
 
 def support_size(model: MultiplicityModel) -> int:
@@ -211,42 +151,7 @@ def iter_support(model: MultiplicityModel) -> Iterator[tuple[tuple[int, ...], fl
 
 
 # ---------------------------------------------------------------------------
-# Large-auction assumption constants and the welfare floor they imply.
-
-
-@dataclass(frozen=True)
-class MarketAssumptions:
-    """Scenario constants feeding the welfare-ratio guarantees.
-
-    item_value_cap: every bidder's expected value for any single item is at
-        most this.
-    welfare_rate: optimal welfare is at least welfare_rate * bidders.
-    best_item_floor: every bidder's best expected single-item value is at
-        least this.
-    spread_slack: each good's count has std dev at most (1 - spread_slack)
-        times its mean; in (0, 1].
-    mean_copies_share: each good's mean count is at least this fraction of
-        the bidder count.
-    """
-
-    item_value_cap: float
-    welfare_rate: float
-    best_item_floor: float
-    spread_slack: float
-    mean_copies_share: float
-
-    def __post_init__(self):
-        vals = (
-            self.item_value_cap,
-            self.welfare_rate,
-            self.best_item_floor,
-            self.spread_slack,
-            self.mean_copies_share,
-        )
-        if any(x <= 0 for x in vals):
-            raise ValueError("assumption constants must be positive")
-        if self.spread_slack > 1.0:
-            raise ValueError("spread_slack must lie in (0, 1]")
+# The welfare floor of the large-auction assumptions.
 
 
 def floor_rate(spread_slack: float, mean_copies_share: float, best_item_floor: float) -> float:
@@ -258,37 +163,3 @@ def floor_rate(spread_slack: float, mean_copies_share: float, best_item_floor: f
     """
     s = spread_slack
     return s * s * mean_copies_share * (2 * s + s * s) / (1 + s) ** 2 * best_item_floor
-
-
-def welfare_floor(assumptions: MarketAssumptions, bidders: int) -> float:
-    """Lower bound on expected optimal welfare with `bidders` participants."""
-    return (
-        floor_rate(
-            assumptions.spread_slack,
-            assumptions.mean_copies_share,
-            assumptions.best_item_floor,
-        )
-        * bidders
-    )
-
-
-def binomial_market_assumptions(
-    bidders: int, prob: float, item_value_cap: float, best_item_floor: float
-) -> MarketAssumptions:
-    """Natural constants for iid Binomial(bidders, prob) copy counts.
-
-    Mean count is prob * bidders and the std dev sqrt(bidders p (1-p)) is a
-    (1 - slack) fraction of it with slack = 1 - sqrt((1-p) / (p bidders)).
-    """
-    if bidders < 1 or not 0.0 < prob < 1.0:
-        raise ValueError("need bidders >= 1 and prob in (0, 1)")
-    slack = 1.0 - math.sqrt((1.0 - prob) / (prob * bidders))
-    if slack <= 0.0:
-        raise ValueError("bidder count too small for a positive spread slack")
-    return MarketAssumptions(
-        item_value_cap=item_value_cap,
-        welfare_rate=floor_rate(slack, prob, best_item_floor),
-        best_item_floor=best_item_floor,
-        spread_slack=slack,
-        mean_copies_share=prob,
-    )

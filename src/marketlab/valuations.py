@@ -109,18 +109,10 @@ def bundles_upto(m: int, cap: int) -> tuple[Bundle, ...]:
     return tuple(b for b in itertools.product(range(cap + 1), repeat=m) if sum(b) <= cap)
 
 
-def item_values(v: AuctionValuation) -> tuple[float, ...]:
-    """Value of a single copy of each good."""
-    out = []
-    for j in range(v.m):
-        e = [0] * v.m
-        e[j] = 1
-        out.append(value(v, e))
-    return tuple(out)
-
-
 def max_item_value(v: AuctionValuation) -> float:
-    return max(item_values(v))
+    """Largest value of a single copy of any good: for both bid families a
+    copy of good j is worth its weight."""
+    return max(v.weights)
 
 
 def bundle_cost(bundle, prices) -> float:

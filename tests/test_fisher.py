@@ -15,7 +15,6 @@ from marketlab.fisher import (
     FisherLearningResult,
     FisherMarket,
     _ReportGame,
-    audit_scaling,
     compress_prices,
     perturbed_reports,
     poa_search,
@@ -217,13 +216,12 @@ def test_single_buyer_takes_everything_under_any_report():
 
 def test_rescaled_market_hits_unit_ratio():
     market = FisherMarket((2.0, 1.0), (cd(0.5, 0.5), cd(0.2, 0.8)))
-    before = audit_scaling(market)
-    assert not before.consistent
-    scaled = rescale_to_unit(market)
-    after = audit_scaling(scaled)
-    assert after.consistent
-    assert after.t == pytest.approx(1.0)
-    assert solve_market(scaled).prices == pytest.approx(solve_market(market).prices)
+    before = solve_market(market)
+    ratios = [u / e for u, e in zip(before.utilities, market.budgets)]
+    assert max(ratios) - min(ratios) > 1e-6
+    scaled = solve_market(rescale_to_unit(market))
+    assert scaled.utilities == pytest.approx(market.budgets, abs=1e-6)
+    assert scaled.prices == pytest.approx(before.prices)
 
 
 # -- report grids ----------------------------------------------------------------

@@ -913,8 +913,12 @@ _BAD_CSV = "scenarios[0].csv: must be a plain file name other than summary.json"
         # 130 two-byte letters: 264 bytes, past the 255 a file name may take.
         (tiny_validity(instances=2, csv="é" * 130 + ".csv"),
          "scenarios[0].csv: must be a file name of at most 255 bytes in UTF-8"),
-        (_two_validity_scenarios({}, {"id": "é" * 126}),
-         "scenarios[1].id: names the CSV '" + "é" * 126 + ".csv', over 255 bytes in UTF-8"),
+        (_two_validity_scenarios({}, {"id": "a" * 252}),
+         "scenarios[1].id: names the CSV '" + "a" * 252 + ".csv', over 255 bytes in UTF-8"),
+        # An id names a file, so it takes ASCII letters, digits and "_" only;
+        # "ａ" (fullwidth a) and "٣" (Arabic-Indic three) pass str.isalnum.
+        *((tiny_validity(instances=2, id=sid), "scenarios[0].id: must match [A-Za-z0-9_]+")
+          for sid in ("é", "ａ", "x٣", "a-b")),
     ),
 )
 def test_cli_rejects_non_finite_numbers_and_bad_csv_names(tmp_path, capsys, doc, error):

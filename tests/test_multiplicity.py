@@ -8,19 +8,14 @@ from scipy import stats
 from marketlab.supply import (
     BinomialCounts,
     FixedCounts,
-    MarketAssumptions,
-    TabularCounts,
-    binomial_market_assumptions,
     floor_rate,
     good_pmf,
     iter_support,
     max_point_mass,
     mean_counts,
-    pmf,
     sample,
     std_counts,
     support_size,
-    welfare_floor,
 )
 from marketlab.valuations import UnitDemand
 from marketlab.walrasian import max_welfare
@@ -28,20 +23,22 @@ from marketlab.walrasian import max_welfare
 
 def test_binomial_pmf_frozen_point():
     model = BinomialCounts(goods=1, trials=4, prob=0.5)
-    assert pmf(model, 0, 2) == pytest.approx(0.375, abs=1e-15)
+    assert good_pmf(model, 0)[2] == pytest.approx(0.375, abs=1e-15)
 
 
 def test_pmf_out_of_support_is_zero():
     model = BinomialCounts(goods=1, trials=4, prob=0.5)
-    assert pmf(model, 0, 5) == 0.0
-    assert pmf(model, 0, 400) == 0.0
+    # The dense vector ends at the largest count with mass, so every count
+    # past it (5, 400, ...) has probability 0.
+    assert len(good_pmf(model, 0)) == 5
 
 
 def test_fixed_counts_pmf_is_point_mass():
     model = FixedCounts((3, 0, 2))
-    assert pmf(model, 0, 3) == 1.0
-    assert pmf(model, 0, 2) == 0.0
-    assert pmf(model, 2, 2) == 1.0
+    assert good_pmf(model, 0)[3] == 1.0
+    assert good_pmf(model, 0)[2] == 0.0
+    assert good_pmf(model, 2)[2] == 1.0
+    assert len(good_pmf(model, 1)) == 1
 
 
 def test_binomial_pmf_matches_scipy():
@@ -92,18 +89,10 @@ def test_pmf_sums_to_one_per_good():
     models = [
         BinomialCounts(goods=3, trials=9, prob=0.4),
         FixedCounts((2, 5)),
-        TabularCounts(((0.25, 0.5, 0.25), (0.1, 0.9))),
     ]
     for model in models:
         for j in range(model.goods):
             assert abs(math.fsum(good_pmf(model, j)) - 1.0) <= 1e-12
-
-
-def test_tabular_rejects_bad_pmf():
-    with pytest.raises(ValueError):
-        TabularCounts(((0.5, 0.4),))
-    with pytest.raises(ValueError):
-        TabularCounts(((1.1, -0.1),))
 
 
 def test_max_point_mass_frozen_values():
@@ -111,7 +100,6 @@ def test_max_point_mass_frozen_values():
         0.375, abs=1e-15
     )
     assert max_point_mass(FixedCounts((7,))) == 1.0
-    assert max_point_mass(TabularCounts(((0.2, 0.7, 0.1),))) == pytest.approx(0.7)
 
 
 def test_binomial_peak_mass_never_increases_with_trials():
@@ -154,24 +142,24 @@ def test_sampling_moments_match():
     assert abs(draws.mean() - mu) <= 3.0 * sigma / math.sqrt(draws.size)
 
 
-def test_tabular_sampling_matches_table():
-    model = TabularCounts(((0.0, 0.3, 0.7),))
-    rng = np.random.default_rng(5)
-    draws = np.array([sample(model, rng)[0] for _ in range(4000)])
-    assert set(np.unique(draws)) <= {1, 2}
-    assert abs((draws == 2).mean() - 0.7) < 0.03
-
-
 def test_support_iteration_is_exact():
-    model = TabularCounts(((0.25, 0.75), (0.5, 0.0, 0.5)))
+    model = BinomialCounts(goods=2, trials=2, prob=0.5)
     atoms = dict(iter_support(model))
-    assert support_size(model) == 4
-    assert len(atoms) == 4
+    assert support_size(model) == 9
+    assert len(atoms) == 9
     assert abs(math.fsum(atoms.values()) - 1.0) <= 1e-12
-    assert atoms[(1, 2)] == pytest.approx(0.375)
+    assert atoms[(1, 2)] == pytest.approx(0.125)
     # Expected total count via the support equals the sum of marginal means.
     ev = math.fsum(sum(c) * p for c, p in atoms.items())
     assert ev == pytest.approx(float(mean_counts(model).sum()))
+    # Counts of zero mass are skipped: below a fixed count, and every count
+    # but the last when each trial succeeds.
+    sure = BinomialCounts(goods=2, trials=2, prob=1.0)
+    assert dict(iter_support(sure)) == {(2, 2): 1.0}
+    assert support_size(sure) == 1
+    fixed = FixedCounts((3, 0))
+    assert dict(iter_support(fixed)) == {(3, 0): 1.0}
+    assert support_size(fixed) == 1
 
 
 def test_binomial_support_size():
@@ -185,38 +173,21 @@ def test_floor_rate_frozen_point():
 
 def test_floor_rate_vanishes_with_slack():
     assert floor_rate(1e-6, 1.0, 1.0) < 1e-11
-    assert welfare_floor(
-        MarketAssumptions(1.0, 1.0, 1.0, 1e-6, 1.0), 1000
-    ) < 1e-8
-
-
-def test_assumption_validation():
-    with pytest.raises(ValueError):
-        MarketAssumptions(1.0, 0.75, 1.0, 1.5, 0.5)
-    with pytest.raises(ValueError):
-        MarketAssumptions(0.0, 0.75, 1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        binomial_market_assumptions(1, 0.5, 1.0, 1.0)
-
-
-def test_binomial_assumptions_frozen_constants():
-    a = binomial_market_assumptions(64, 0.5, 1.0, 1.0)
-    assert a.spread_slack == pytest.approx(1.0 - 1.0 / 8.0, abs=1e-15)
-    assert a.mean_copies_share == 0.5
-    assert a.welfare_rate == pytest.approx(
-        floor_rate(0.875, 0.5, 1.0), abs=1e-15
-    )
+    # The floor for 1000 bidders.
+    assert floor_rate(1e-6, 1.0, 1.0) * 1000 < 1e-8
 
 
 def test_welfare_floor_holds_on_sampled_optima():
     # 64 unit-demand bidders with unit weight on a single good; optimal
     # welfare at count n is min(n, 64), so every sampled optimum must clear
-    # the floor computed from the binomial constants.
-    bidders = 64
+    # the floor computed from the binomial constants: the count's std dev
+    # sqrt(N p (1-p)) is a (1 - slack) fraction of its mean N p.
+    bidders, prob = 64, 0.5
     bids = tuple(UnitDemand((1.0,)) for _ in range(bidders))
-    model = BinomialCounts(goods=1, trials=bidders, prob=0.5)
-    assumptions = binomial_market_assumptions(bidders, 0.5, 1.0, 1.0)
-    bound = welfare_floor(assumptions, bidders)
+    model = BinomialCounts(goods=1, trials=bidders, prob=prob)
+    slack = 1.0 - math.sqrt((1.0 - prob) / (prob * bidders))
+    assert slack == pytest.approx(1.0 - 1.0 / 8.0, abs=1e-15)
+    bound = floor_rate(slack, prob, 1.0) * bidders
     rng = np.random.default_rng(np.random.SeedSequence(20240816))
     optima = [max_welfare(bids, sample(model, rng))[0] for _ in range(200)]
     assert min(optima) >= bound

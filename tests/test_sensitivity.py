@@ -10,12 +10,10 @@ from marketlab.sensitivity import (
     check_counting_identities,
     comb_ext,
     count_unstable_slice,
-    default_search_box,
     default_threshold,
     deficit_ball_bound,
     deficit_vectors,
     event_probability_bound,
-    halving_steps,
     instability_mass,
     is_unstable,
     is_unstable_within,
@@ -125,7 +123,8 @@ def test_slice_bounds_hold_on_random_corpus():
             threshold=float(rng.uniform(0.1, 1.0)),
             ceiling=float(rng.uniform(1.0, 5.0)),
             slack=int(rng.integers(0, 3)),
-            search_box=default_search_box(bids, 2),
+            # Past every bidder's demand plus a slack of 2, prices stay at 0.
+            search_box=sum(b.cap for b in bids) + 2 + 1,
         )
         for j in range(m):
             rest = tuple(int(rng.integers(0, 3)) for _ in range(m - 1))
@@ -145,7 +144,7 @@ def test_probes_match_the_unmemoized_reference_on_random_markets():
             threshold=float(rng.uniform(0.05, 1.0)),
             ceiling=float(rng.uniform(1.0, 5.0)),
             slack=int(rng.integers(0, 3)),
-            search_box=default_search_box(bids, 2),
+            search_box=sum(b.cap for b in bids) + 2 + 1,
         )
         for j in range(m):
             rest = tuple(int(rng.integers(0, 4)) for _ in range(m - 1))
@@ -247,25 +246,10 @@ def test_instability_mass_matches_formula():
         )
 
 
-def test_halving_steps():
-    assert halving_steps(1.0 / 16.0) == 2
-    assert halving_steps(0.6) == 2
-    assert halving_steps(1e-6) == 16
-    for bad in (0.0, 1.0, 2.0, -0.5):
-        with pytest.raises(ValueError):
-            halving_steps(bad)
-
-
 def test_default_threshold_scales_with_ceiling():
     rel, absolute = default_threshold(1, 0.2734375, 1, ceiling=10.0)
     assert rel == pytest.approx(math.sqrt(0.2734375 * 3.0 / 2.0))
     assert absolute == pytest.approx(rel * 10.0)
-
-
-def test_default_search_box_covers_demand():
-    bids = THREE_UNIT_BIDDERS
-    assert default_search_box(bids, 1) == 5
-    assert default_search_box(bids, 0) == 4
 
 
 def test_comb_ext_conventions():

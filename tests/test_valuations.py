@@ -15,7 +15,6 @@ from marketlab.valuations import (
     best_utility,
     bundles_upto,
     fisher_demand,
-    item_values,
     max_item_value,
     minimal_equivalent_bundle,
     scale_bid,
@@ -162,7 +161,6 @@ def test_scale_bid_scales_item_weights():
 
 def test_item_values_and_max():
     v = KDemand((5.0, 3.0), cap=2)
-    assert item_values(v) == (5.0, 3.0)
     assert max_item_value(v) == 5.0
 
 
